@@ -5,9 +5,9 @@ running over the divisors of 2m+1 (g = (2m+1)/n, multiplicity phi(n)),
 
     p(x) = (x+1)^((d-2m)(2m+1)) * prod_n [ (2 T_n(z))^(g-1) * B_n(z) ]^phi(n).
 
-The oracle is the Faddeev-LeVerrier trace recursion on the adjacency matrix,
-run in exact integer arithmetic.  The two must agree coefficient by
-coefficient -- and do.
+The oracle is the multi-modular Hessenberg oracle on the adjacency matrix:
+Hessenberg reduction modulo word-size primes, lifted exactly by the Chinese
+remainder theorem.  The two must agree coefficient by coefficient -- and do.
 """
 
 from extremal_trees import (

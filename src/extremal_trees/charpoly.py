@@ -7,19 +7,23 @@ with multiplicity phi(n)),
     p(x) = (x+1)^((d-2m)(2m+1)) * prod_n [ (2 T_n(z))^(g-1) * B_n(z) ]^phi(n),
 
 where B_n is the degree-n bracket factor produced by ``bracket_factor``.  The
-assembly is done in exact rational arithmetic and must come out integral and
-monic; anything else is an implementation bug and raises ConsistencyError.
+assembly is done in exact integer arithmetic (with q the product over n and
+e the exponent of the (x+1) prefactor, one Taylor shift y -> x+1 of the
+integer polynomial y^e 2^deg q(y/2), then an exact division by 2^deg) and
+must come out integral and monic; anything else is an implementation bug
+and raises ConsistencyError.
 
-``char_poly_oracle`` provides the independent cross-check: the Faddeev-
-LeVerrier trace recursion applied to the adjacency matrix, in exact integer
-arithmetic (every division the recursion performs is asserted exact).
+``char_poly_oracle`` provides the independent cross-check: the multi-modular
+Hessenberg oracle.  It computes the characteristic polynomial of the
+adjacency matrix modulo word-size primes by Hessenberg reduction, lifts it
+by the Chinese remainder theorem past the Hadamard bound on its
+coefficients, and checks the lift modulo one further prime.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -34,6 +38,15 @@ from .graphs import Graph
 from .polynomials import Poly
 
 ORACLE_SIZE_GUARD = 128
+
+# Primes just below 2^31, descending.  Fifteen cover the coefficient bound of
+# every graph within ORACLE_SIZE_GUARD (K_128 is the worst case) and the
+# sixteenth is the check prime.
+ORACLE_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+    2147483353, 2147483323, 2147483269, 2147483249,
+)
 
 
 def divisors(k: int) -> list[int]:
@@ -77,13 +90,16 @@ def char_poly_exact(m: int, d: int) -> Poly:
         g = k // n
         factor = (2 * chebyshev_T(n)) ** (g - 1) * bracket_factor(n, m, d)
         q = q * factor ** euler_phi(n)
-    # substitute z = (x+1)/2, then clear the (x+1)^((d-2m)k) prefactor in
-    half_x_plus_1 = Poly((Fraction(1, 2), Fraction(1, 2)))
-    p = q.compose(half_x_plus_1)
-    p = p * (Poly((1, 1)) ** ((d - 2 * m) * k))
-    if not p.is_integral():
+    # substitute z = (x+1)/2 in integers: y^e 2^deg q(y/2), with e the
+    # exponent of the (x+1) prefactor, has the integer coefficients
+    # q_j 2^(deg-j) shifted up by e, and its Taylor shift y = x+1 is
+    # 2^deg p(x), which must divide exactly by 2^deg
+    deg = q.degree
+    scaled = [0] * ((d - 2 * m) * k) + [c << (deg - j) for j, c in enumerate(q.coeffs)]
+    shifted = _taylor_shift_1(scaled)
+    if any(c & ((1 << deg) - 1) for c in shifted):
         raise ConsistencyError("characteristic polynomial has a non-integer coefficient")
-    p = p.to_int()
+    p = Poly([c >> deg for c in shifted])
     if p.degree != k * (d + 1) or p.leading != 1:
         raise ConsistencyError(
             f"expected monic of degree {k * (d + 1)}, got degree {p.degree}, "
@@ -92,12 +108,25 @@ def char_poly_exact(m: int, d: int) -> Poly:
     return p
 
 
-def char_poly_oracle(g: Graph) -> Poly:
-    """Characteristic polynomial by the Faddeev-LeVerrier recursion, exact.
+def _taylor_shift_1(coeffs: list[int]) -> list[int]:
+    """Ascending coefficients of f(x+1) from those of f, in integer additions."""
+    a = list(coeffs)
+    top = len(a) - 1
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
 
-    Integer matrices throughout; the trace/k division at each step is exact
-    for integer inputs and is asserted.  Refuses graphs above the desk-scale
-    size guard (use char_poly_exact for family members instead).
+
+def char_poly_oracle(g: Graph) -> Poly:
+    """Characteristic polynomial of the adjacency matrix, exact, multi-modularly.
+
+    The polynomial is computed modulo enough word-size primes that their
+    product exceeds twice the Hadamard bound on its coefficients
+    (``_coefficient_bound``), lifted by the symmetric Chinese remainder
+    theorem, and checked against its residue modulo one further prime.
+    Refuses graphs above the desk-scale size guard (use char_poly_exact for
+    family members instead).
     """
     n = g.n
     if n > ORACLE_SIZE_GUARD:
@@ -105,21 +134,94 @@ def char_poly_oracle(g: Graph) -> Poly:
             f"oracle limited to {ORACLE_SIZE_GUARD} vertices (got {n}); "
             "use char_poly_exact for family graphs"
         )
-    a = g.adjacency_matrix().astype(object)
-    ident = np.eye(n, dtype=object)
-    coeffs = [1]  # descending: x^n, x^(n-1), ...
-    mk = ident.copy()
+    a = g.adjacency_matrix()
+    bound = _coefficient_bound(n, max(map(len, g.adjacency), default=0))
+    primes = _primes_for(bound)
+    residues = [_char_poly_mod(a, p).tolist() for p in primes]
+    modulus = math.prod(primes)
+    # basis[i] is 1 modulo primes[i] and 0 modulo the others
+    basis = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
+    coeffs = []
+    for column in zip(*residues):
+        c = sum(r * b for r, b in zip(column, basis)) % modulus
+        coeffs.append(c - modulus if c > modulus // 2 else c)
+    check_prime = ORACLE_PRIMES[len(primes)]
+    if [c % check_prime for c in coeffs] != _char_poly_mod(a, check_prime).tolist():
+        raise ConsistencyError(
+            f"lifted characteristic polynomial disagrees with its residue "
+            f"modulo the check prime {check_prime}"
+        )
+    return Poly(coeffs)
+
+
+def _coefficient_bound(n: int, max_degree: int) -> int:
+    """Integer B >= |c_k| for every coefficient of an n-vertex graph's charpoly.
+
+    c_k is a signed sum of the C(n,k) principal k x k minors of the 0/1
+    adjacency matrix; each row of a minor has Euclidean norm at most
+    sqrt(max_degree), so Hadamard's inequality bounds each minor by
+    max_degree^(k/2).
+    """
+    return max(
+        math.comb(n, k) * (math.isqrt(max_degree**k) + 1)
+        for k in range(n + 1)
+    )
+
+
+def _primes_for(bound: int) -> list[int]:
+    """The shortest prefix of ORACLE_PRIMES whose product exceeds 2 * bound.
+
+    One table entry must remain after it for the check prime; the table is
+    long enough for every graph within ORACLE_SIZE_GUARD.
+    """
+    modulus, count = 1, 0
+    while modulus <= 2 * bound:
+        modulus *= ORACLE_PRIMES[count]
+        count += 1
+    return list(ORACLE_PRIMES[:count])
+
+
+def _char_poly_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Characteristic polynomial of the integer matrix a modulo p, ascending.
+
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9:
+    reduce to upper Hessenberg form by similarity over F_p, then expand
+    along the columns.  Every product of two residues is reduced modulo p
+    before it enters a sum, so int64 never overflows for p < 2^31.
+    """
+    n = a.shape[0]
+    h = a % p
+    for j in range(n - 2):
+        nonzero = np.flatnonzero(h[j + 1:, j])
+        if nonzero.size == 0:
+            continue  # column j is already in Hessenberg form
+        i = j + 1 + nonzero[0]
+        if i != j + 1:
+            h[[i, j + 1], :] = h[[j + 1, i], :]
+            h[:, [i, j + 1]] = h[:, [j + 1, i]]
+        u = h[j + 2:, j] * pow(int(h[j + 1, j]), -1, p) % p
+        # rows j+2.. minus u times row j+1, then column j+1 plus the columns
+        # j+2.. weighted by u: a similarity L^-1 h L that clears column j
+        h[j + 2:, j:] = (h[j + 2:, j:] - np.outer(u, h[j + 1, j:]) % p) % p
+        h[:, j + 1] = (h[:, j + 1] + (h[:, j + 2:] * u % p).sum(axis=1)) % p
+
+    # polys[k] holds the characteristic polynomial of the leading k x k block;
+    # sub[i] is the product of the subdiagonal entries h[i+1,i] .. h[k-1,k-2]
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    sub = np.zeros(0, dtype=np.int64)
     for k in range(1, n + 1):
-        am = a @ mk
-        tr = int(np.trace(am))
-        if tr % k != 0:
-            raise ConsistencyError(f"trace recursion produced non-integer step at k={k}")
-        ck = -(tr // k)
-        coeffs.append(ck)
-        mk = am + ck * ident
-    if np.any(mk != 0):
-        raise ConsistencyError("trace recursion did not terminate at the zero matrix")
-    return Poly(list(reversed(coeffs)))
+        col = k - 1
+        if k > 1:
+            sub = np.append(sub, 1) * h[col, col - 1] % p
+        prev = polys[k - 1, :k]
+        nxt = polys[k]
+        nxt[1:k + 1] = prev
+        nxt[:k] -= h[col, col] * prev % p
+        weights = h[:col, col] * sub % p
+        nxt[:col] -= (weights[:, None] * polys[:col, :col] % p).sum(axis=0)
+        nxt %= p
+    return polys[n]
 
 
 @dataclass

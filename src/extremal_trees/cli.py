@@ -2,7 +2,9 @@
 polynomials, packing and rigidity certificates, and verification sweeps.
 
 Exit codes: 0 all requested work passed, 1 a verification check failed,
-2 usage or parameter-domain error.
+2 usage or parameter-domain error, 3 internal error (an exact internal
+cross-check failed or an eigensolver did not converge: a bug, not a
+mathematical counterexample).
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ from .charpoly import (
 )
 from .errors import (
     CheckFailure,
+    ConsistencyError,
     InvalidPartitionError,
     ParameterDomainError,
     SizeGuardError,
+    SolverConvergenceError,
 )
 from .graeffe import (
     check_root_bound_inequality,
@@ -392,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--exact", action="store_true", default=True,
                        help="closed-form assembly (default)")
     group.add_argument("--oracle", action="store_true",
-                       help="trace-recursion oracle on the adjacency matrix")
+                       help="multi-modular Hessenberg oracle on the adjacency matrix")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_charpoly)
 
@@ -436,6 +440,9 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    except (ConsistencyError, SolverConvergenceError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

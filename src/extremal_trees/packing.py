@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ParameterDomainError
+from .errors import ConsistencyError, ParameterDomainError
 from .graphs import (
     Graph,
     Partition,
@@ -187,7 +187,8 @@ class _PackingState:
             self.forests[target].add(u, v, cur)
             self.forest_of[cur] = target
             pred = labels[cur]
-            assert pred is not None
+            if pred is None:
+                raise ConsistencyError(f"edge {cur} on the augmenting chain has no label")
             cur, target = pred[0], source
         u, v = self.edges[e0]
         self.forests[target].add(u, v, e0)
@@ -229,7 +230,8 @@ def pack_spanning_trees(g: Graph, k: int) -> ForestPacking | PartitionCertificat
     comps = connected_components(g)
     if len(comps) > 1:
         cert = verify_nash_williams(g, Partition(tuple(comps)), k)
-        assert cert.refutes
+        if not cert.refutes:
+            raise ConsistencyError("component partition failed its own verification")
         return cert
 
     state = _PackingState(g, k)
@@ -250,7 +252,8 @@ def pack_spanning_trees(g: Graph, k: int) -> ForestPacking | PartitionCertificat
     if state.total() == target:
         trees = []
         for forest in state.forests:
-            assert forest.size == g.n - 1
+            if forest.size != g.n - 1:
+                raise ConsistencyError(f"forest has {forest.size} edges, not {g.n - 1}")
             tree = frozenset(
                 (min(u, v), max(u, v))
                 for u in range(g.n)
@@ -267,19 +270,23 @@ def pack_spanning_trees(g: Graph, k: int) -> ForestPacking | PartitionCertificat
         groups.setdefault(clumps.find(v), []).append(v)
     partition = Partition(tuple(frozenset(grp) for grp in groups.values()))
     cert = verify_nash_williams(g, partition, k)
-    assert cert.refutes, "blocking partition failed its own verification"
+    if not cert.refutes:
+        raise ConsistencyError("blocking partition failed its own verification")
     return cert
 
 
 def _verify_packing(g: Graph, packing: ForestPacking) -> None:
     seen: set[tuple[int, int]] = set()
     for tree in packing.trees:
-        assert len(tree) == g.n - 1
-        assert not (tree & seen), "trees share an edge"
+        if len(tree) != g.n - 1:
+            raise ConsistencyError(f"tree has {len(tree)} edges, not {g.n - 1}")
+        if tree & seen:
+            raise ConsistencyError("trees share an edge")
         seen |= tree
         adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
         for u, v in tree:
-            assert g.has_edge(u, v)
+            if not g.has_edge(u, v):
+                raise ConsistencyError(f"tree edge ({u},{v}) is not in the graph")
             adj[u].append(v)
             adj[v].append(u)
         reached = {0}
@@ -290,7 +297,8 @@ def _verify_packing(g: Graph, packing: ForestPacking) -> None:
                 if x not in reached:
                     reached.add(x)
                     stack.append(x)
-        assert len(reached) == g.n, "tree does not span"
+        if len(reached) != g.n:
+            raise ConsistencyError("tree does not span")
 
 
 def sigma(g: Graph, k_max: int) -> int:

@@ -134,11 +134,6 @@ class Poly:
             result = result * x + c
         return result
 
-    def is_integral(self) -> bool:
-        return all(
-            not isinstance(c, Fraction) or c.denominator == 1 for c in self.coeffs
-        )
-
     def to_int(self) -> "Poly":
         """Coerce all coefficients to int; raises if any is non-integral."""
         out = []

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CheckFailure, ParameterDomainError
+from .errors import CheckFailure, ConsistencyError, ParameterDomainError
 from .graphs import (
     Graph,
     Partition,
@@ -85,7 +85,8 @@ def rigidity_certificate(r: int, d: int) -> RigidityCertificate:
     _check_rigidity_params(r, d)
     g = build_extremal_graph(3 * r - 1, d)
     cert = partition_rigidity_check(g, clique_partition(g), r, 0)
-    assert cert.deficit == 3 * r - 1, "certificate deficit left its closed form"
+    if cert.deficit != 3 * r - 1:
+        raise ConsistencyError("certificate deficit left its closed form")
     return cert
 
 

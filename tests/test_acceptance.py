@@ -6,7 +6,7 @@ Criteria:
 1. construction invariants over the full desk sweep, < 1 s per case
 2. two-sided lambda_2 window over the sweep, < 30 s total
 3. dense vs block-circulant spectra within 1e-8 on five cases
-4. closed-form characteristic polynomial == trace-recursion oracle, < 60 s
+4. closed-form characteristic polynomial == multi-modular Hessenberg oracle, < 60 s
 5. root-bound pipeline: coefficient match, monotonicity, exact quartic
    inequality over 2 <= m <= 50, 2m+2 <= d <= 200 in < 10 s
 6. fourth-power bound soundness on 500 seeded real-rooted polynomials

@@ -6,6 +6,8 @@ import pytest
 
 from extremal_trees import (
     CheckFailure,
+    ConsistencyError,
+    Graph,
     ParameterDomainError,
     Poly,
     SizeGuardError,
@@ -19,7 +21,16 @@ from extremal_trees import (
     verify_determinant_identities,
     verify_root_of_unity_identities,
 )
-from extremal_trees.charpoly import divisors, euler_phi
+from extremal_trees import charpoly
+from extremal_trees.charpoly import (
+    ORACLE_PRIMES,
+    ORACLE_SIZE_GUARD,
+    _char_poly_mod,
+    _coefficient_bound,
+    _primes_for,
+    divisors,
+    euler_phi,
+)
 
 from conftest import complete_graph, path_graph
 
@@ -82,6 +93,124 @@ def test_oracle_known_spectra():
 def test_oracle_size_guard():
     with pytest.raises(SizeGuardError):
         char_poly_oracle(build_extremal_graph(3, 18))  # 133 vertices
+
+
+def _bareiss_det(rows) -> int:
+    """Exact determinant of an integer matrix by fraction-free elimination."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def reference_char_poly(g: Graph) -> Poly:
+    """det(xI - A) at x = 0..n, interpolated in the binomial basis C(x, k)."""
+    a = g.adjacency_matrix().tolist()
+    n = g.n
+    values = [
+        _bareiss_det([[(x if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)])
+        for x in range(n + 1)
+    ]
+    p = Poly()
+    falling = Poly((1,))  # x (x-1) ... (x-k+1)
+    for k in range(n + 1):
+        p = p + falling * Fraction(values[0], math.factorial(k))
+        values = [b - a for a, b in zip(values, values[1:])]
+        falling = falling * Poly((-k, 1))
+    return p.to_int()
+
+
+def random_graph(seed: int) -> Graph:
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 25))
+    density = rng.uniform(0.05, 0.9)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    return Graph.from_edges(n, edges)
+
+
+# Vertex 1 is not adjacent to vertex 0 but vertex 2 is, so the first
+# Hessenberg step must swap rows and columns 1 and 2; vertex 3 is isolated,
+# so its column is all zero; the triangle 4-5-6 is a second component.
+SWAP_GRAPH = Graph.from_edges(7, [(0, 2), (1, 2), (4, 5), (5, 6), (4, 6)])
+SPECIAL_GRAPHS = {
+    "n=1": Graph.from_edges(1, []),
+    "edgeless": Graph.from_edges(6, []),
+    "two triangles": Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+    "pivot swap and zero column": SWAP_GRAPH,
+    "K_24": complete_graph(24),
+}
+
+
+def test_reference_char_poly_known_spectra():
+    assert reference_char_poly(complete_graph(5)) == Poly((-4, 1)) * Poly((1, 1)) ** 4
+    assert reference_char_poly(path_graph(3)) == Poly((0, -2, 0, 1))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_oracle_matches_reference_on_random_graphs(seed):
+    g = random_graph(seed)
+    assert char_poly_oracle(g) == reference_char_poly(g)
+
+
+@pytest.mark.parametrize("name", SPECIAL_GRAPHS)
+def test_oracle_matches_reference_on_special_graphs(name):
+    g = SPECIAL_GRAPHS[name]
+    assert char_poly_oracle(g) == reference_char_poly(g)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("seed", range(6))
+def test_char_poly_mod_small_primes(seed, p):
+    # small primes make many pivots vanish mid-reduction, forcing swaps and
+    # skipped all-zero columns
+    g = random_graph(seed)
+    expected = [c % p for c in reference_char_poly(g).coeffs]
+    assert _char_poly_mod(g.adjacency_matrix(), p).tolist() == expected
+
+
+def test_oracle_primes_are_prime():
+    assert len(set(ORACLE_PRIMES)) == len(ORACLE_PRIMES)
+    for p in ORACLE_PRIMES:
+        assert 2**30 < p < 2**31
+        odd = np.arange(3, math.isqrt(p) + 1, 2, dtype=np.int64)
+        assert p % 2 and np.all(p % odd != 0), p
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_oracle_prime_count_covers_bound(seed):
+    g = random_graph(seed)
+    delta = max(map(len, g.adjacency), default=0)
+    bound = _coefficient_bound(g.n, delta)
+    assert all(abs(c) <= bound for c in reference_char_poly(g).coeffs)
+    primes = _primes_for(bound)
+    assert math.prod(primes) > 2 * bound
+    assert math.prod(primes[:-1]) <= 2 * bound  # no prime more than needed
+
+
+def test_oracle_prime_table_covers_size_guard():
+    # the complete graph has the largest bound at any n; one prime must be
+    # left over for the check
+    n = ORACLE_SIZE_GUARD
+    primes = _primes_for(_coefficient_bound(n, n - 1))
+    assert math.prod(primes) > 2 * _coefficient_bound(n, n - 1)
+    assert len(primes) < len(ORACLE_PRIMES)
+
+
+def test_oracle_check_prime_catches_short_lift(monkeypatch):
+    # G(2,6) has coefficients of 33 bits, so one prime near 2^31 cannot hold them
+    monkeypatch.setattr(charpoly, "_primes_for", lambda bound: [ORACLE_PRIMES[0]])
+    with pytest.raises(ConsistencyError):
+        char_poly_oracle(build_extremal_graph(2, 6))
 
 
 @pytest.mark.parametrize("m,d", [(1, 4), (2, 6)])

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from extremal_trees import ConsistencyError, SolverConvergenceError, cli
 from extremal_trees.cli import main
 
 
@@ -60,6 +61,18 @@ def test_charpoly_oracle_size_guard(capsys):
     code, _, err = run_cli("charpoly", "3", "18", "--oracle", capsys=capsys)
     assert code == 2
     assert "char_poly_exact" in err
+
+
+@pytest.mark.parametrize("error", [ConsistencyError, SolverConvergenceError])
+def test_internal_error_exit_code(monkeypatch, capsys, error):
+    def broken(m, d):
+        raise error("simulated")
+
+    monkeypatch.setattr(cli, "char_poly_exact", broken)
+    code, out, err = run_cli("charpoly", "1", "4", capsys=capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: simulated\n"
 
 
 def test_pack_default_checks_sigma(capsys):

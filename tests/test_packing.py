@@ -1,3 +1,8 @@
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -178,3 +183,24 @@ def test_serialization():
     cert = clique_certificate(1, 4)
     cd = cert.to_dict()
     assert cd["crossing"] == 3 and cd["deficit"] == 1 and len(cd["parts"]) == 3
+
+
+def test_verify_packing_rejects_duplicate_tree_under_optimize():
+    # the checks must survive python -O, which strips assert statements
+    code = textwrap.dedent("""
+        from extremal_trees import ConsistencyError, ForestPacking, Graph
+        from extremal_trees.packing import _verify_packing
+        g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        tree = frozenset({(0, 1), (0, 2), (0, 3)})
+        try:
+            _verify_packing(g, ForestPacking((tree, tree)))
+        except ConsistencyError as exc:
+            print("ConsistencyError:", exc)
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env={"PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ConsistencyError: trees share an edge"
