@@ -69,7 +69,6 @@ from .spectral import (
     eigenvalues_block_circulant,
     eigenvalues_dense,
     hermitian_block,
-    hermitian_eigenvalues,
     lambda2,
     lambda2_window,
     symmetric_eigenvalues,

@@ -34,7 +34,7 @@ from .errors import (
     ParameterDomainError,
     SizeGuardError,
 )
-from .graphs import Graph
+from .graphs import Graph, check_family_params
 from .polynomials import Poly
 
 ORACLE_SIZE_GUARD = 128
@@ -66,10 +66,9 @@ def bracket_factor(n: int, m: int, d: int) -> Poly:
     """
     if n < 1 or n % 2 == 0:
         raise ParameterDomainError(f"bracket factor needs odd n >= 1, got n={n}")
-    if m < 1 or (2 * m + 1) % n != 0:
+    check_family_params(m, d)
+    if (2 * m + 1) % n != 0:
         raise ParameterDomainError(f"n={n} must divide 2m+1={2 * m + 1}")
-    if d < 2 * m + 2:
-        raise ParameterDomainError(f"require d >= 2m+2; got m={m}, d={d}")
     t_n = chebyshev_T(n)
     u_prev = chebyshev_U(n - 1)
     z = Poly.x()
@@ -82,8 +81,7 @@ def bracket_factor(n: int, m: int, d: int) -> Poly:
 
 def char_poly_exact(m: int, d: int) -> Poly:
     """Closed-form characteristic polynomial of G(m,d), exact and monic in x."""
-    if m < 1 or d < 2 * m + 2:
-        raise ParameterDomainError(f"require d >= 2m+2 >= 4; got m={m}, d={d}")
+    check_family_params(m, d)
     k = 2 * m + 1
     q = Poly((1,))
     for n in divisors(k):

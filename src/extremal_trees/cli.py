@@ -3,7 +3,7 @@ polynomials, packing and rigidity certificates, and verification sweeps.
 
 Exit codes: 0 all requested work passed, 1 a verification check failed,
 2 usage or parameter-domain error, 3 internal error (an exact internal
-cross-check failed or an eigensolver did not converge: a bug, not a
+cross-check failed or LAPACK's eigensolver did not converge: a bug, not a
 mathematical counterexample).
 """
 
@@ -37,7 +37,6 @@ from .errors import (
 from .graeffe import (
     check_root_bound_inequality,
     largest_root_bound,
-    sweep_rows,
     verify_upper_bound_pipeline,
 )
 from .graphs import (
@@ -50,12 +49,7 @@ from .graphs import (
 )
 from .packing import ForestPacking, clique_certificate, pack_spanning_trees, sigma
 from .rigidity import check_spectral_rigidity_hypotheses
-from .spectral import (
-    eigenvalues_block_circulant,
-    eigenvalues_dense,
-    lambda2,
-    lambda2_window,
-)
+from .spectral import family_spectrum, lambda2, lambda2_window
 
 CHECK_NAMES = (
     "construction",
@@ -99,10 +93,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    if args.method == "dense":
-        spectrum = eigenvalues_dense(build_extremal_graph(args.m, args.d), args.tol)
-    else:
-        spectrum = eigenvalues_block_circulant(args.m, args.d, args.tol)
+    spectrum = family_spectrum(args.m, args.d, args.method, args.tol)
     _write_output(spectrum.to_json(args.m, args.d, solver=args.method), args.out)
     return 0
 
@@ -211,8 +202,8 @@ def _check_spectra(m: int, d: int, tol: float) -> list[_Result]:
     if n > EIGEN_SIZE_GUARD:
         return [_Result.make("spectra", m, d, skipped=True,
                              detail=f"n={n} above eigensolver guard")]
-    dense = np.array(eigenvalues_dense(build_extremal_graph(m, d), tol).values)
-    blocks = np.array(eigenvalues_block_circulant(m, d, tol).values)
+    dense = np.array(family_spectrum(m, d, "dense", tol).values)
+    blocks = np.array(family_spectrum(m, d, "blocks", tol).values)
     gap = float(np.max(np.abs(dense - blocks)))
     return [_Result.make("spectra", m, d, gap <= 1e-8,
                          detail=f"max elementwise gap {gap:.3e}")]
@@ -252,15 +243,13 @@ def _check_pipeline(m: int, d: int, tol: float) -> list[_Result]:
         report = verify_upper_bound_pipeline(m, d, tol)
     except CheckFailure as exc:
         return [_Result.make("pipeline", m, d, False, detail=str(exc))]
-    out = []
-    for row in sweep_rows(m, d):
-        out.append(_Result.make(
-            "pipeline", m, d, True, n=row["n"],
-            root_bound=row["root_bound"], max_root=row["max_root"],
-            quartic_ok=row["quartic_ok"], window_ok=row["window_ok"],
-            detail=f"lambda2={report.lam2:.12g}",
-        ))
-    return out
+    return [
+        _Result.make("pipeline", m, d, True, n=row.n,
+                     root_bound=row.root_bound, max_root=row.max_root,
+                     quartic_ok=report.quartic_exact_ok, window_ok=row.window_ok,
+                     detail=f"lambda2={report.lam2:.12g}")
+        for row in report.rows
+    ]
 
 
 def _check_packing(m: int, d: int) -> list[_Result]:

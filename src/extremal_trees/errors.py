@@ -10,7 +10,7 @@ class InvalidPartitionError(ValueError):
 
 
 class SolverConvergenceError(RuntimeError):
-    """Eigenvalue iteration failed to converge within the sweep cap."""
+    """LAPACK's symmetric eigensolver did not converge."""
 
 
 class ConsistencyError(RuntimeError):

@@ -22,6 +22,7 @@ import numpy as np
 
 from .charpoly import bracket_factor, divisors
 from .errors import CheckFailure, ParameterDomainError
+from .graphs import check_family_params
 from .polynomials import Poly
 from .spectral import BOUND_SLACK, lambda2, lambda2_window
 
@@ -76,8 +77,7 @@ def graeffe_bound(c: LeadingCoeffs) -> float:
 
 
 def _check_factor_params(n: int, m: int, d: int) -> None:
-    if m < 1 or d < 2 * m + 2:
-        raise ParameterDomainError(f"require d >= 2m+2; got m={m}, d={d}")
+    check_family_params(m, d)
     if n % 2 == 0 or not 3 <= n <= 2 * m + 1 or (2 * m + 1) % n != 0:
         raise ParameterDomainError(
             f"n must be an odd divisor of 2m+1={2 * m + 1} with n >= 3, got n={n}"
@@ -230,27 +230,3 @@ def verify_upper_bound_pipeline(m: int, d: int, tol: float = 1e-12) -> PipelineR
         raise CheckFailure(f"root-bound pipeline failed for (m,d)=({m},{d}): "
                            f"{report.to_dict()}")
     return report
-
-
-def sweep_rows(m: int, d: int, with_roots: bool = True) -> list[dict]:
-    """Report rows for the sweep CSV: one per divisor n != 1 of 2m+1."""
-    k = 2 * m + 1
-    quartic_ok = check_root_bound_inequality(m, d) if m >= 2 else None
-    rows = []
-    upper = lambda2_window(m, d)[1]
-    for n in [n for n in divisors(k) if n != 1]:
-        bound = largest_root_bound(n, m, d)
-        max_root = fn_max_root(n, m, d) if with_roots else None
-        window_ok = (2 * max_root - 1 < upper + BOUND_SLACK) if with_roots else None
-        rows.append(
-            {
-                "m": m,
-                "d": d,
-                "n": n,
-                "root_bound": bound,
-                "max_root": max_root,
-                "quartic_ok": quartic_ok,
-                "window_ok": window_ok,
-            }
-        )
-    return rows

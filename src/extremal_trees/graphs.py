@@ -13,7 +13,7 @@ block circulant, which the spectral module exploits directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -92,7 +92,8 @@ def clique_slot(idx: int, d: int) -> VertexId:
     return VertexId(*divmod(idx, d + 1))
 
 
-def _check_params(m: int, d: int) -> None:
+def check_family_params(m: int, d: int) -> None:
+    """Raise ParameterDomainError unless (m, d) lies in the family's domain d >= 2m+2 >= 4."""
     if m < 1 or d < 2 * m + 2:
         raise ParameterDomainError(
             f"family requires d >= 2m+2 >= 4; got m={m}, d={d}"
@@ -105,9 +106,17 @@ def build_extremal_graph(m: int, d: int) -> Graph:
     Within clique i the matching {(i,2a-2)~(i,2a-1) : 1 <= a <= m} is removed;
     the cross edges are (i,2j+1) ~ (i+j+1 mod 2m+1, 2j) for 0 <= j <= m-1.
     Each removed-matching endpoint regains exactly one cross edge, so the
-    graph is d-regular.
+    graph is d-regular.  The graph is immutable, so repeated calls for the
+    same (m, d) may return one shared instance.
     """
-    _check_params(m, d)
+    check_family_params(m, d)
+    return _remembered_graph(m, d)
+
+
+# `verify` runs every check of one (m, d) pair before it moves to the next,
+# so remembering two pairs catches every rebuild.
+@lru_cache(maxsize=2)
+def _remembered_graph(m: int, d: int) -> Graph:
     k = 2 * m + 1
     n = k * (d + 1)
     adj: list[set[int]] = [set() for _ in range(n)]

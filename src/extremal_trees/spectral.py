@@ -1,18 +1,15 @@
-"""Adjacency spectra: dense symmetric eigensolver and block-circulant reduction.
+"""Adjacency spectra: dense eigensolve and block-circulant reduction.
 
 Two independent routes to the spectrum of G(m,d):
 
-* ``eigenvalues_dense`` runs the full symmetric eigensolver (Householder
-  tridiagonalization followed by implicit-shift QL iteration) on the n x n
-  adjacency matrix.
+* ``eigenvalues_dense`` solves the n x n adjacency matrix.
 
 * ``eigenvalues_block_circulant`` exploits the block-circulant structure:
   for each (2m+1)-th root of unity zeta, the (d+1)-dimensional Hermitian
-  block H_zeta = sum_k zeta^k b_k is solved by embedding H = A + iB into the
-  real symmetric [[A, -B], [B, A]], whose spectrum is that of H with every
-  multiplicity doubled; multiplicities are halved by greedy pairing of the
-  sorted values.
+  block H_zeta = sum_k zeta^k b_k is solved on its own.
 
+Every eigensolve is one call of ``symmetric_eigenvalues``, which hands real
+symmetric or complex Hermitian input to LAPACK (``np.linalg.eigvalsh``).
 The two multisets must agree, which the test suite asserts elementwise.
 """
 
@@ -21,21 +18,24 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import CheckFailure, ParameterDomainError, SolverConvergenceError
-from .graphs import Graph, build_extremal_graph
+from .graphs import Graph, build_extremal_graph, check_family_params
 
 DEFAULT_TOL = 1e-12
-PAIRING_TOL = 1e-9
 BOUND_SLACK = 1e-9
-MAX_SWEEPS = 50
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted descending, with the solver tolerance that produced them."""
+    """Eigenvalues sorted descending, with the tolerance requested for them.
+
+    ``tol`` is recorded, not used by the solver: LAPACK's convergence test
+    is fixed.
+    """
 
     values: tuple[float, ...]
     tol: float
@@ -57,113 +57,28 @@ class HermitianBlock:
     entries: np.ndarray
 
 
-def _householder_tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce a real symmetric matrix to tridiagonal (diag d, subdiag e) in place."""
-    n = a.shape[0]
-    d = np.zeros(n)
-    e = np.zeros(max(n - 1, 0))
-    for k in range(n - 2):
-        x = a[k + 1 :, k].copy()
-        normx = math.sqrt(float(x @ x))
-        if normx == 0.0:
-            e[k] = 0.0
-            continue
-        alpha = -math.copysign(normx, x[0]) if x[0] != 0.0 else -normx
-        v = x
-        v[0] -= alpha
-        vtv = float(v @ v)
-        if vtv == 0.0:
-            e[k] = alpha
-            continue
-        b = a[k + 1 :, k + 1 :]
-        w = (2.0 / vtv) * (b @ v)
-        w -= (float(v @ w) / vtv) * v
-        b -= np.outer(v, w) + np.outer(w, v)
-        e[k] = alpha
-        a[k + 1 :, k] = 0.0
-        a[k, k + 1 :] = 0.0
-        a[k + 1, k] = a[k, k + 1] = alpha
-    if n >= 2:
-        e[n - 2] = a[n - 1, n - 2]
-    d[:] = np.diag(a)
-    return d, e
-
-
-def _ql_implicit(d: np.ndarray, e: np.ndarray, tol_abs: float) -> np.ndarray:
-    """Implicit-shift QL on a symmetric tridiagonal matrix; eigenvalues ascending.
-
-    Off-diagonals are treated as negligible below tol_abs (with a machine
-    epsilon guard).  Raises after MAX_SWEEPS sweeps for any single eigenvalue.
-    """
-    n = len(d)
-    dd = [float(v) for v in d]
-    ee = [float(v) for v in e] + [0.0]
-    eps = np.finfo(float).eps
-    for l in range(n):
-        sweeps = 0
-        while True:
-            mm = l
-            while mm < n - 1:
-                scale = abs(dd[mm]) + abs(dd[mm + 1])
-                if abs(ee[mm]) <= max(tol_abs, eps * scale):
-                    break
-                mm += 1
-            if mm == l:
-                break
-            sweeps += 1
-            if sweeps > MAX_SWEEPS:
-                raise SolverConvergenceError(
-                    f"QL failed to converge for a matrix of size {n}"
-                )
-            g = (dd[l + 1] - dd[l]) / (2.0 * ee[l])
-            r = math.hypot(g, 1.0)
-            g = dd[mm] - dd[l] + ee[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(mm - 1, l - 1, -1):
-                f = s * ee[i]
-                b = c * ee[i]
-                r = math.hypot(f, g)
-                ee[i + 1] = r
-                if r == 0.0:
-                    dd[i + 1] -= p
-                    ee[mm] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = dd[i + 1] - p
-                r = (dd[i] - g) * s + 2.0 * c * b
-                p = s * r
-                dd[i + 1] = g + p
-                g = c * r - b
-            if underflow:
-                continue
-            dd[l] -= p
-            ee[l] = g
-            ee[mm] = 0.0
-    return np.sort(np.array(dd))
-
-
 def symmetric_eigenvalues(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """All eigenvalues of a real symmetric matrix, ascending.
+    """All eigenvalues of a real symmetric or complex Hermitian matrix, ascending.
 
-    tol is relative to the matrix max-norm and controls when off-diagonal
-    entries of the tridiagonal reduction are treated as zero.
+    LAPACK (``np.linalg.eigvalsh``) solves it with a fixed convergence test:
+    tol must be positive and is otherwise unused.  eigvalsh reads one
+    triangle only, so a matrix whose Hermitian defect exceeds 1e-9, or is
+    not finite, is rejected instead of solved wrongly.
     """
     if tol <= 0:
         raise ParameterDomainError(f"tol must be positive, got {tol}")
-    a = np.array(mat, dtype=float)
+    a = np.asarray(mat)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if a.shape[0] == 0:
-        return np.zeros(0)
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return np.zeros(a.shape[0])
-    d, e = _householder_tridiagonal(a)
-    return _ql_implicit(d, e, tol * scale)
+    herm_defect = float(np.max(np.abs(a - a.conj().T), initial=0.0))
+    if not herm_defect <= 1e-9:
+        raise ValueError(f"matrix is not finite and Hermitian (defect {herm_defect:.2e})")
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise SolverConvergenceError(
+            f"LAPACK eigvalsh failed for a matrix of size {a.shape[0]}: {exc}"
+        ) from exc
 
 
 def eigenvalues_dense(g: Graph, tol: float = DEFAULT_TOL) -> Spectrum:
@@ -179,8 +94,7 @@ def blocks_of(m: int, d: int) -> list[np.ndarray]:
     block b_i has a single unit entry (the cross edge at clique offset i) and
     b_(2m+1-i) = b_i^T.
     """
-    if m < 1 or d < 2 * m + 2:
-        raise ParameterDomainError(f"require d >= 2m+2 >= 4; got m={m}, d={d}")
+    check_family_params(m, d)
     size = d + 1
     blocks = [np.zeros((size, size), dtype=np.int64) for _ in range(2 * m + 1)]
     for offset in range(1, m + 1):
@@ -220,44 +134,33 @@ def hermitian_block(m: int, d: int, t: int) -> HermitianBlock:
     return HermitianBlock(t, h)
 
 
-def hermitian_eigenvalues(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of a complex Hermitian matrix, ascending, via real embedding.
-
-    H = A + iB embeds into the real symmetric [[A, -B], [B, A]] whose spectrum
-    doubles every multiplicity; the doubled values are paired greedily after
-    sorting.  A pairing gap above PAIRING_TOL signals solver trouble.
-    """
-    herm_defect = float(np.max(np.abs(h - h.conj().T)))
-    if herm_defect > 1e-9:
-        raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.2e})")
-    a, b = h.real, h.imag
-    embedded = np.block([[a, -b], [b, a]])
-    doubled = symmetric_eigenvalues(embedded, tol)
-    paired = []
-    for j in range(0, len(doubled), 2):
-        lo, hi = doubled[j], doubled[j + 1]
-        if hi - lo > PAIRING_TOL:
-            raise SolverConvergenceError(
-                f"embedded eigenvalues failed to pair: gap {hi - lo:.3e}"
-            )
-        paired.append(0.5 * (lo + hi))
-    return np.array(paired)
-
-
 def eigenvalues_block_circulant(m: int, d: int, tol: float = DEFAULT_TOL) -> Spectrum:
     """Spectrum of G(m,d) as the union over roots of unity of the block spectra."""
-    k = 2 * m + 1
     values: list[float] = []
-    for t in range(1, k + 1):
-        h = hermitian_block(m, d, t).entries
-        if t == k:
-            # zeta = 1: the block is real symmetric, no embedding needed
-            vals = symmetric_eigenvalues(h.real, tol)
-        else:
-            vals = hermitian_eigenvalues(h, tol)
-        values.extend(vals.tolist())
+    for t in range(1, 2 * m + 2):
+        values.extend(symmetric_eigenvalues(hermitian_block(m, d, t).entries, tol).tolist())
     values.sort(reverse=True)
     return Spectrum(tuple(values), tol)
+
+
+def family_spectrum(m: int, d: int, method: str = "dense", tol: float = DEFAULT_TOL) -> Spectrum:
+    """Spectrum of G(m,d) by one route: 'dense' or 'blocks'.
+
+    Remembered per (m, d, method, tol), so the checks of one ``verify`` pair
+    share one spectrum per route.  The two routes never share a result.
+    """
+    if method not in ("dense", "blocks"):
+        raise ValueError(f"unknown method {method!r} (use 'dense' or 'blocks')")
+    return _remembered_spectrum(m, d, method, tol)
+
+
+# `verify` runs every check of one (m, d) pair before it moves to the next,
+# and a pair has one spectrum per route, so two entries catch every reuse.
+@lru_cache(maxsize=2)
+def _remembered_spectrum(m: int, d: int, method: str, tol: float) -> Spectrum:
+    if method == "dense":
+        return eigenvalues_dense(build_extremal_graph(m, d), tol)
+    return eigenvalues_block_circulant(m, d, tol)
 
 
 def lambda2_window(m: int, d: int) -> tuple[float, float]:
@@ -272,12 +175,7 @@ def lambda2(m: int, d: int, tol: float = DEFAULT_TOL, method: str = "dense") -> 
     more than BOUND_SLACK (that would falsify the bound being verified, so
     it is treated as a failure, not a return value).
     """
-    if method == "dense":
-        spectrum = eigenvalues_dense(build_extremal_graph(m, d), tol)
-    elif method == "blocks":
-        spectrum = eigenvalues_block_circulant(m, d, tol)
-    else:
-        raise ValueError(f"unknown method {method!r} (use 'dense' or 'blocks')")
+    spectrum = family_spectrum(m, d, method, tol)
     lam1, lam2_ = spectrum.values[0], spectrum.values[1]
     if abs(lam1 - d) > 1e-8:
         raise CheckFailure(f"largest eigenvalue {lam1} != degree {d}")

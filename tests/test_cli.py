@@ -2,10 +2,21 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from extremal_trees import ConsistencyError, SolverConvergenceError, cli
+from extremal_trees import ConsistencyError, SolverConvergenceError, cli, graphs, spectral
 from extremal_trees.cli import main
+
+
+@pytest.fixture
+def fresh_memos():
+    """Forget the graphs and spectra remembered by earlier calls."""
+    graphs._remembered_graph.cache_clear()
+    spectral._remembered_spectrum.cache_clear()
+    yield
+    graphs._remembered_graph.cache_clear()
+    spectral._remembered_spectrum.cache_clear()
 
 
 def run_cli(*argv, capsys=None):
@@ -73,6 +84,46 @@ def test_internal_error_exit_code(monkeypatch, capsys, error):
     assert code == 3
     assert out == ""
     assert err == "internal error: simulated\n"
+
+
+def test_lapack_failure_exit_code(monkeypatch, capsys, fresh_memos):
+    def broken(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", broken)
+    code, out, err = run_cli("verify", "--m", "1", "--d", "4", "--checks", "lambda2",
+                             capsys=capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: LAPACK eigvalsh failed")
+
+
+def test_verify_builds_each_graph_and_spectrum_once(monkeypatch, capsys, fresh_memos):
+    built, solved, block_spectra = [], [], []
+
+    class CountedGraph(graphs.Graph):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.params)
+
+    def counted_solve(mat, tol=spectral.DEFAULT_TOL):
+        solved.append(len(mat))
+        return solve(mat, tol)
+
+    def counted_blocks(m, d, tol=spectral.DEFAULT_TOL):
+        block_spectra.append((m, d))
+        return blocks(m, d, tol)
+
+    solve, blocks = spectral.symmetric_eigenvalues, spectral.eigenvalues_block_circulant
+    monkeypatch.setattr(graphs, "Graph", CountedGraph)
+    monkeypatch.setattr(spectral, "symmetric_eigenvalues", counted_solve)
+    monkeypatch.setattr(spectral, "eigenvalues_block_circulant", counted_blocks)
+    code, out, _ = run_cli("verify", "--m", "2", "--d", "7",
+                           "--checks", "lambda2,spectra,pipeline,rigidity", capsys=capsys)
+    assert code == 0 and json.loads(out)["all_ok"] is True
+    assert built == [(2, 7)]
+    assert solved.count(40) == 1
+    assert block_spectra == [(2, 7)]
 
 
 def test_pack_default_checks_sigma(capsys):

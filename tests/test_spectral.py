@@ -13,7 +13,6 @@ from extremal_trees import (
     eigenvalues_block_circulant,
     eigenvalues_dense,
     hermitian_block,
-    hermitian_eigenvalues,
     lambda2,
     lambda2_window,
     symmetric_eigenvalues,
@@ -21,15 +20,6 @@ from extremal_trees import (
 from extremal_trees.charpoly import divisors, euler_phi
 
 from conftest import complete_graph
-
-
-def test_solver_against_lapack_oracle():
-    rng = np.random.RandomState(42)
-    for n in (1, 2, 3, 7, 20, 60):
-        a = rng.randn(n, n)
-        a = a + a.T
-        gap = np.max(np.abs(symmetric_eigenvalues(a) - np.linalg.eigvalsh(a)))
-        assert gap < 1e-10
 
 
 def test_solver_handles_degenerate_spectra():
@@ -45,6 +35,14 @@ def test_solver_input_validation():
         symmetric_eigenvalues(np.zeros((2, 3)))
     with pytest.raises(ParameterDomainError):
         symmetric_eigenvalues(np.eye(2), tol=0.0)
+
+
+def test_solver_rejects_non_symmetric_real_input():
+    # LAPACK reads one triangle only and would return a wrong spectrum
+    with pytest.raises(ValueError, match="Hermitian"):
+        symmetric_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        symmetric_eigenvalues(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 def test_k5_spectrum():
@@ -90,18 +88,9 @@ def test_hermitian_blocks():
     assert np.allclose(h1.real.sum(axis=1), d)
 
 
-def test_hermitian_eigenvalues_against_lapack():
-    rng = np.random.RandomState(5)
-    for n in (2, 5, 11):
-        h = rng.randn(n, n) + 1j * rng.randn(n, n)
-        h = h + h.conj().T
-        gap = np.max(np.abs(hermitian_eigenvalues(h) - np.linalg.eigvalsh(h)))
-        assert gap < 1e-9
-
-
 def test_hermitian_rejects_non_hermitian():
     with pytest.raises(ValueError):
-        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        symmetric_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
 @pytest.mark.parametrize("m,d", [(1, 4), (2, 6), (3, 8)])
@@ -132,7 +121,7 @@ def test_lambda2_window_beyond_desk_scale():
 
 def test_degree_eigenvalue_comes_from_unit_root_block():
     m, d = 2, 6
-    vals = hermitian_eigenvalues(hermitian_block(m, d, 2 * m + 1).entries)
+    vals = symmetric_eigenvalues(hermitian_block(m, d, 2 * m + 1).entries)
     assert abs(vals[-1] - d) < 1e-9
 
 
