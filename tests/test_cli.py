@@ -197,6 +197,71 @@ def test_verify_single_values(capsys):
     assert all(r["ok"] for r in data["results"])
 
 
+# Every row of `verify --checks all` on four pairs that reach all eight skip
+# branches: (check, n, ok, skipped, quartic_ok, window_ok, detail of a
+# skipped row).  "-" marks a field the row does not carry.
+VERIFY_ROWS = {
+    (1, 4): [
+        ("construction", "-", True, False, "-", "-", None),
+        ("lambda2", "-", True, False, "-", "-", None),
+        ("spectra", "-", True, False, "-", "-", None),
+        ("charpoly", "-", True, False, "-", "-", None),
+        ("rootbound", "-", None, True, "-", "-", "quartic inequality applies for m >= 2"),
+        ("pipeline", 3, True, False, None, True, None),
+        ("packing", "-", True, False, "-", "-", None),
+        ("rigidity", "-", None, True, "-", "-", "family parameter m is not of the form 3r-1"),
+        ("identities", "-", True, False, "-", "-", None),
+    ],
+    (1, 50): [
+        ("construction", "-", True, False, "-", "-", None),
+        ("lambda2", "-", True, False, "-", "-", None),
+        ("spectra", "-", True, False, "-", "-", None),
+        ("charpoly", "-", None, True, "-", "-", "n=153 above oracle size guard 128"),
+        ("rootbound", "-", None, True, "-", "-", "quartic inequality applies for m >= 2"),
+        ("pipeline", 3, True, False, None, True, None),
+        ("packing", "-", None, True, "-", "-", "|E|=3825 above packing guard"),
+        ("rigidity", "-", None, True, "-", "-", "family parameter m is not of the form 3r-1"),
+        ("identities", "-", True, False, "-", "-", None),
+    ],
+    (2, 100): [
+        ("construction", "-", True, False, "-", "-", None),
+        ("lambda2", "-", True, False, "-", "-", None),
+        ("spectra", "-", True, False, "-", "-", None),
+        ("charpoly", "-", None, True, "-", "-", "n=505 above oracle size guard 128"),
+        ("rootbound", "-", True, False, "-", "-", None),
+        ("pipeline", 5, True, False, True, True, None),
+        ("packing", "-", None, True, "-", "-", "|E|=25250 above packing guard"),
+        ("rigidity", "-", True, False, "-", "-", None),
+        ("identities", "-", True, False, "-", "-", None),
+    ],
+    (2, 200): [
+        ("construction", "-", True, False, "-", "-", None),
+        ("lambda2", "-", None, True, "-", "-", "n=1005 above eigensolver guard"),
+        ("spectra", "-", None, True, "-", "-", "n=1005 above eigensolver guard"),
+        ("charpoly", "-", None, True, "-", "-", "n=1005 above oracle size guard 128"),
+        ("rootbound", "-", True, False, "-", "-", None),
+        ("pipeline", "-", None, True, "-", "-", "n=1005 above eigensolver guard"),
+        ("packing", "-", None, True, "-", "-", "|E|=100500 above packing guard"),
+        ("rigidity", "-", None, True, "-", "-", "n=1005 above eigensolver guard"),
+        ("identities", "-", True, False, "-", "-", None),
+    ],
+}
+
+
+@pytest.mark.parametrize("m,d", list(VERIFY_ROWS))
+def test_verify_rows_of_every_check(capsys, m, d):
+    code, out, _ = run_cli("verify", "--m", str(m), "--d", str(d), "--checks", "all",
+                           capsys=capsys)
+    assert code == 0
+    got = [
+        (r["check"], r["m"], r["d"], r.get("n", "-"), r["ok"], r["skipped"],
+         r.get("quartic_ok", "-"), r.get("window_ok", "-"),
+         r["detail"] if r["skipped"] else None)
+        for r in json.loads(out)["results"]
+    ]
+    assert got == [(check, m, d, *rest) for check, *rest in VERIFY_ROWS[(m, d)]]
+
+
 def test_verify_identities_seeded(capsys):
     code, out, _ = run_cli("verify", "--m", "1", "--d", "4", "--checks", "identities",
                         "--seed", "5", capsys=capsys)
