@@ -1,10 +1,15 @@
 """Command-line front end: build/export graphs, spectra, exact characteristic
 polynomials, packing and rigidity certificates, and verification sweeps.
 
+``verify`` runs named checks from one table: for each check a guard, which
+decides from (m, d) alone whether the pair is out of the check's reach, and a
+run, which returns the check's rows.
+
 Exit codes: 0 all requested work passed, 1 a verification check failed,
-2 usage or parameter-domain error, 3 internal error (an exact internal
-cross-check failed or LAPACK's eigensolver did not converge: a bug, not a
-mathematical counterexample).
+2 usage or parameter-domain error, or the machine ran out of memory (ask for
+a smaller graph), 3 internal error (an exact internal cross-check failed or
+LAPACK's eigensolver did not converge: a bug, not a mathematical
+counterexample).
 """
 
 from __future__ import annotations
@@ -51,17 +56,6 @@ from .packing import ForestPacking, clique_certificate, pack_spanning_trees, sig
 from .rigidity import check_spectral_rigidity_hypotheses
 from .spectral import family_spectrum, lambda2, lambda2_window
 
-CHECK_NAMES = (
-    "construction",
-    "lambda2",
-    "spectra",
-    "charpoly",
-    "rootbound",
-    "pipeline",
-    "packing",
-    "rigidity",
-    "identities",
-)
 EIGEN_SIZE_GUARD = 600
 PACKING_EDGE_GUARD = 2500
 
@@ -93,7 +87,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    spectrum = family_spectrum(args.m, args.d, args.method, args.tol)
+    spectrum = family_spectrum(args.m, args.d, args.method)
     _write_output(spectrum.to_json(args.m, args.d, solver=args.method), args.out)
     return 0
 
@@ -131,7 +125,7 @@ def cmd_pack(args) -> int:
 
 
 def cmd_rigidity(args) -> int:
-    report = check_spectral_rigidity_hypotheses(args.r, args.d, args.tol)
+    report = check_spectral_rigidity_hypotheses(args.r, args.d)
     payload = {
         "r": args.r,
         "d": args.d,
@@ -157,15 +151,49 @@ def _sweep_pairs(m_spec: str, d_spec: str) -> list[tuple[int, int]]:
     return pairs
 
 
-class _Result(dict):
-    @classmethod
-    def make(cls, check, m, d, ok=None, skipped=False, detail="", **extra):
-        r = cls(check=check, m=m, d=d, ok=ok, skipped=skipped, detail=detail)
-        r.update(extra)
-        return r
+def _result(check, m, d, ok=None, skipped=False, detail="", **extra) -> dict:
+    return dict(check=check, m=m, d=d, ok=ok, skipped=skipped, detail=detail, **extra)
 
 
-def _check_construction(m: int, d: int) -> list[_Result]:
+# Guards: why the check is skipped for (m, d), or None.  Each is worked out
+# from (m, d) alone, so a skipped check builds no graph.
+
+def _unguarded(m: int, d: int) -> None:
+    return None
+
+
+def _eigen_guard(m: int, d: int) -> str | None:
+    n = (2 * m + 1) * (d + 1)
+    return f"n={n} above eigensolver guard" if n > EIGEN_SIZE_GUARD else None
+
+
+def _oracle_guard(m: int, d: int) -> str | None:
+    n = (2 * m + 1) * (d + 1)
+    if n > ORACLE_SIZE_GUARD:
+        return f"n={n} above oracle size guard {ORACLE_SIZE_GUARD}"
+    return None
+
+
+def _rootbound_guard(m: int, d: int) -> str | None:
+    return "quartic inequality applies for m >= 2" if m < 2 else None
+
+
+def _packing_guard(m: int, d: int) -> str | None:
+    edges = (2 * m + 1) * (d + 1) * d // 2
+    return f"|E|={edges} above packing guard" if edges > PACKING_EDGE_GUARD else None
+
+
+def _rigidity_guard(m: int, d: int) -> str | None:
+    # d >= 2m+2 = 6r holds for every pair, so only the family and size remain
+    if (m + 1) % 3 != 0:
+        return "family parameter m is not of the form 3r-1"
+    return _eigen_guard(m, d)
+
+
+# Runs: the rows of one check on (m, d), each as the keyword arguments of
+# ``_result`` after its name, m and d.  A failed claim raises CheckFailure.
+
+def _check_construction(m: int, d: int, seed: int) -> list[dict]:
     g = build_extremal_graph(m, d)
     degs = degrees(g)
     parts = clique_partition(g)
@@ -180,161 +208,112 @@ def _check_construction(m: int, d: int) -> list[_Result]:
         problems.append("disconnected")
     if crossing_edges(g, parts) != m * (2 * m + 1):
         problems.append("wrong cross-edge count")
-    return [_Result.make("construction", m, d, not problems, detail="; ".join(problems))]
+    return [dict(ok=not problems, detail="; ".join(problems))]
 
 
-def _check_lambda2(m: int, d: int, tol: float) -> list[_Result]:
-    n = (2 * m + 1) * (d + 1)
-    if n > EIGEN_SIZE_GUARD:
-        return [_Result.make("lambda2", m, d, skipped=True,
-                             detail=f"n={n} above eigensolver guard")]
-    try:
-        val = lambda2(m, d, tol)
-    except CheckFailure as exc:
-        return [_Result.make("lambda2", m, d, False, detail=str(exc))]
+def _check_lambda2(m: int, d: int, seed: int) -> list[dict]:
+    val = lambda2(m, d)
     lo, hi = lambda2_window(m, d)
-    return [_Result.make("lambda2", m, d, True,
-                         detail=f"lambda2={val:.12g} in [{lo:.12g},{hi:.12g})")]
+    return [dict(ok=True, detail=f"lambda2={val:.12g} in [{lo:.12g},{hi:.12g})")]
 
 
-def _check_spectra(m: int, d: int, tol: float) -> list[_Result]:
-    n = (2 * m + 1) * (d + 1)
-    if n > EIGEN_SIZE_GUARD:
-        return [_Result.make("spectra", m, d, skipped=True,
-                             detail=f"n={n} above eigensolver guard")]
-    dense = np.array(family_spectrum(m, d, "dense", tol).values)
-    blocks = np.array(family_spectrum(m, d, "blocks", tol).values)
+def _check_spectra(m: int, d: int, seed: int) -> list[dict]:
+    dense = np.array(family_spectrum(m, d, "dense").values)
+    blocks = np.array(family_spectrum(m, d, "blocks").values)
     gap = float(np.max(np.abs(dense - blocks)))
-    return [_Result.make("spectra", m, d, gap <= 1e-8,
-                         detail=f"max elementwise gap {gap:.3e}")]
+    return [dict(ok=gap <= 1e-8, detail=f"max elementwise gap {gap:.3e}")]
 
 
-def _check_charpoly(m: int, d: int) -> list[_Result]:
-    n = (2 * m + 1) * (d + 1)
-    if n > ORACLE_SIZE_GUARD:
-        return [_Result.make("charpoly", m, d, skipped=True,
-                             detail=f"n={n} above oracle size guard {ORACLE_SIZE_GUARD}")]
+def _check_charpoly(m: int, d: int, seed: int) -> list[dict]:
     same = char_poly_exact(m, d) == char_poly_oracle(build_extremal_graph(m, d))
-    return [_Result.make("charpoly", m, d, same,
-                         detail="coefficientwise equal" if same else "MISMATCH")]
+    return [dict(ok=same, detail="coefficientwise equal" if same else "MISMATCH")]
 
 
-def _check_rootbound(m: int, d: int) -> list[_Result]:
-    if m < 2:
-        return [_Result.make("rootbound", m, d, skipped=True,
-                             detail="quartic inequality applies for m >= 2")]
+def _check_rootbound(m: int, d: int, seed: int) -> list[dict]:
     k = 2 * m + 1
     bounds = [largest_root_bound(n, m, d) for n in divisors(k) if n != 1]
     monotone = all(b2 >= b1 for b1, b2 in zip(bounds, bounds[1:]))
     exact_ok = check_root_bound_inequality(m, d)
     hi = lambda2_window(m, d)[1]
     image_ok = 2 * bounds[-1] - 1 < hi
-    ok = monotone and exact_ok and image_ok
-    return [_Result.make("rootbound", m, d, ok,
-                         detail=f"monotone={monotone} exact={exact_ok} window={image_ok}")]
+    return [dict(ok=monotone and exact_ok and image_ok,
+                 detail=f"monotone={monotone} exact={exact_ok} window={image_ok}")]
 
 
-def _check_pipeline(m: int, d: int, tol: float) -> list[_Result]:
-    n = (2 * m + 1) * (d + 1)
-    if n > EIGEN_SIZE_GUARD:
-        return [_Result.make("pipeline", m, d, skipped=True,
-                             detail=f"n={n} above eigensolver guard")]
-    try:
-        report = verify_upper_bound_pipeline(m, d, tol)
-    except CheckFailure as exc:
-        return [_Result.make("pipeline", m, d, False, detail=str(exc))]
+def _check_pipeline(m: int, d: int, seed: int) -> list[dict]:
+    report = verify_upper_bound_pipeline(m, d)
     return [
-        _Result.make("pipeline", m, d, True, n=row.n,
-                     root_bound=row.root_bound, max_root=row.max_root,
-                     quartic_ok=report.quartic_exact_ok, window_ok=row.window_ok,
-                     detail=f"lambda2={report.lam2:.12g}")
+        dict(ok=True, n=row.n, root_bound=row.root_bound, max_root=row.max_root,
+             quartic_ok=report.quartic_exact_ok, window_ok=row.window_ok,
+             detail=f"lambda2={report.lam2:.12g}")
         for row in report.rows
     ]
 
 
-def _check_packing(m: int, d: int) -> list[_Result]:
-    g = build_extremal_graph(m, d)
-    if g.edge_count > PACKING_EDGE_GUARD:
-        return [_Result.make("packing", m, d, skipped=True,
-                             detail=f"|E|={g.edge_count} above packing guard")]
-    value = sigma(g, m + 1)
+def _check_packing(m: int, d: int, seed: int) -> list[dict]:
+    value = sigma(build_extremal_graph(m, d), m + 1)
     cert = clique_certificate(m, d)
-    ok = value == m and cert.deficit == m
-    return [_Result.make("packing", m, d, ok,
-                         detail=f"sigma={value} certificate_deficit={cert.deficit}")]
+    return [dict(ok=value == m and cert.deficit == m,
+                 detail=f"sigma={value} certificate_deficit={cert.deficit}")]
 
 
-def _check_rigidity(m: int, d: int, tol: float) -> list[_Result]:
-    if (m + 1) % 3 != 0:
-        return [_Result.make("rigidity", m, d, skipped=True,
-                             detail="family parameter m is not of the form 3r-1")]
-    r = (m + 1) // 3
-    if d < 6 * r:
-        return [_Result.make("rigidity", m, d, skipped=True,
-                             detail=f"needs d >= {6 * r}")]
-    n = (2 * m + 1) * (d + 1)
-    if n > EIGEN_SIZE_GUARD:
-        return [_Result.make("rigidity", m, d, skipped=True,
-                             detail=f"n={n} above eigensolver guard")]
+def _check_rigidity(m: int, d: int, seed: int) -> list[dict]:
+    report = check_spectral_rigidity_hypotheses((m + 1) // 3, d)
+    return [dict(ok=True, detail=f"mu2={report.mu2:.12g} below threshold "
+                                 f"{report.threshold:.12g}, certificate deficit "
+                                 f"{report.certificate.deficit}")]
+
+
+def _check_identities(m: int, d: int, seed: int) -> list[dict]:
+    rep1 = verify_root_of_unity_identities(m, trials=25, tol=1e-10, seed=seed)
+    rep2 = verify_determinant_identities(trials=25, tol=1e-10, seed=seed)
+    return [dict(ok=True, detail=f"max deviations {rep1.max_deviation:.3e}, "
+                                 f"{rep2.max_deviation:.3e}")]
+
+
+# name -> (guard, run), in report order
+CHECKS = {
+    "construction": (_unguarded, _check_construction),
+    "lambda2": (_eigen_guard, _check_lambda2),
+    "spectra": (_eigen_guard, _check_spectra),
+    "charpoly": (_oracle_guard, _check_charpoly),
+    "rootbound": (_rootbound_guard, _check_rootbound),
+    "pipeline": (_eigen_guard, _check_pipeline),
+    "packing": (_packing_guard, _check_packing),
+    "rigidity": (_rigidity_guard, _check_rigidity),
+    "identities": (_unguarded, _check_identities),
+}
+CHECK_NAMES = tuple(CHECKS)
+
+
+def _run_check(check: str, m: int, d: int, seed: int) -> list[dict]:
+    guard, run = CHECKS[check]
+    reason = guard(m, d)
+    if reason is not None:
+        return [_result(check, m, d, skipped=True, detail=reason)]
     try:
-        report = check_spectral_rigidity_hypotheses(r, d, tol)
+        rows = run(m, d, seed)
     except CheckFailure as exc:
-        return [_Result.make("rigidity", m, d, False, detail=str(exc))]
-    return [_Result.make("rigidity", m, d, True,
-                         detail=f"mu2={report.mu2:.12g} below threshold "
-                                f"{report.threshold:.12g}, certificate deficit "
-                                f"{report.certificate.deficit}")]
-
-
-def _check_identities(m: int, d: int, tol: float, seed: int) -> list[_Result]:
-    try:
-        rep1 = verify_root_of_unity_identities(m, trials=25, tol=1e-10, seed=seed)
-        rep2 = verify_determinant_identities(trials=25, tol=1e-10, seed=seed)
-    except CheckFailure as exc:
-        return [_Result.make("identities", m, d, False, detail=str(exc))]
-    return [_Result.make(
-        "identities", m, d, True,
-        detail=f"max deviations {rep1.max_deviation:.3e}, {rep2.max_deviation:.3e}",
-    )]
+        rows = [dict(ok=False, detail=str(exc))]
+    return [_result(check, m, d, **row) for row in rows]
 
 
 def cmd_verify(args) -> int:
     checks = args.checks.split(",") if args.checks != "all" else list(CHECK_NAMES)
-    unknown = [c for c in checks if c not in CHECK_NAMES]
+    unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; available: {', '.join(CHECK_NAMES)}")
     pairs = _sweep_pairs(args.m, args.d)
     if not pairs:
         raise ValueError("sweep selects no valid (m, d) pairs (need d >= 2m+2)")
 
-    results: list[_Result] = []
-    for m, d in pairs:
-        for check in checks:
-            if check == "construction":
-                results.extend(_check_construction(m, d))
-            elif check == "lambda2":
-                results.extend(_check_lambda2(m, d, args.tol))
-            elif check == "spectra":
-                results.extend(_check_spectra(m, d, args.tol))
-            elif check == "charpoly":
-                results.extend(_check_charpoly(m, d))
-            elif check == "rootbound":
-                results.extend(_check_rootbound(m, d))
-            elif check == "pipeline":
-                results.extend(_check_pipeline(m, d, args.tol))
-            elif check == "packing":
-                results.extend(_check_packing(m, d))
-            elif check == "rigidity":
-                results.extend(_check_rigidity(m, d, args.tol))
-            elif check == "identities":
-                results.extend(_check_identities(m, d, args.tol, args.seed))
-
+    results = [row for m, d in pairs for check in checks
+               for row in _run_check(check, m, d, args.seed)]
     all_ok = all(r["ok"] for r in results if not r["skipped"])
     if args.format == "json":
         payload = {
             "version": __version__,
             "seed": args.seed,
-            "tol": args.tol,
             "m": args.m,
             "d": args.d,
             "checks": checks,
@@ -374,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("d", type=int)
     p.add_argument("--method", choices=("dense", "blocks"), default="dense")
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spectrum)
 
@@ -400,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rigidity", help="rigidity certificate and mu2 window for G(3r-1,d)")
     p.add_argument("r", type=int)
     p.add_argument("d", type=int)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_rigidity)
 
@@ -411,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default="all",
                    help="comma-separated subset of: " + ", ".join(CHECK_NAMES))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
@@ -425,6 +401,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ParameterDomainError, SizeGuardError, InvalidPartitionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; ask for a smaller m or d", file=sys.stderr)
         return 2
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)

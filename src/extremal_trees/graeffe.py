@@ -188,7 +188,7 @@ class PipelineReport:
         return out
 
 
-def verify_upper_bound_pipeline(m: int, d: int, tol: float = 1e-12) -> PipelineReport:
+def verify_upper_bound_pipeline(m: int, d: int) -> PipelineReport:
     """Run the whole root-bound pipeline for G(m,d) and cross-check lambda_2.
 
     For every divisor n != 1 of 2m+1: the largest bracket root must respect
@@ -198,7 +198,7 @@ def verify_upper_bound_pipeline(m: int, d: int, tol: float = 1e-12) -> PipelineR
     root image.  Raises CheckFailure on any violation.
     """
     k = 2 * m + 1
-    lam2_val = lambda2(m, d, tol)  # raises if the window itself fails
+    lam2_val = lambda2(m, d)  # raises if the window itself fails
     window = lambda2_window(m, d)
     report = PipelineReport(m, d, lam2_val, window)
 

@@ -104,11 +104,11 @@ class Mu2Report:
         return out
 
 
-def mu2_window(r: int, d: int, tol: float = 1e-12) -> Mu2Report:
+def mu2_window(r: int, d: int) -> Mu2Report:
     """Check (6r-1)/(d+3) < mu_2(G(3r-1,d)) <= (6r-1)/(d+1) within slack."""
     _check_rigidity_params(r, d)
     m = 3 * r - 1
-    mu2 = d - lambda2(m, d, tol, method="blocks")
+    mu2 = d - lambda2(m, d, method="blocks")
     lo, hi = (6 * r - 1) / (d + 3), (6 * r - 1) / (d + 1)
     within = lo - BOUND_SLACK < mu2 <= hi + BOUND_SLACK
     if not within:
@@ -168,16 +168,15 @@ def _induced_subgraph(g: Graph, removed: set[int]) -> Graph:
     return Graph.from_edges(len(keep), edges)
 
 
-def _laplacian_mu2(g: Graph, tol: float) -> float:
+def _laplacian_mu2(g: Graph) -> float:
     a = g.adjacency_matrix().astype(float)
     lap = np.diag(a.sum(axis=1)) - a
-    return float(symmetric_eigenvalues(lap, tol)[1])
+    return float(symmetric_eigenvalues(lap)[1])
 
 
 def check_spectral_rigidity_hypotheses(
     r: int,
     d: int,
-    tol: float = 1e-12,
     include_vertex_deleted: bool = False,
     include_pair_deleted: bool = False,
 ) -> HypothesesReport:
@@ -189,7 +188,7 @@ def check_spectral_rigidity_hypotheses(
     deleted vertex or pair) and reported without judgement.
     """
     _check_rigidity_params(r, d)
-    report_mu2 = mu2_window(r, d, tol)
+    report_mu2 = mu2_window(r, d)
     mu2 = report_mu2.mu2
     threshold = (6 * r - 1) / (d + 1)
     relaxed = (6 * r - 1) / (d + 3)
@@ -211,7 +210,7 @@ def check_spectral_rigidity_hypotheses(
                 sub = _induced_subgraph(g, {u})
                 delta = min(degrees(sub))
                 bound = (4 * r - 1) / (delta + 1)
-                val = _laplacian_mu2(sub, tol)
+                val = _laplacian_mu2(sub)
                 report.vertex_deleted.append(
                     {"u": u, "mu2": val, "bound": bound, "holds": val > bound}
                 )
@@ -221,7 +220,7 @@ def check_spectral_rigidity_hypotheses(
                     sub = _induced_subgraph(g, {v, w})
                     delta = min(degrees(sub))
                     bound = (2 * r - 1) / (delta + 1)
-                    val = _laplacian_mu2(sub, tol)
+                    val = _laplacian_mu2(sub)
                     report.pair_deleted.append(
                         {"v": v, "w": w, "mu2": val, "bound": bound, "holds": val > bound}
                     )

@@ -9,8 +9,9 @@ Two independent routes to the spectrum of G(m,d):
   block H_zeta = sum_k zeta^k b_k is solved on its own.
 
 Every eigensolve is one call of ``symmetric_eigenvalues``, which hands real
-symmetric or complex Hermitian input to LAPACK (``np.linalg.eigvalsh``).
-The two multisets must agree, which the test suite asserts elementwise.
+symmetric or complex Hermitian input to LAPACK (``np.linalg.eigvalsh``);
+LAPACK's convergence test is fixed, so no route takes a tolerance.  The two
+multisets must agree, which the test suite asserts elementwise.
 """
 
 from __future__ import annotations
@@ -25,27 +26,20 @@ import numpy as np
 from .errors import CheckFailure, ParameterDomainError, SolverConvergenceError
 from .graphs import Graph, build_extremal_graph, check_family_params
 
-DEFAULT_TOL = 1e-12
 BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted descending, with the tolerance requested for them.
-
-    ``tol`` is recorded, not used by the solver: LAPACK's convergence test
-    is fixed.
-    """
+    """Eigenvalues sorted descending."""
 
     values: tuple[float, ...]
-    tol: float
 
     def __len__(self) -> int:
         return len(self.values)
 
     def to_json(self, m: int | None = None, d: int | None = None, solver: str = "dense") -> str:
-        meta = {"m": m, "d": d, "solver": solver, "tol": self.tol,
-                "values": list(self.values)}
+        meta = {"m": m, "d": d, "solver": solver, "values": list(self.values)}
         return json.dumps(meta)
 
 
@@ -57,16 +51,13 @@ class HermitianBlock:
     entries: np.ndarray
 
 
-def symmetric_eigenvalues(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def symmetric_eigenvalues(mat: np.ndarray) -> np.ndarray:
     """All eigenvalues of a real symmetric or complex Hermitian matrix, ascending.
 
-    LAPACK (``np.linalg.eigvalsh``) solves it with a fixed convergence test:
-    tol must be positive and is otherwise unused.  eigvalsh reads one
-    triangle only, so a matrix whose Hermitian defect exceeds 1e-9, or is
-    not finite, is rejected instead of solved wrongly.
+    LAPACK (``np.linalg.eigvalsh``) solves it.  eigvalsh reads one triangle
+    only, so a matrix whose Hermitian defect exceeds 1e-9, or is not finite,
+    is rejected instead of solved wrongly.
     """
-    if tol <= 0:
-        raise ParameterDomainError(f"tol must be positive, got {tol}")
     a = np.asarray(mat)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
@@ -81,10 +72,10 @@ def symmetric_eigenvalues(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarr
         ) from exc
 
 
-def eigenvalues_dense(g: Graph, tol: float = DEFAULT_TOL) -> Spectrum:
+def eigenvalues_dense(g: Graph) -> Spectrum:
     """Spectrum of the adjacency matrix by the dense symmetric solver."""
-    vals = symmetric_eigenvalues(g.adjacency_matrix(), tol)
-    return Spectrum(tuple(vals[::-1]), tol)
+    vals = symmetric_eigenvalues(g.adjacency_matrix())
+    return Spectrum(tuple(vals[::-1]))
 
 
 def blocks_of(m: int, d: int) -> list[np.ndarray]:
@@ -134,33 +125,33 @@ def hermitian_block(m: int, d: int, t: int) -> HermitianBlock:
     return HermitianBlock(t, h)
 
 
-def eigenvalues_block_circulant(m: int, d: int, tol: float = DEFAULT_TOL) -> Spectrum:
+def eigenvalues_block_circulant(m: int, d: int) -> Spectrum:
     """Spectrum of G(m,d) as the union over roots of unity of the block spectra."""
     values: list[float] = []
     for t in range(1, 2 * m + 2):
-        values.extend(symmetric_eigenvalues(hermitian_block(m, d, t).entries, tol).tolist())
+        values.extend(symmetric_eigenvalues(hermitian_block(m, d, t).entries).tolist())
     values.sort(reverse=True)
-    return Spectrum(tuple(values), tol)
+    return Spectrum(tuple(values))
 
 
-def family_spectrum(m: int, d: int, method: str = "dense", tol: float = DEFAULT_TOL) -> Spectrum:
+def family_spectrum(m: int, d: int, method: str = "dense") -> Spectrum:
     """Spectrum of G(m,d) by one route: 'dense' or 'blocks'.
 
-    Remembered per (m, d, method, tol), so the checks of one ``verify`` pair
+    Remembered per (m, d, method), so the checks of one ``verify`` pair
     share one spectrum per route.  The two routes never share a result.
     """
     if method not in ("dense", "blocks"):
         raise ValueError(f"unknown method {method!r} (use 'dense' or 'blocks')")
-    return _remembered_spectrum(m, d, method, tol)
+    return _remembered_spectrum(m, d, method)
 
 
 # `verify` runs every check of one (m, d) pair before it moves to the next,
 # and a pair has one spectrum per route, so two entries catch every reuse.
 @lru_cache(maxsize=2)
-def _remembered_spectrum(m: int, d: int, method: str, tol: float) -> Spectrum:
+def _remembered_spectrum(m: int, d: int, method: str) -> Spectrum:
     if method == "dense":
-        return eigenvalues_dense(build_extremal_graph(m, d), tol)
-    return eigenvalues_block_circulant(m, d, tol)
+        return eigenvalues_dense(build_extremal_graph(m, d))
+    return eigenvalues_block_circulant(m, d)
 
 
 def lambda2_window(m: int, d: int) -> tuple[float, float]:
@@ -168,14 +159,14 @@ def lambda2_window(m: int, d: int) -> tuple[float, float]:
     return d - (2 * m + 1) / (d + 1), d - (2 * m + 1) / (d + 3)
 
 
-def lambda2(m: int, d: int, tol: float = DEFAULT_TOL, method: str = "dense") -> float:
+def lambda2(m: int, d: int, method: str = "dense") -> float:
     """Second-largest adjacency eigenvalue of G(m,d), checked against its window.
 
     Raises CheckFailure if the computed value escapes the two-sided bound by
     more than BOUND_SLACK (that would falsify the bound being verified, so
     it is treated as a failure, not a return value).
     """
-    spectrum = family_spectrum(m, d, method, tol)
+    spectrum = family_spectrum(m, d, method)
     lam1, lam2_ = spectrum.values[0], spectrum.values[1]
     if abs(lam1 - d) > 1e-8:
         raise CheckFailure(f"largest eigenvalue {lam1} != degree {d}")

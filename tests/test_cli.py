@@ -19,6 +19,20 @@ def fresh_memos():
     spectral._remembered_spectrum.cache_clear()
 
 
+@pytest.fixture
+def built_graphs(monkeypatch, fresh_memos):
+    """The (m, d) of every graph constructed from here on."""
+    built = []
+
+    class CountedGraph(graphs.Graph):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.params)
+
+    monkeypatch.setattr(graphs, "Graph", CountedGraph)
+    return built
+
+
 def run_cli(*argv, capsys=None):
     code = main(list(argv))
     if capsys is None:
@@ -56,6 +70,7 @@ def test_spectrum_blocks(capsys):
     assert len(data["values"]) == 35
     assert data["values"][0] == pytest.approx(6.0, abs=1e-9)
     assert data["solver"] == "blocks"
+    assert "tol" not in data
 
 
 def test_charpoly_exact_oracle_identical(capsys):
@@ -98,32 +113,54 @@ def test_lapack_failure_exit_code(monkeypatch, capsys, fresh_memos):
     assert err.startswith("internal error: LAPACK eigvalsh failed")
 
 
-def test_verify_builds_each_graph_and_spectrum_once(monkeypatch, capsys, fresh_memos):
-    built, solved, block_spectra = [], [], []
+def test_verify_builds_each_graph_and_spectrum_once(monkeypatch, capsys, built_graphs):
+    solved, block_spectra = [], []
 
-    class CountedGraph(graphs.Graph):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self.params)
-
-    def counted_solve(mat, tol=spectral.DEFAULT_TOL):
+    def counted_solve(mat):
         solved.append(len(mat))
-        return solve(mat, tol)
+        return solve(mat)
 
-    def counted_blocks(m, d, tol=spectral.DEFAULT_TOL):
+    def counted_blocks(m, d):
         block_spectra.append((m, d))
-        return blocks(m, d, tol)
+        return blocks(m, d)
 
     solve, blocks = spectral.symmetric_eigenvalues, spectral.eigenvalues_block_circulant
-    monkeypatch.setattr(graphs, "Graph", CountedGraph)
     monkeypatch.setattr(spectral, "symmetric_eigenvalues", counted_solve)
     monkeypatch.setattr(spectral, "eigenvalues_block_circulant", counted_blocks)
     code, out, _ = run_cli("verify", "--m", "2", "--d", "7",
                            "--checks", "lambda2,spectra,pipeline,rigidity", capsys=capsys)
     assert code == 0 and json.loads(out)["all_ok"] is True
-    assert built == [(2, 7)]
+    assert built_graphs == [(2, 7)]
     assert solved.count(40) == 1
     assert block_spectra == [(2, 7)]
+
+
+def test_skipped_checks_build_no_graph(capsys, built_graphs):
+    code, out, _ = run_cli("verify", "--m", "1", "--d", "50",
+                           "--checks", "charpoly,rootbound,packing,rigidity", capsys=capsys)
+    assert code == 0
+    assert all(r["skipped"] for r in json.loads(out)["results"])
+    assert built_graphs == []
+
+
+def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
+    def exhausted(m, d):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_extremal_graph", exhausted)
+    code, out, err = run_cli("build", "5", "2000", capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory")
+
+
+@pytest.mark.parametrize("argv", [("spectrum", "2", "6"), ("rigidity", "1", "6"),
+                                  ("verify", "--m", "1", "--d", "4")])
+def test_tol_option_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_pack_default_checks_sigma(capsys):
@@ -171,6 +208,7 @@ def test_verify_small_sweep_json(capsys):
     data = json.loads(out)
     assert data["all_ok"] is True
     assert data["seed"] == 0 and "version" in data
+    assert "tol" not in data
     ms = {r["m"] for r in data["results"]}
     assert ms == {1, 2}
 
