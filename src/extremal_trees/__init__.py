@@ -62,7 +62,6 @@ from .rigidity import (
     rigidity_certificate,
 )
 from .spectral import (
-    HermitianBlock,
     Spectrum,
     assemble_block_circulant,
     blocks_of,

@@ -241,17 +241,6 @@ class IdentityReport:
         if deviation > self.tol:
             self.passed = False
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "seed": self.seed,
-            "tol": self.tol,
-            "max_deviation": self.max_deviation,
-            "worst_case": {k: repr(v) for k, v in self.worst_case.items()},
-            "passed": self.passed,
-        }
-
 
 def _rel_dev(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))

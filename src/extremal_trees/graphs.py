@@ -173,20 +173,7 @@ def crossing_edges(g: Graph, p: Partition) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = bytearray(g.n)
-    seen[0] = 1
-    stack = [0]
-    reached = 1
-    while stack:
-        u = stack.pop()
-        for v in g.adjacency[u]:
-            if not seen[v]:
-                seen[v] = 1
-                reached += 1
-                stack.append(v)
-    return reached == g.n
+    return len(connected_components(g)) <= 1
 
 
 def degrees(g: Graph) -> list[int]:

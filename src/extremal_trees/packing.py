@@ -33,7 +33,7 @@ from .graphs import (
     clique_partition,
     connected_components,
     crossing_edges,
-    validate_partition,
+    is_connected,
 )
 
 
@@ -73,7 +73,6 @@ class ForestPacking:
 
 def verify_nash_williams(g: Graph, p: Partition, k: int) -> PartitionCertificate:
     """Evaluate the partition condition sum e(V_i, V_j) >= k(t-1) for p."""
-    validate_partition(g, p)
     crossing = crossing_edges(g, p)
     required = k * (len(p) - 1)
     return PartitionCertificate(p, crossing, k, required, required - crossing)
@@ -198,25 +197,6 @@ class _PackingState:
         return sum(f.size for f in self.forests)
 
 
-def _closure_components(state: _PackingState, labels, e0: int) -> list[list[int]]:
-    """Vertex components of the failed search's closed edge set (labels + e0)."""
-    verts: dict[int, int] = {}
-    uf_ids = []
-    for eid in list(labels) + [e0]:
-        for v in state.edges[eid]:
-            if v not in verts:
-                verts[v] = len(uf_ids)
-                uf_ids.append(v)
-    uf = _UnionFind(len(uf_ids))
-    for eid in list(labels) + [e0]:
-        u, v = state.edges[eid]
-        uf.union(verts[u], verts[v])
-    groups: dict[int, list[int]] = {}
-    for v, idx in verts.items():
-        groups.setdefault(uf.find(idx), []).append(v)
-    return list(groups.values())
-
-
 def pack_spanning_trees(g: Graph, k: int) -> ForestPacking | PartitionCertificate:
     """k pairwise edge-disjoint spanning trees of g, or a blocking partition.
 
@@ -245,23 +225,15 @@ def pack_spanning_trees(g: Graph, k: int) -> ForestPacking | PartitionCertificat
             continue  # inside a saturated clump: insertion is impossible
         labels = state.try_insert(eid)
         if labels is not None:
-            for comp in _closure_components(state, labels, eid):
-                for w in comp[1:]:
-                    clumps.union(comp[0], w)
+            # the failed search's closed edges span a saturated clump
+            for lid in (eid, *labels):
+                clumps.union(*state.edges[lid])
 
     if state.total() == target:
-        trees = []
-        for forest in state.forests:
-            if forest.size != g.n - 1:
-                raise ConsistencyError(f"forest has {forest.size} edges, not {g.n - 1}")
-            tree = frozenset(
-                (min(u, v), max(u, v))
-                for u in range(g.n)
-                for v in forest.adj[u]
-                if u < v
-            )
-            trees.append(tree)
-        packing = ForestPacking(tuple(trees))
+        packing = ForestPacking(tuple(
+            frozenset(state.edges[e] for e, i in state.forest_of.items() if i == f)
+            for f in range(k)
+        ))
         _verify_packing(g, packing)
         return packing
 
@@ -283,21 +255,10 @@ def _verify_packing(g: Graph, packing: ForestPacking) -> None:
         if tree & seen:
             raise ConsistencyError("trees share an edge")
         seen |= tree
-        adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
         for u, v in tree:
             if not g.has_edge(u, v):
                 raise ConsistencyError(f"tree edge ({u},{v}) is not in the graph")
-            adj[u].append(v)
-            adj[v].append(u)
-        reached = {0}
-        stack = [0]
-        while stack:
-            w = stack.pop()
-            for x in adj[w]:
-                if x not in reached:
-                    reached.add(x)
-                    stack.append(x)
-        if len(reached) != g.n:
+        if not is_connected(Graph.from_edges(g.n, tree)):
             raise ConsistencyError("tree does not span")
 
 

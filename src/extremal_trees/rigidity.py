@@ -30,7 +30,6 @@ from .graphs import (
     clique_partition,
     crossing_edges,
     degrees,
-    validate_partition,
 )
 from .spectral import BOUND_SLACK, lambda2, symmetric_eigenvalues
 import numpy as np
@@ -66,7 +65,6 @@ class RigidityCertificate:
 
 def partition_rigidity_check(g: Graph, p: Partition, r: int, ell: int) -> RigidityCertificate:
     """Evaluate e(pi) >= (3r+ell)(|pi|-1) - rt for an arbitrary partition."""
-    validate_partition(g, p)
     trivial = sum(1 for part in p.parts if len(part) == 1)
     crossing = crossing_edges(g, p)
     required = (3 * r + ell) * (len(p) - 1) - r * trivial
@@ -98,11 +96,6 @@ class Mu2Report:
     window: tuple[float, float]
     within: bool
 
-    def to_dict(self) -> dict:
-        out = self.__dict__.copy()
-        out["window"] = list(self.window)
-        return out
-
 
 def mu2_window(r: int, d: int) -> Mu2Report:
     """Check (6r-1)/(d+3) < mu_2(G(3r-1,d)) <= (6r-1)/(d+1) within slack."""
@@ -125,7 +118,7 @@ class HypothesesReport:
     The point of the family: condition (1) fails (mu_2 is at most the
     threshold) while the relaxed threshold with d+3 in place of d+1 would
     pass, yet the partition certificate rules out r rigid subgraphs.  The
-    vertex-deleted conditions (2) and (3) are informational only.
+    vertex-deleted condition (2) is informational only.
     """
 
     r: int
@@ -137,7 +130,6 @@ class HypothesesReport:
     relaxed_would_hold: bool
     certificate: RigidityCertificate | None = None
     vertex_deleted: list[dict] = field(default_factory=list)
-    pair_deleted: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         out = {
@@ -152,8 +144,6 @@ class HypothesesReport:
         }
         if self.vertex_deleted:
             out["vertex_deleted"] = self.vertex_deleted
-        if self.pair_deleted:
-            out["pair_deleted"] = self.pair_deleted
         return out
 
 
@@ -178,20 +168,18 @@ def check_spectral_rigidity_hypotheses(
     r: int,
     d: int,
     include_vertex_deleted: bool = False,
-    include_pair_deleted: bool = False,
 ) -> HypothesesReport:
     """Report how G(3r-1,d) sits against the spectral rigidity criterion.
 
     Asserts that condition (1) fails while its d+3 relaxation holds, and
-    attaches the refuting partition certificate.  The subgraph conditions
-    (2)-(3) are computed on demand (they cost one Laplacian eigensolve per
-    deleted vertex or pair) and reported without judgement.
+    attaches the refuting partition certificate.  Of the subgraph
+    conditions only (2) remains: on demand, it is computed for every
+    deleted vertex (one Laplacian eigensolve each) and reported without
+    judgement.
     """
-    _check_rigidity_params(r, d)
     report_mu2 = mu2_window(r, d)
     mu2 = report_mu2.mu2
-    threshold = (6 * r - 1) / (d + 1)
-    relaxed = (6 * r - 1) / (d + 3)
+    relaxed, threshold = report_mu2.window
     cond1 = mu2 > threshold + BOUND_SLACK
     relaxed_holds = mu2 > relaxed + BOUND_SLACK
     if cond1 or not relaxed_holds:
@@ -203,25 +191,14 @@ def check_spectral_rigidity_hypotheses(
         r, d, mu2, threshold, cond1, relaxed, relaxed_holds,
         certificate=rigidity_certificate(r, d),
     )
-    if include_vertex_deleted or include_pair_deleted:
+    if include_vertex_deleted:
         g = build_extremal_graph(3 * r - 1, d)
-        if include_vertex_deleted:
-            for u in range(g.n):
-                sub = _induced_subgraph(g, {u})
-                delta = min(degrees(sub))
-                bound = (4 * r - 1) / (delta + 1)
-                val = _laplacian_mu2(sub)
-                report.vertex_deleted.append(
-                    {"u": u, "mu2": val, "bound": bound, "holds": val > bound}
-                )
-        if include_pair_deleted:
-            for v in range(g.n):
-                for w in range(v + 1, g.n):
-                    sub = _induced_subgraph(g, {v, w})
-                    delta = min(degrees(sub))
-                    bound = (2 * r - 1) / (delta + 1)
-                    val = _laplacian_mu2(sub)
-                    report.pair_deleted.append(
-                        {"v": v, "w": w, "mu2": val, "bound": bound, "holds": val > bound}
-                    )
+        for u in range(g.n):
+            sub = _induced_subgraph(g, {u})
+            delta = min(degrees(sub))
+            bound = (4 * r - 1) / (delta + 1)
+            val = _laplacian_mu2(sub)
+            report.vertex_deleted.append(
+                {"u": u, "mu2": val, "bound": bound, "holds": val > bound}
+            )
     return report

@@ -43,14 +43,6 @@ class Spectrum:
         return json.dumps(meta)
 
 
-@dataclass(frozen=True)
-class HermitianBlock:
-    """Block H_zeta for zeta = exp(2*pi*i*t/(2m+1)), t in [1, 2m+1]."""
-
-    zeta_index: int
-    entries: np.ndarray
-
-
 def symmetric_eigenvalues(mat: np.ndarray) -> np.ndarray:
     """All eigenvalues of a real symmetric or complex Hermitian matrix, ascending.
 
@@ -112,8 +104,11 @@ def assemble_block_circulant(blocks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def hermitian_block(m: int, d: int, t: int) -> HermitianBlock:
-    """H_zeta = sum_k zeta^k b_k for zeta = exp(2*pi*i*t/(2m+1))."""
+def hermitian_block(m: int, d: int, t: int) -> np.ndarray:
+    """The block H_zeta = sum_k zeta^k b_k, a complex (d+1) x (d+1) array.
+
+    zeta = exp(2*pi*i*t/(2m+1)) for t in [1, 2m+1]; t = 2m+1 gives zeta = 1.
+    """
     k = 2 * m + 1
     if not 1 <= t <= k:
         raise ParameterDomainError(f"zeta index t must be in [1, {k}], got {t}")
@@ -122,14 +117,14 @@ def hermitian_block(m: int, d: int, t: int) -> HermitianBlock:
     h = np.zeros((d + 1, d + 1), dtype=complex)
     for i, b in enumerate(blocks):
         h += (zeta**i) * b
-    return HermitianBlock(t, h)
+    return h
 
 
 def eigenvalues_block_circulant(m: int, d: int) -> Spectrum:
     """Spectrum of G(m,d) as the union over roots of unity of the block spectra."""
     values: list[float] = []
     for t in range(1, 2 * m + 2):
-        values.extend(symmetric_eigenvalues(hermitian_block(m, d, t).entries).tolist())
+        values.extend(symmetric_eigenvalues(hermitian_block(m, d, t)).tolist())
     values.sort(reverse=True)
     return Spectrum(tuple(values))
 

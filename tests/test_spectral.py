@@ -79,9 +79,9 @@ def test_assembled_blocks_reproduce_adjacency(m, d):
 def test_hermitian_blocks():
     m, d = 2, 6
     for t in range(1, 2 * m + 2):
-        h = hermitian_block(m, d, t).entries
+        h = hermitian_block(m, d, t)
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
-    h1 = hermitian_block(m, d, 2 * m + 1).entries
+    h1 = hermitian_block(m, d, 2 * m + 1)
     assert np.max(np.abs(h1.imag)) < 1e-12
     assert np.allclose(h1.real.sum(axis=1), d)
 
@@ -119,7 +119,7 @@ def test_lambda2_window_beyond_desk_scale():
 
 def test_degree_eigenvalue_comes_from_unit_root_block():
     m, d = 2, 6
-    vals = symmetric_eigenvalues(hermitian_block(m, d, 2 * m + 1).entries)
+    vals = symmetric_eigenvalues(hermitian_block(m, d, 2 * m + 1))
     assert abs(vals[-1] - d) < 1e-9
 
 
