@@ -6,10 +6,10 @@ decides from (m, d) alone whether the pair is out of the check's reach, and a
 run, which returns the check's rows.
 
 Exit codes: 0 all requested work passed, 1 a verification check failed,
-2 usage or parameter-domain error, or the machine ran out of memory (ask for
-a smaller graph), 3 internal error (an exact internal cross-check failed or
-LAPACK's eigensolver did not converge: a bug, not a mathematical
-counterexample).
+2 usage or parameter-domain error, an ``--out`` path that cannot be written,
+or the machine ran out of memory (ask for a smaller graph), 3 internal error
+(an exact internal cross-check failed or LAPACK's eigensolver did not
+converge: a bug, not a mathematical counterexample).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -264,9 +265,21 @@ def _check_rigidity(m: int, d: int, seed: int) -> list[dict]:
                                  f"{report.certificate.deficit}")]
 
 
+# Neither identity suite reads d, and the determinant suite reads no m, so a
+# sweep (pairs in order of m) computes each once per m and seed, or per seed.
+@lru_cache(maxsize=1)
+def _root_of_unity_report(m: int, seed: int):
+    return verify_root_of_unity_identities(m, trials=25, tol=1e-10, seed=seed)
+
+
+@lru_cache(maxsize=1)
+def _determinant_report(seed: int):
+    return verify_determinant_identities(trials=25, tol=1e-10, seed=seed)
+
+
 def _check_identities(m: int, d: int, seed: int) -> list[dict]:
-    rep1 = verify_root_of_unity_identities(m, trials=25, tol=1e-10, seed=seed)
-    rep2 = verify_determinant_identities(trials=25, tol=1e-10, seed=seed)
+    rep1 = _root_of_unity_report(m, seed)
+    rep2 = _determinant_report(seed)
     return [dict(ok=True, detail=f"max deviations {rep1.max_deviation:.3e}, "
                                  f"{rep2.max_deviation:.3e}")]
 
@@ -399,7 +412,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterDomainError, SizeGuardError, InvalidPartitionError, ValueError) as exc:
+    except (ParameterDomainError, SizeGuardError, InvalidPartitionError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -154,6 +154,44 @@ def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
     assert err.startswith("error: out of memory")
 
 
+@pytest.mark.parametrize("argv", [("build", "1", "4"),
+                                  ("verify", "--m", "1", "--d", "4", "--checks", "construction")])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(*argv, "--out", str(target), capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.parent.exists()
+
+
+def test_identity_reports_computed_once_per_m_and_seed(monkeypatch, capsys):
+    calls = {"roots": [], "determinants": []}
+
+    def counted_roots(m, **kwargs):
+        calls["roots"].append((m, kwargs["seed"]))
+        return roots(m, **kwargs)
+
+    def counted_determinants(**kwargs):
+        calls["determinants"].append(kwargs["seed"])
+        return determinants(**kwargs)
+
+    roots, determinants = cli.verify_root_of_unity_identities, cli.verify_determinant_identities
+    monkeypatch.setattr(cli, "verify_root_of_unity_identities", counted_roots)
+    monkeypatch.setattr(cli, "verify_determinant_identities", counted_determinants)
+    cli._root_of_unity_report.cache_clear()
+    cli._determinant_report.cache_clear()
+    try:
+        code, out, _ = run_cli("verify", "--m", "1..2", "--d", "auto",
+                               "--checks", "identities", capsys=capsys)
+    finally:
+        cli._root_of_unity_report.cache_clear()
+        cli._determinant_report.cache_clear()
+    assert code == 0
+    assert len(json.loads(out)["results"]) == 14
+    assert calls == {"roots": [(1, 0), (2, 0)], "determinants": [0]}
+
+
 @pytest.mark.parametrize("argv", [("spectrum", "2", "6"), ("rigidity", "1", "6"),
                                   ("verify", "--m", "1", "--d", "4")])
 def test_tol_option_is_rejected(capsys, argv):
