@@ -89,17 +89,14 @@ class _Forest:
 
     def __init__(self, n: int):
         self.adj: list[dict[int, int]] = [{} for _ in range(n)]
-        self.size = 0
 
     def add(self, u: int, v: int, eid: int) -> None:
         self.adj[u][v] = eid
         self.adj[v][u] = eid
-        self.size += 1
 
     def remove(self, u: int, v: int) -> None:
         del self.adj[u][v]
         del self.adj[v][u]
-        self.size -= 1
 
     def path_edges(self, u: int, v: int) -> list[int] | None:
         """Edge ids on the tree path u..v, or None if u, v are disconnected."""
@@ -144,11 +141,10 @@ class _UnionFind:
 
 class _PackingState:
     def __init__(self, g: Graph, k: int):
-        self.g = g
         self.k = k
         self.edges = list(g.edges())
         self.forests = [_Forest(g.n) for _ in range(k)]
-        self.forest_of: dict[int, int] = {}
+        self.forest_of: dict[int, int] = {}  # edge index -> its forest
 
     def try_insert(self, e0: int) -> dict[int, tuple[int, int] | None] | None:
         """Augmenting search for edge e0.
@@ -193,9 +189,6 @@ class _PackingState:
         self.forests[target].add(u, v, e0)
         self.forest_of[e0] = target
 
-    def total(self) -> int:
-        return sum(f.size for f in self.forests)
-
 
 def pack_spanning_trees(g: Graph, k: int) -> ForestPacking | PartitionCertificate:
     """k pairwise edge-disjoint spanning trees of g, or a blocking partition.
@@ -218,18 +211,18 @@ def pack_spanning_trees(g: Graph, k: int) -> ForestPacking | PartitionCertificat
     clumps = _UnionFind(g.n)
     target = k * (g.n - 1)
     for eid in range(len(state.edges)):
-        if state.total() == target:
+        if len(state.forest_of) == target:
             break
         u, v = state.edges[eid]
         if clumps.find(u) == clumps.find(v):
             continue  # inside a saturated clump: insertion is impossible
         labels = state.try_insert(eid)
         if labels is not None:
-            # the failed search's closed edges span a saturated clump
-            for lid in (eid, *labels):
+            # the failed search's closed edges (eid among them) span a saturated clump
+            for lid in labels:
                 clumps.union(*state.edges[lid])
 
-    if state.total() == target:
+    if len(state.forest_of) == target:
         packing = ForestPacking(tuple(
             frozenset(state.edges[e] for e, i in state.forest_of.items() if i == f)
             for f in range(k)

@@ -1,9 +1,9 @@
 """Outputs of the packing and rigidity layers, pinned byte for byte.
 
-The literals and the digest were recorded from the implementation these
-layers had before their internal search, union-find and validation code was
-shared with ``graphs``; any change to a packing, a witness or a certificate
-shows up here.
+The JSON of four ``pack`` and two ``rigidity`` commands, and a SHA-256 digest
+over the packings, witnesses and sigma of 305 graphs.  Any change to the
+union-find, tree extraction, spanning check or partition validation behind
+them that alters a packing, a witness or a certificate shows up here.
 """
 
 import hashlib
