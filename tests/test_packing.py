@@ -1,10 +1,14 @@
+import itertools
 import subprocess
 import sys
 import textwrap
+from collections import deque
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremal_trees import (
     ForestPacking,
@@ -21,7 +25,12 @@ from extremal_trees import (
     verify_nash_williams,
 )
 
+from extremal_trees.packing import _Forest
+
 from conftest import complete_graph, path_graph
+
+# deterministic, so tier-1 runs the same examples every time
+PROPERTY = settings(deadline=None, derandomize=True)
 
 
 def check_packing_independently(g: Graph, packing: ForestPacking, k: int):
@@ -204,3 +213,101 @@ def test_verify_packing_rejects_duplicate_tree_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ConsistencyError: trees share an edge"
+
+
+def set_partitions(n: int):
+    """Every set partition of range(n), as a block label per vertex."""
+    labels = [0] * n
+
+    def extend(v: int, blocks: int):
+        if v == n:
+            yield tuple(labels), blocks
+            return
+        for b in range(blocks + 1):
+            labels[v] = b
+            yield from extend(v + 1, max(blocks, b + 1))
+
+    yield from extend(0, 0)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    # half the graphs are complements of a drawn set, so dense ones occur too
+    if draw(st.booleans()):
+        chosen = set(pairs) - chosen
+    return Graph.from_edges(n, sorted(chosen))
+
+
+@PROPERTY
+@given(small_graphs())
+def test_packing_verdict_matches_brute_force_partitions(g):
+    # Nash-Williams/Tutte: k trees pack iff no partition has deficit > 0
+    edges = list(g.edges())
+    counts = []
+    for labels, parts in set_partitions(g.n):
+        crossing = sum(labels[u] != labels[v] for u, v in edges)
+        counts.append((crossing, parts))
+    for k in (1, 2, 3):
+        feasible = min(crossing - k * (parts - 1) for crossing, parts in counts) >= 0
+        result = pack_spanning_trees(g, k)
+        assert isinstance(result, ForestPacking) == feasible
+        if feasible:
+            check_packing_independently(g, result, k)
+        else:
+            check_witness_independently(g, result, k)
+
+
+def bfs_path(adj: dict[int, dict[int, int]], u: int, v: int):
+    """Edge ids on the u..v path, listed from v back to u, or None."""
+    parent = {u: None}
+    queue = deque([u])
+    while queue:
+        w = queue.popleft()
+        for x, eid in adj[w].items():
+            if x not in parent:
+                parent[x] = (w, eid)
+                queue.append(x)
+    if v not in parent:
+        return None
+    path = []
+    while v != u:
+        v, eid = parent[v]
+        path.append(eid)
+    return path
+
+
+@PROPERTY
+@given(st.integers(min_value=2, max_value=9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+             min_size=n, max_size=40),
+)))
+def test_forest_paths_match_bfs(case):
+    # a pair that is a forest edge is removed; any other pair of distinct
+    # vertices is added, after removing the path edge at v if the pair is
+    # already connected, as an exchange step does; so the edges stay a forest
+    n, ops = case
+    forest = _Forest(n)
+    adj: dict[int, dict[int, int]] = {v: {} for v in range(n)}
+    ends: dict[int, tuple[int, int]] = {}
+    for eid, (u, v) in enumerate(ops):
+        if u == v:
+            continue
+        if v in adj[u]:
+            forest.remove(u, v)
+            del adj[u][v], adj[v][u]
+            continue
+        path = bfs_path(adj, u, v)
+        if path:
+            a, b = ends[path[0]]
+            forest.remove(b, a)
+            del adj[a][b], adj[b][a]
+        forest.add(u, v, eid)
+        adj[u][v] = adj[v][u] = eid
+        ends[eid] = (u, v)
+        for a in range(n):
+            for b in range(n):
+                assert forest.path_edges(a, b) == bfs_path(adj, a, b)
