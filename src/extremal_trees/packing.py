@@ -85,40 +85,66 @@ def clique_certificate(m: int, d: int) -> PartitionCertificate:
 
 
 class _Forest:
-    """One of the k forests: adjacency maps v -> {neighbor: edge index}."""
+    """One of the k forests, each tree rooted: ``up[v]`` is the parent of v
+    (-1 at a root) and ``up_edge[v]`` the id of the edge to it.
+
+    A tree path is two climbs that meet at the lowest common ancestor, and an
+    added edge re-roots one endpoint's tree at that endpoint.
+    """
 
     def __init__(self, n: int):
-        self.adj: list[dict[int, int]] = [{} for _ in range(n)]
+        self.up = [-1] * n
+        self.up_edge = [-1] * n
+
+    def _root(self, v: int) -> int:
+        up = self.up
+        while up[v] >= 0:
+            v = up[v]
+        return v
 
     def add(self, u: int, v: int, eid: int) -> None:
-        self.adj[u][v] = eid
-        self.adj[v][u] = eid
+        """Join the trees of u and v by edge eid, hanging v's tree below u."""
+        if self._root(u) == self._root(v):
+            # a pointer cycle would make every later climb in this tree loop
+            raise ConsistencyError(f"edge {eid} ({u},{v}) would close a cycle in its forest")
+        up, up_edge = self.up, self.up_edge
+        # re-root v's tree at v: reverse the pointers from v up to the old root
+        child, parent, edge = v, up[v], up_edge[v]
+        while parent >= 0:
+            next_parent, next_edge = up[parent], up_edge[parent]
+            up[parent], up_edge[parent] = child, edge
+            child, parent, edge = parent, next_parent, next_edge
+        up[v], up_edge[v] = u, eid
 
     def remove(self, u: int, v: int) -> None:
-        del self.adj[u][v]
-        del self.adj[v][u]
+        up = self.up
+        if up[u] == v:
+            child = u
+        elif up[v] == u:
+            child = v
+        else:
+            raise ConsistencyError(f"({u},{v}) is not an edge of this forest")
+        up[child] = self.up_edge[child] = -1
 
     def path_edges(self, u: int, v: int) -> list[int] | None:
-        """Edge ids on the tree path u..v, or None if u, v are disconnected."""
-        if u == v:
-            return []
-        parent: dict[int, tuple[int, int]] = {u: (-1, -1)}
-        queue = deque([u])
-        while queue:
-            w = queue.popleft()
-            for x, eid in self.adj[w].items():
-                if x in parent:
-                    continue
-                parent[x] = (w, eid)
-                if x == v:
-                    path = []
-                    while x != u:
-                        w_, eid_ = parent[x]
-                        path.append(eid_)
-                        x = w_
-                    return path
-                queue.append(x)
-        return None
+        """Edge ids on the tree path, from v back to u, or None if u, v are disconnected."""
+        up, up_edge = self.up, self.up_edge
+        u_edges: list[int] = []
+        depth = {u: 0}  # u and its ancestors -> edges climbed from u
+        w = u
+        while up[w] >= 0:
+            u_edges.append(up_edge[w])
+            w = up[w]
+            depth[w] = len(u_edges)
+        path: list[int] = []
+        w = v
+        while w not in depth:
+            if up[w] < 0:
+                return None
+            path.append(up_edge[w])
+            w = up[w]
+        path.extend(reversed(u_edges[:depth[w]]))
+        return path
 
 
 class _UnionFind:

@@ -311,3 +311,33 @@ def test_forest_paths_match_bfs(case):
         for a in range(n):
             for b in range(n):
                 assert forest.path_edges(a, b) == bfs_path(adj, a, b)
+
+
+def test_forest_add_rejects_cycle_under_optimize():
+    # an edge inside one tree would make a pointer cycle and hang the next
+    # climb, so add must refuse it, also under python -O
+    code = textwrap.dedent("""
+        from extremal_trees import ConsistencyError
+        from extremal_trees.packing import _Forest
+        forest = _Forest(3)
+        forest.add(0, 1, 0)
+        forest.add(1, 2, 1)
+        for u, v in [(0, 2), (2, 0), (1, 1)]:
+            try:
+                forest.add(u, v, 2)
+            except ConsistencyError as exc:
+                print("ConsistencyError:", exc)
+        print(forest.path_edges(0, 2))
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env={"PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "ConsistencyError: edge 2 (0,2) would close a cycle in its forest",
+        "ConsistencyError: edge 2 (2,0) would close a cycle in its forest",
+        "ConsistencyError: edge 2 (1,1) would close a cycle in its forest",
+        "[1, 0]",
+    ]
