@@ -47,6 +47,7 @@ from .graeffe import (
 )
 from .graphs import (
     build_extremal_graph,
+    check_family_params,
     clique_partition,
     crossing_edges,
     degrees,
@@ -58,7 +59,7 @@ from .rigidity import check_spectral_rigidity_hypotheses
 from .spectral import family_spectrum, lambda2, lambda2_window
 
 EIGEN_SIZE_GUARD = 600
-PACKING_EDGE_GUARD = 2500
+PACKING_EDGE_GUARD = 10500
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -103,6 +104,10 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_pack(args) -> int:
+    check_family_params(args.m, args.d)
+    reason = _packing_guard(args.m, args.d)
+    if reason is not None:
+        raise SizeGuardError(reason)
     g = build_extremal_graph(args.m, args.d)
     if args.trees is not None:
         result = pack_spanning_trees(g, args.trees)

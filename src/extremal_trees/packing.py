@@ -7,10 +7,12 @@ crossing edges.  This module realizes both directions constructively:
 * ``pack_spanning_trees`` runs matroid-union augmentation over k graphic
   matroids: edges are inserted one at a time into k edge-disjoint forests via
   breadth-first search over the exchange graph (an edge moves between forests
-  along its fundamental cycles).  Success yields k spanning trees; failure
-  yields a blocking partition extracted from the closed components of the
-  failed searches, verified against the partition condition before being
-  returned.
+  along its fundamental cycles).  Each forest is kept rooted with parent
+  pointers, so a fundamental cycle is found by climbing from both endpoints
+  to their common ancestor (Roskind & Tarjan 1985).  Success yields k
+  spanning trees; failure yields a blocking partition extracted from the
+  closed components of the failed searches, verified against the partition
+  condition before being returned.
 
 * ``clique_certificate`` instantiates the partition upper bound for G(m,d):
   the modified cliques form a partition with m(2m+1) crossing edges, fewer

@@ -136,7 +136,7 @@ def test_verify_builds_each_graph_and_spectrum_once(monkeypatch, capsys, built_g
 
 
 def test_skipped_checks_build_no_graph(capsys, built_graphs):
-    code, out, _ = run_cli("verify", "--m", "1", "--d", "50",
+    code, out, _ = run_cli("verify", "--m", "1", "--d", "100",
                            "--checks", "charpoly,rootbound,packing,rigidity", capsys=capsys)
     assert code == 0
     assert all(r["skipped"] for r in json.loads(out)["results"])
@@ -213,6 +213,15 @@ def test_pack_explicit_k_failure(capsys):
     assert code == 1
     data = json.loads(out)
     assert data["packed"] is False and "witness" in data
+
+
+@pytest.mark.parametrize("trees", [(), ("--trees", "2")])
+def test_pack_refuses_pair_above_packing_guard(capsys, built_graphs, trees):
+    code, out, err = run_cli("pack", "5", "60", *trees, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: |E|=20130 above packing guard\n"
+    assert built_graphs == []
 
 
 def test_pack_explicit_k_success(capsys):
@@ -295,7 +304,7 @@ VERIFY_ROWS = {
         ("charpoly", "-", None, True, "-", "-", "n=153 above oracle size guard 128"),
         ("rootbound", "-", None, True, "-", "-", "quartic inequality applies for m >= 2"),
         ("pipeline", 3, True, False, None, True, None),
-        ("packing", "-", None, True, "-", "-", "|E|=3825 above packing guard"),
+        ("packing", "-", True, False, "-", "-", None),
         ("rigidity", "-", None, True, "-", "-", "family parameter m is not of the form 3r-1"),
         ("identities", "-", True, False, "-", "-", None),
     ],
