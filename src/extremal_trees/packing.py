@@ -131,21 +131,24 @@ class _Forest:
     def path_edges(self, u: int, v: int) -> list[int] | None:
         """Edge ids on the tree path, from v back to u, or None if u, v are disconnected."""
         up, up_edge = self.up, self.up_edge
-        u_edges: list[int] = []
-        depth = {u: 0}  # u and its ancestors -> edges climbed from u
-        w = u
-        while up[w] >= 0:
-            u_edges.append(up_edge[w])
+        ancestors = {u}  # u and every vertex above it
+        w = up[u]
+        while w >= 0:
+            ancestors.add(w)
             w = up[w]
-            depth[w] = len(u_edges)
         path: list[int] = []
         w = v
-        while w not in depth:
+        while w not in ancestors:
             if up[w] < 0:
                 return None
             path.append(up_edge[w])
             w = up[w]
-        path.extend(reversed(u_edges[:depth[w]]))
+        below: list[int] = []  # u's edges up to the meeting point w
+        x = u
+        while x != w:
+            below.append(up_edge[x])
+            x = up[x]
+        path.extend(reversed(below))
         return path
 
 
