@@ -24,7 +24,6 @@ from extremal_trees import (
     sigma,
     verify_nash_williams,
 )
-
 from extremal_trees.packing import _Forest
 
 from conftest import complete_graph, path_graph
@@ -299,21 +298,21 @@ def test_forest_paths_match_bfs(case):
         if v in adj[u]:
             forest.remove(u, v)
             del adj[u][v], adj[v][u]
-            continue
-        path = bfs_path(adj, u, v)
-        if path:
-            a, b = ends[path[0]]
-            forest.remove(b, a)
-            del adj[a][b], adj[b][a]
-        forest.add(u, v, eid)
-        adj[u][v] = adj[v][u] = eid
-        ends[eid] = (u, v)
+        else:
+            path = bfs_path(adj, u, v)
+            if path:
+                a, b = ends[path[0]]
+                forest.remove(b, a)
+                del adj[a][b], adj[b][a]
+            forest.add(u, v, eid)
+            adj[u][v] = adj[v][u] = eid
+            ends[eid] = (u, v)
         for a in range(n):
             for b in range(n):
                 assert forest.path_edges(a, b) == bfs_path(adj, a, b)
 
 
-def test_forest_add_rejects_cycle_under_optimize():
+def test_forest_rejects_cycle_and_missing_edge_under_optimize():
     # an edge inside one tree would make a pointer cycle and hang the next
     # climb, so add must refuse it, also under python -O
     code = textwrap.dedent("""
@@ -327,6 +326,10 @@ def test_forest_add_rejects_cycle_under_optimize():
                 forest.add(u, v, 2)
             except ConsistencyError as exc:
                 print("ConsistencyError:", exc)
+        try:
+            forest.remove(0, 2)
+        except ConsistencyError as exc:
+            print("ConsistencyError:", exc)
         print(forest.path_edges(0, 2))
     """)
     src = Path(__file__).resolve().parent.parent / "src"
@@ -339,5 +342,6 @@ def test_forest_add_rejects_cycle_under_optimize():
         "ConsistencyError: edge 2 (0,2) would close a cycle in its forest",
         "ConsistencyError: edge 2 (2,0) would close a cycle in its forest",
         "ConsistencyError: edge 2 (1,1) would close a cycle in its forest",
+        "ConsistencyError: (0,2) is not an edge of this forest",
         "[1, 0]",
     ]
