@@ -230,8 +230,8 @@ def set_partitions(n: int):
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=7))
+def small_graphs(draw, max_n: int = 7):
+    n = draw(st.integers(min_value=1, max_value=max_n))
     pairs = list(itertools.combinations(range(n), 2))
     chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     # half the graphs are complements of a drawn set, so dense ones occur too
@@ -257,6 +257,15 @@ def test_packing_verdict_matches_brute_force_partitions(g):
             check_packing_independently(g, result, k)
         else:
             check_witness_independently(g, result, k)
+
+
+@PROPERTY
+@given(small_graphs(max_n=9), st.integers(min_value=0, max_value=5))
+def test_sigma_matches_ascending_reference(g, k_max):
+    # disconnected graphs are drawn too; their sigma is 0
+    packs = [k for k in range(1, k_max + 1)
+             if isinstance(pack_spanning_trees(g, k), ForestPacking)]
+    assert sigma(g, k_max) == max(packs, default=0)
 
 
 def bfs_path(adj: dict[int, dict[int, int]], u: int, v: int):
