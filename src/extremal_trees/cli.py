@@ -116,8 +116,7 @@ def cmd_pack(args) -> int:
         payload["packing" if ok else "witness"] = result.to_dict()
         _write_output(json.dumps(payload), args.out)
         return 0 if ok else 1
-    k_max = args.d // 2
-    value = sigma(g, k_max)
+    value = sigma(g, args.m + 1)
     cert = clique_certificate(args.m, args.d)
     payload = {
         "m": args.m,
@@ -389,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("d", type=int)
     p.add_argument("--trees", type=int, default=None,
-                   help="attempt exactly this many trees (default: compute sigma)")
+                   help="pack exactly this many trees (default: sigma, searched down from m+1)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pack)
 

@@ -14,6 +14,9 @@ crossing edges.  This module realizes both directions constructively:
   closed components of the failed searches, verified against the partition
   condition before being returned.
 
+* ``sigma`` searches down from k_max, jumping from each failed k to the
+  bound c // (t-1) < k of its witness (c crossing edges over t parts).
+
 * ``clique_certificate`` instantiates the partition upper bound for G(m,d):
   the modified cliques form a partition with m(2m+1) crossing edges, fewer
   than the (m+1)(2m) that m+1 trees would need, so sigma(G(m,d)) <= m.
@@ -287,11 +290,15 @@ def _verify_packing(g: Graph, packing: ForestPacking) -> None:
 
 
 def sigma(g: Graph, k_max: int) -> int:
-    """Largest k <= k_max for which k edge-disjoint spanning trees exist."""
-    best = 0
-    for k in range(1, k_max + 1):
-        if isinstance(pack_spanning_trees(g, k), ForestPacking):
-            best = k
-        else:
-            break
-    return best
+    """Largest k <= k_max for which k edge-disjoint spanning trees exist.
+
+    Searches down from k_max, so the first packing runs at k_max and fails
+    whenever k_max > sigma: callers should pass a tight k_max.
+    """
+    k = k_max
+    while k >= 1:
+        result = pack_spanning_trees(g, k)
+        if isinstance(result, ForestPacking):
+            return k
+        k = min(k - 1, result.crossing // (len(result.partition) - 1))
+    return 0

@@ -1,6 +1,8 @@
 import itertools
 
-from extremal_trees import Graph
+import pytest
+
+from extremal_trees import Graph, packing
 
 
 def complete_graph(n: int) -> Graph:
@@ -13,3 +15,17 @@ def path_graph(n: int) -> Graph:
 
 DESK_SWEEP = [(m, d) for m in range(1, 6) for d in range(2 * m + 2, 2 * m + 9)]
 CROSS_CHECK_CASES = [(1, 4), (1, 5), (2, 6), (2, 7), (3, 8)]
+
+
+@pytest.fixture
+def pack_calls(monkeypatch):
+    """The k of every pack_spanning_trees call made from here on."""
+    ks = []
+    real = packing.pack_spanning_trees
+
+    def counted(g, k):
+        ks.append(k)
+        return real(g, k)
+
+    monkeypatch.setattr(packing, "pack_spanning_trees", counted)
+    return ks

@@ -208,6 +208,13 @@ def test_pack_default_checks_sigma(capsys):
     assert data["sigma"] == 1 and data["certificate"]["deficit"] == 1
 
 
+def test_pack_searches_sigma_down_from_m_plus_1(capsys, pack_calls):
+    code, out, _ = run_cli("pack", "3", "8", capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["sigma"] == 3
+    assert pack_calls == [4, 3]
+
+
 def test_pack_explicit_k_failure(capsys):
     code, out, _ = run_cli("pack", "1", "4", "--trees", "2", capsys=capsys)
     assert code == 1

@@ -120,6 +120,13 @@ def test_sigma_values():
     assert sigma(complete_graph(5), 4) == 2
 
 
+@pytest.mark.parametrize("m,d", [(1, 4), (2, 6), (3, 8), (4, 10)])
+def test_sigma_of_extremal_graph_takes_two_packings(pack_calls, m, d):
+    # m+1 fails with a witness whose bound is exactly m, and m packs
+    assert sigma(build_extremal_graph(m, d), m + 1) == m
+    assert pack_calls == [m + 1, m]
+
+
 def test_path_graph_sigma_one():
     g = path_graph(6)
     assert sigma(g, 3) == 1
