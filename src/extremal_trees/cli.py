@@ -167,16 +167,16 @@ def _unguarded(m: int, d: int) -> None:
     return None
 
 
+def _above(size: str, value: int, guard: str, limit: int) -> str | None:
+    return f"{size}={value} above {guard} guard {limit}" if value > limit else None
+
+
 def _eigen_guard(m: int, d: int) -> str | None:
-    n = (2 * m + 1) * (d + 1)
-    return f"n={n} above eigensolver guard" if n > EIGEN_SIZE_GUARD else None
+    return _above("n", (2 * m + 1) * (d + 1), "eigensolver", EIGEN_SIZE_GUARD)
 
 
 def _oracle_guard(m: int, d: int) -> str | None:
-    n = (2 * m + 1) * (d + 1)
-    if n > ORACLE_SIZE_GUARD:
-        return f"n={n} above oracle size guard {ORACLE_SIZE_GUARD}"
-    return None
+    return _above("n", (2 * m + 1) * (d + 1), "oracle size", ORACLE_SIZE_GUARD)
 
 
 def _rootbound_guard(m: int, d: int) -> str | None:
@@ -184,8 +184,7 @@ def _rootbound_guard(m: int, d: int) -> str | None:
 
 
 def _packing_guard(m: int, d: int) -> str | None:
-    edges = (2 * m + 1) * (d + 1) * d // 2
-    return f"|E|={edges} above packing guard" if edges > PACKING_EDGE_GUARD else None
+    return _above("|E|", (2 * m + 1) * (d + 1) * d // 2, "packing", PACKING_EDGE_GUARD)
 
 
 def _rigidity_guard(m: int, d: int) -> str | None:

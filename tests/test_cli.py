@@ -227,7 +227,7 @@ def test_pack_refuses_pair_above_packing_guard(capsys, built_graphs, trees):
     code, out, err = run_cli("pack", "5", "60", *trees, capsys=capsys)
     assert code == 2
     assert out == ""
-    assert err == "error: |E|=20130 above packing guard\n"
+    assert err == "error: |E|=20130 above packing guard 10500\n"
     assert built_graphs == []
 
 
@@ -322,19 +322,19 @@ VERIFY_ROWS = {
         ("charpoly", "-", None, True, "-", "-", "n=505 above oracle size guard 128"),
         ("rootbound", "-", True, False, "-", "-", None),
         ("pipeline", 5, True, False, True, True, None),
-        ("packing", "-", None, True, "-", "-", "|E|=25250 above packing guard"),
+        ("packing", "-", None, True, "-", "-", "|E|=25250 above packing guard 10500"),
         ("rigidity", "-", True, False, "-", "-", None),
         ("identities", "-", True, False, "-", "-", None),
     ],
     (2, 200): [
         ("construction", "-", True, False, "-", "-", None),
-        ("lambda2", "-", None, True, "-", "-", "n=1005 above eigensolver guard"),
-        ("spectra", "-", None, True, "-", "-", "n=1005 above eigensolver guard"),
+        ("lambda2", "-", None, True, "-", "-", "n=1005 above eigensolver guard 600"),
+        ("spectra", "-", None, True, "-", "-", "n=1005 above eigensolver guard 600"),
         ("charpoly", "-", None, True, "-", "-", "n=1005 above oracle size guard 128"),
         ("rootbound", "-", True, False, "-", "-", None),
-        ("pipeline", "-", None, True, "-", "-", "n=1005 above eigensolver guard"),
-        ("packing", "-", None, True, "-", "-", "|E|=100500 above packing guard"),
-        ("rigidity", "-", None, True, "-", "-", "n=1005 above eigensolver guard"),
+        ("pipeline", "-", None, True, "-", "-", "n=1005 above eigensolver guard 600"),
+        ("packing", "-", None, True, "-", "-", "|E|=100500 above packing guard 10500"),
+        ("rigidity", "-", None, True, "-", "-", "n=1005 above eigensolver guard 600"),
         ("identities", "-", True, False, "-", "-", None),
     ],
 }
