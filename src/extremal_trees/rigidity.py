@@ -94,7 +94,6 @@ class Mu2Report:
     d: int
     mu2: float
     window: tuple[float, float]
-    within: bool
 
 
 def mu2_window(r: int, d: int) -> Mu2Report:
@@ -103,12 +102,11 @@ def mu2_window(r: int, d: int) -> Mu2Report:
     m = 3 * r - 1
     mu2 = d - lambda2(m, d, method="blocks")
     lo, hi = (6 * r - 1) / (d + 3), (6 * r - 1) / (d + 1)
-    within = lo - BOUND_SLACK < mu2 <= hi + BOUND_SLACK
-    if not within:
+    if not lo - BOUND_SLACK < mu2 <= hi + BOUND_SLACK:
         raise CheckFailure(
             f"mu2={mu2!r} outside ({lo}, {hi}] for (r,d)=({r},{d})"
         )
-    return Mu2Report(r, d, mu2, (lo, hi), within)
+    return Mu2Report(r, d, mu2, (lo, hi))
 
 
 @dataclass
