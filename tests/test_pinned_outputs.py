@@ -1,7 +1,9 @@
 """Outputs of the packing and rigidity layers, pinned byte for byte.
 
-The JSON of four ``pack`` and two ``rigidity`` commands, and a SHA-256 digest
-over the packings, witnesses and sigma of 305 graphs.  Any change to the
+The JSON of four ``pack`` and two ``rigidity`` commands, and two SHA-256
+digests over packings, witnesses and sigma: one of 305 graphs with n <= 15,
+one of 70 clustered graphs with n in 16..32, where failed searches build large
+saturated clumps.  Any change to the
 union-find, tree extraction, spanning check or partition validation behind
 them that alters a packing, a witness or a certificate shows up here.
 """
@@ -92,3 +94,29 @@ def test_packings_and_witnesses_pinned():
             digest.update(json.dumps(pack_spanning_trees(g, k).to_dict()).encode() + b"\n")
         digest.update(f"sigma={sigma(g, 5)}\n".encode())
     assert digest.hexdigest() == PACKING_DIGEST
+
+
+def clustered_graphs():
+    """Up to four groups of consecutive vertices, dense within, sparse between."""
+    rng = np.random.RandomState(20212)
+    for _ in range(70):
+        n = rng.randint(16, 33)
+        groups = rng.randint(1, 5)
+        p_in, p_out = rng.uniform(0.3, 0.8), rng.uniform(0.02, 0.2)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.uniform() < (p_in if u * groups // n == v * groups // n else p_out)]
+        yield Graph.from_edges(n, edges)
+
+
+# Over these graphs k = 1..5 give 195 packings and 155 witnesses, and sigma
+# takes every value from 0 to 6.
+CLUSTERED_DIGEST = "ab628c7aa5ec482e3aca5364635330eb57ad5fd4517436ffe47bb023ccb07e6d"
+
+
+def test_clustered_packings_and_witnesses_pinned():
+    digest = hashlib.sha256()
+    for g in clustered_graphs():
+        for k in range(1, 6):
+            digest.update(json.dumps(pack_spanning_trees(g, k).to_dict()).encode() + b"\n")
+        digest.update(f"sigma={sigma(g, 6)}\n".encode())
+    assert digest.hexdigest() == CLUSTERED_DIGEST
