@@ -5,13 +5,16 @@ sigma(G) >= k iff every partition of V(G) into t parts has at least k(t-1)
 crossing edges.  This module realizes both directions constructively:
 
 * ``pack_spanning_trees`` runs matroid-union augmentation over k graphic
-  matroids: edges are inserted one at a time into k edge-disjoint forests via
-  breadth-first search over the exchange graph (an edge moves between forests
-  along its fundamental cycles).  Each forest is kept rooted with parent
-  pointers, so a fundamental cycle is found by climbing from both endpoints
-  to their common ancestor (Roskind & Tarjan 1985).  Success yields k
-  spanning trees; failure yields a blocking partition extracted from the
-  closed components of the failed searches, verified against the partition
+  matroids (Edmonds 1965), inserting edges one at a time into k
+  edge-disjoint forests: into the first forest that keeps its ends apart,
+  else by a breadth-first search over the exchange graph (an edge moves
+  between forests along its fundamental cycles).  Each forest is rooted with
+  parent pointers, so a fundamental cycle is two climbs to the common
+  ancestor (Roskind & Tarjan 1985).  A failed search closes a saturated
+  clump, which every forest spans for good: an edge inside it has all its
+  cycles inside it, so no chain passes through it and the search neither
+  inserts nor expands it.  Success yields k spanning trees; failure yields
+  the clumps as a blocking partition, verified against the partition
   condition before being returned.
 
 * ``sigma`` searches down from k_max, jumping from each failed k to the
@@ -179,6 +182,7 @@ class _PackingState:
         self.edges = list(g.edges())
         self.forests = [_Forest(g.n) for _ in range(k)]
         self.forest_of: dict[int, int] = {}  # edge index -> its forest
+        self.clumps = _UnionFind(g.n)  # saturated clumps, grown by failed searches
 
     def try_insert(self, e0: int) -> dict[int, tuple[int, int] | None] | None:
         """Augmenting search for edge e0.
@@ -186,12 +190,24 @@ class _PackingState:
         Returns None on success.  On failure returns the label map: every
         edge reached in the exchange search, each the member of some
         fundamental cycle of its predecessor.
+
+        e0 goes straight into the first forest that keeps its ends apart, the
+        one the search would augment into.  The search skips edges inside a
+        saturated clump: every forest spans it, so no chain passes through.
         """
+        u, v = self.edges[e0]
+        for i, forest in enumerate(self.forests):
+            if forest._root(u) != forest._root(v):
+                self._augment(e0, i, {}, e0)  # a chain of e0 alone
+                return None
+        find = self.clumps.find
         labels: dict[int, tuple[int, int] | None] = {e0: None}
         queue = deque([e0])
         while queue:
             f = queue.popleft()
             fu, fv = self.edges[f]
+            if find(fu) == find(fv):
+                continue
             own = self.forest_of.get(f)
             for i in range(self.k):
                 if i == own:
@@ -242,19 +258,18 @@ def pack_spanning_trees(g: Graph, k: int) -> ForestPacking | PartitionCertificat
         return cert
 
     state = _PackingState(g, k)
-    clumps = _UnionFind(g.n)
     target = k * (g.n - 1)
     for eid in range(len(state.edges)):
         if len(state.forest_of) == target:
             break
         u, v = state.edges[eid]
-        if clumps.find(u) == clumps.find(v):
+        if state.clumps.find(u) == state.clumps.find(v):
             continue  # inside a saturated clump: insertion is impossible
         labels = state.try_insert(eid)
         if labels is not None:
             # the failed search's closed edges (eid among them) span a saturated clump
             for lid in labels:
-                clumps.union(*state.edges[lid])
+                state.clumps.union(*state.edges[lid])
 
     if len(state.forest_of) == target:
         packing = ForestPacking(tuple(
@@ -266,7 +281,7 @@ def pack_spanning_trees(g: Graph, k: int) -> ForestPacking | PartitionCertificat
 
     groups: dict[int, list[int]] = {}
     for v in range(g.n):
-        groups.setdefault(clumps.find(v), []).append(v)
+        groups.setdefault(state.clumps.find(v), []).append(v)
     partition = Partition(tuple(frozenset(grp) for grp in groups.values()))
     cert = verify_nash_williams(g, partition, k)
     if not cert.refutes:
