@@ -88,7 +88,16 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _refuse_above(guard, m: int, d: int) -> None:
+    """Raise SizeGuardError with the guard's reason before any graph is built."""
+    check_family_params(m, d)
+    reason = guard(m, d)
+    if reason is not None:
+        raise SizeGuardError(reason)
+
+
 def cmd_spectrum(args) -> int:
+    _refuse_above(_eigen_guard, args.m, args.d)
     spectrum = family_spectrum(args.m, args.d, args.method)
     _write_output(spectrum.to_json(args.m, args.d, solver=args.method), args.out)
     return 0
@@ -96,6 +105,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_charpoly(args) -> int:
     if args.oracle:
+        _refuse_above(_oracle_guard, args.m, args.d)
         poly = char_poly_oracle(build_extremal_graph(args.m, args.d))
     else:
         poly = char_poly_exact(args.m, args.d)
@@ -104,10 +114,7 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_pack(args) -> int:
-    check_family_params(args.m, args.d)
-    reason = _packing_guard(args.m, args.d)
-    if reason is not None:
-        raise SizeGuardError(reason)
+    _refuse_above(_packing_guard, args.m, args.d)
     g = build_extremal_graph(args.m, args.d)
     if args.trees is not None:
         result = pack_spanning_trees(g, args.trees)
@@ -131,15 +138,7 @@ def cmd_pack(args) -> int:
 
 def cmd_rigidity(args) -> int:
     report = check_spectral_rigidity_hypotheses(args.r, args.d)
-    payload = {
-        "r": args.r,
-        "d": args.d,
-        "mu2": report.mu2,
-        "window": [report.relaxed_threshold, report.threshold],
-        "certificate": report.certificate.to_dict(),
-        "condition1_holds": report.condition1_holds,
-    }
-    _write_output(json.dumps(payload), args.out)
+    _write_output(json.dumps(report.to_dict()), args.out)
     return 0
 
 

@@ -83,10 +83,21 @@ def test_charpoly_exact_oracle_identical(capsys):
     assert len(data["coeffs"]) == 16 and data["coeffs"][-1] == "1"
 
 
-def test_charpoly_oracle_size_guard(capsys):
-    code, _, err = run_cli("charpoly", "3", "18", "--oracle", capsys=capsys)
+def test_charpoly_oracle_size_guard(capsys, built_graphs):
+    code, out, err = run_cli("charpoly", "3", "18", "--oracle", capsys=capsys)
     assert code == 2
-    assert "char_poly_exact" in err
+    assert out == ""
+    assert err == "error: n=133 above oracle size guard 128\n"
+    assert built_graphs == []
+
+
+@pytest.mark.parametrize("method", ["dense", "blocks"])
+def test_spectrum_refuses_pair_above_eigensolver_guard(capsys, built_graphs, method):
+    code, out, err = run_cli("spectrum", "5", "2000", "--method", method, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: n=22011 above eigensolver guard 600\n"
+    assert built_graphs == []
 
 
 @pytest.mark.parametrize("error", [ConsistencyError, SolverConvergenceError])
