@@ -126,23 +126,20 @@ class HypothesesReport:
     condition1_holds: bool
     relaxed_threshold: float
     relaxed_would_hold: bool
-    certificate: RigidityCertificate | None = None
+    certificate: RigidityCertificate
     vertex_deleted: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        out = {
+        """The ``rigidity`` command's JSON: mu2, its (relaxed, threshold]
+        window, the certificate and whether condition (1) holds."""
+        return {
             "r": self.r,
             "d": self.d,
             "mu2": self.mu2,
-            "threshold": self.threshold,
+            "window": [self.relaxed_threshold, self.threshold],
+            "certificate": self.certificate.to_dict(),
             "condition1_holds": self.condition1_holds,
-            "relaxed_threshold": self.relaxed_threshold,
-            "relaxed_would_hold": self.relaxed_would_hold,
-            "certificate": self.certificate.to_dict() if self.certificate else None,
         }
-        if self.vertex_deleted:
-            out["vertex_deleted"] = self.vertex_deleted
-        return out
 
 
 def _induced_subgraph(g: Graph, removed: set[int]) -> Graph:
