@@ -127,9 +127,9 @@ def test_sigma_of_extremal_graph_takes_two_packings(pack_calls, m, d):
     assert pack_calls == [m + 1, m]
 
 
-# Searching every edge's cycles, as the search once did, climbs 1,523,
-# 7,492 and 9,543 times; inserting free edges directly and never expanding
-# an edge inside a saturated clump gives 700, 3,602 and 7,652.
+# A search that expands every labelled edge, free edges included, climbs
+# 1,523, 7,492 and 9,543 times; inserting free edges directly and never
+# expanding an edge inside a saturated clump gives 700, 3,602 and 7,652.
 @pytest.mark.parametrize("m,d,most", [(2, 10, 800), (3, 14, 4000), (4, 10, 8000)])
 def test_sigma_climbs_only_outside_saturated_clumps(monkeypatch, m, d, most):
     calls = []
