@@ -9,6 +9,7 @@ and rigidity certificates, each against an independent oracle.
 
 from .charpoly import (
     bracket_factor,
+    char_poly_block_circulant,
     char_poly_exact,
     char_poly_oracle,
     verify_determinant_identities,

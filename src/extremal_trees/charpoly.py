@@ -13,11 +13,20 @@ integer polynomial y^e 2^deg q(y/2), then an exact division by 2^deg) and
 must come out integral and monic; anything else is an implementation bug
 and raises ConsistencyError.
 
-``char_poly_oracle`` provides the independent cross-check: the multi-modular
-Hessenberg oracle.  It computes the characteristic polynomial of the
-adjacency matrix modulo word-size primes by Hessenberg reduction, lifts it
-by the Chinese remainder theorem past the Hadamard bound on its
-coefficients, and checks the lift modulo one further prime.
+Two multi-modular oracles provide the independent cross-check; neither
+reads the Chebyshev algebra.  Both compute the characteristic polynomial
+modulo primes p < 2^31 by Hessenberg reduction (one batched kernel for all
+matrices and primes), lift it by the Chinese remainder theorem past the
+Hadamard bound on its coefficients, and check the lift modulo one further
+prime:
+
+* ``char_poly_oracle(g)`` reduces the whole adjacency matrix of any graph,
+  modulo the primes just below 2^31 (n <= ORACLE_SIZE_GUARD);
+* ``char_poly_block_circulant(g, k)`` reads k blocks off the adjacency matrix
+  of a block-circulant graph such as G(m,d) with k = 2m+1, checks that they
+  assemble to it, and modulo each prime p = 1 (mod k) reduces the k blocks
+  of size n/k into which the matrix splits over F_p instead
+  (n <= BLOCK_ORACLE_SIZE_GUARD).
 """
 
 from __future__ import annotations
@@ -36,17 +45,14 @@ from .errors import (
 )
 from .graphs import Graph, check_family_params
 from .polynomials import Poly
+from .spectral import assemble_block_circulant
 
 ORACLE_SIZE_GUARD = 128
+BLOCK_ORACLE_SIZE_GUARD = 300
 
-# Primes just below 2^31, descending.  Fifteen cover the coefficient bound of
-# every graph within ORACLE_SIZE_GUARD (K_128 is the worst case) and the
-# sixteenth is the check prime.
-ORACLE_PRIMES = (
-    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
-    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
-    2147483353, 2147483323, 2147483269, 2147483249,
-)
+# The oracle primes p = 1 (mod k) below 2^31, descending, listed per k as far
+# as some call has needed them.  k = 1 gives the primes just below 2^31.
+_ORACLE_PRIMES: dict[int, list[int]] = {}
 
 
 def divisors(k: int) -> list[int]:
@@ -123,8 +129,8 @@ def char_poly_oracle(g: Graph) -> Poly:
     product exceeds twice the Hadamard bound on its coefficients
     (``_coefficient_bound``), lifted by the symmetric Chinese remainder
     theorem, and checked against its residue modulo one further prime.
-    Refuses graphs above the desk-scale size guard (use char_poly_exact for
-    family members instead).
+    Refuses graphs above the desk-scale size guard (use
+    char_poly_block_circulant or char_poly_exact for family members instead).
     """
     n = g.n
     if n > ORACLE_SIZE_GUARD:
@@ -133,18 +139,76 @@ def char_poly_oracle(g: Graph) -> Poly:
             "use char_poly_exact for family graphs"
         )
     a = g.adjacency_matrix()
-    bound = _coefficient_bound(n, max(map(len, g.adjacency), default=0))
-    primes = _primes_for(bound)
-    residues = [_char_poly_mod(a, p).tolist() for p in primes]
-    modulus = math.prod(primes)
-    # basis[i] is 1 modulo primes[i] and 0 modulo the others
-    basis = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
+
+    def residues(primes: list[int]) -> np.ndarray:
+        return _char_poly_mod(np.broadcast_to(a, (len(primes), n, n)), np.array(primes))
+
+    return _multimodular(g, 1, residues)
+
+
+def char_poly_block_circulant(g: Graph, k: int) -> Poly:
+    """Characteristic polynomial of a block-circulant graph, exact, multi-modularly.
+
+    The adjacency matrix must be k x k blocks of size s = n/k whose (r, c)
+    block is b_((c-r) mod k), where b_i = a[:s, i*s:(i+1)*s]; anything else
+    raises ValueError.  Modulo a prime p = 1 (mod k) with zeta of order k,
+    the matrix is similar to the block-diagonal matrix of the k blocks
+    H_t = sum_i zeta^(ti) b_i (Davis, Circulant Matrices, 1979), so its
+    characteristic polynomial mod p is the product of theirs.  Primes, lift and check prime are those of
+    ``char_poly_oracle``.  Refuses graphs above BLOCK_ORACLE_SIZE_GUARD.
+    """
+    n = g.n
+    if k < 1 or n % k:
+        raise ValueError(f"{n} vertices do not split into {k} equal blocks")
+    if n > BLOCK_ORACLE_SIZE_GUARD:
+        raise SizeGuardError(
+            f"block oracle limited to {BLOCK_ORACLE_SIZE_GUARD} vertices (got {n})"
+        )
+    s = n // k
+    a = g.adjacency_matrix()
+    blocks = [a[:s, i * s:(i + 1) * s] for i in range(k)]
+    if not np.array_equal(a, assemble_block_circulant(blocks)):
+        raise ValueError(f"adjacency matrix is not block circulant with {k} blocks")
+    flat = np.stack(blocks).reshape(k, s * s)
+    exponents = np.outer(np.arange(k), np.arange(k)) % k
+
+    def residues(primes: list[int]) -> np.ndarray:
+        # twiddle[j, t, i] = zeta_j^(t*i) modulo primes[j]; entries of b_i are
+        # 0 or 1, so each sum over i stays below k * 2^31
+        zetas = [_root_of_unity(k, p) for p in primes]
+        twiddle = np.array([[pow(zeta, e, p) for e in range(k)]
+                            for zeta, p in zip(zetas, primes)], dtype=np.int64)[:, exponents]
+        h = (twiddle @ flat).reshape(len(primes) * k, s, s)
+        polys = _char_poly_mod(h, np.repeat(primes, k)).reshape(len(primes), k, s + 1)
+        moduli = np.array(primes)
+        product = polys[:, 0]
+        for t in range(1, k):
+            product = _poly_mul_mod(product, polys[:, t], moduli)
+        return product
+
+    return _multimodular(g, k, residues)
+
+
+def _multimodular(g: Graph, k: int, residues) -> Poly:
+    """Lift residues(primes), ascending rows mod each prime, to g's charpoly.
+
+    The lift primes are the fewest oracle primes = 1 (mod k) whose product
+    exceeds twice the Hadamard bound on the coefficients
+    (``_coefficient_bound``), so the symmetric lift is exact; one further
+    prime checks the lift.
+    """
+    bound = _coefficient_bound(g.n, max(map(len, g.adjacency), default=0))
+    lift = _primes_for(bound, k)
+    check_prime = _oracle_primes(k, len(lift) + 1)[-1]
+    rows = residues(lift + [check_prime]).tolist()
+    modulus = math.prod(lift)
+    # basis[i] is 1 modulo lift[i] and 0 modulo the others
+    basis = [(modulus // p) * pow(modulus // p, -1, p) for p in lift]
     coeffs = []
-    for column in zip(*residues):
+    for column in zip(*rows[:-1]):
         c = sum(r * b for r, b in zip(column, basis)) % modulus
         coeffs.append(c - modulus if c > modulus // 2 else c)
-    check_prime = ORACLE_PRIMES[len(primes)]
-    if [c % check_prime for c in coeffs] != _char_poly_mod(a, check_prime).tolist():
+    if [c % check_prime for c in coeffs] != rows[-1]:
         raise ConsistencyError(
             f"lifted characteristic polynomial disagrees with its residue "
             f"modulo the check prime {check_prime}"
@@ -166,60 +230,132 @@ def _coefficient_bound(n: int, max_degree: int) -> int:
     )
 
 
-def _primes_for(bound: int) -> list[int]:
-    """The shortest prefix of ORACLE_PRIMES whose product exceeds 2 * bound.
+def _primes_for(bound: int, k: int = 1) -> list[int]:
+    """The fewest oracle primes = 1 (mod k) whose product exceeds 2 * bound."""
+    primes: list[int] = []
+    while math.prod(primes) <= 2 * bound:
+        primes = _oracle_primes(k, len(primes) + 1)
+    return primes
 
-    One table entry must remain after it for the check prime; the table is
-    long enough for every graph within ORACLE_SIZE_GUARD.
+
+def _oracle_primes(k: int, count: int) -> list[int]:
+    """The first count primes p = 1 (mod k) below 2^31, searched downward."""
+    primes = _ORACLE_PRIMES.setdefault(k, [])
+    candidate = primes[-1] - k if primes else (2**31 - 2) // k * k + 1
+    while len(primes) < count:
+        if candidate < 2:
+            raise ValueError(f"fewer than {count} primes = 1 (mod {k}) below 2^31")
+        if _is_prime(candidate):
+            primes.append(candidate)
+        candidate -= k
+    return primes[:count]
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, bases 2, 3, 5, 7: exact below 3,215,031,751."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in (2, 3, 5, 7):
+        x = pow(base, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _root_of_unity(k: int, p: int) -> int:
+    """The first g^((p-1)/k) of exact multiplicative order k modulo the prime p."""
+    if (p - 1) % k:
+        raise ValueError(f"no element of order {k} modulo {p}")
+    factors = [q for q in range(2, k + 1) if k % q == 0 and _is_prime(q)]
+    for g in range(1, p):
+        zeta = pow(g, (p - 1) // k, p)
+        if all(pow(zeta, k // q, p) != 1 for q in factors):
+            return zeta
+    raise ValueError(f"{p} is not a prime")
+
+
+def _char_poly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Characteristic polynomials of a batch of integer matrices, each mod its prime.
+
+    h has shape (B, s, s) and p shape (B,); row b of the (B, s+1) result is
+    the ascending characteristic polynomial of h[b] modulo p[b].  Cohen, A
+    Course in Computational Algebraic Number Theory, Alg. 2.2.9: reduce to
+    upper Hessenberg form by similarity over F_p, then expand along the
+    columns, one column for the whole batch at a time.  Every product of two
+    residues is reduced modulo p before it enters a sum, so int64 never
+    overflows for p < 2^31.
     """
-    modulus, count = 1, 0
-    while modulus <= 2 * bound:
-        modulus *= ORACLE_PRIMES[count]
-        count += 1
-    return list(ORACLE_PRIMES[:count])
-
-
-def _char_poly_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Characteristic polynomial of the integer matrix a modulo p, ascending.
-
-    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9:
-    reduce to upper Hessenberg form by similarity over F_p, then expand
-    along the columns.  Every product of two residues is reduced modulo p
-    before it enters a sum, so int64 never overflows for p < 2^31.
-    """
-    n = a.shape[0]
-    h = a % p
-    for j in range(n - 2):
-        nonzero = np.flatnonzero(h[j + 1:, j])
-        if nonzero.size == 0:
-            continue  # column j is already in Hessenberg form
-        i = j + 1 + nonzero[0]
-        if i != j + 1:
-            h[[i, j + 1], :] = h[[j + 1, i], :]
-            h[:, [i, j + 1]] = h[:, [j + 1, i]]
-        u = h[j + 2:, j] * pow(int(h[j + 1, j]), -1, p) % p
+    batch, s = h.shape[0], h.shape[-1]
+    p = np.asarray(p, dtype=np.int64)
+    p1, p2 = p[:, None], p[:, None, None]
+    h = h % p2
+    for j in range(s - 2):
+        nonzero = h[:, j + 1:, j] != 0
+        if not nonzero.any():
+            continue  # column j is already in Hessenberg form in every matrix
+        first = nonzero.argmax(axis=1)
+        # a matrix whose column j is already in Hessenberg form gets pivot 0,
+        # inverse 0 and so a zero update
+        swap = np.flatnonzero(first)
+        if swap.size:
+            i = j + 1 + first[swap]
+            h[swap, j + 1], h[swap, i] = h[swap, i], h[swap, j + 1]
+            h[swap, :, j + 1], h[swap, :, i] = h[swap, :, i], h[swap, :, j + 1]
+        inverse = np.array([pow(x, -1, q) if x else 0
+                            for x, q in zip(h[:, j + 1, j].tolist(), p.tolist())],
+                           dtype=np.int64)
+        u = h[:, j + 2:, j] * inverse[:, None] % p1
         # rows j+2.. minus u times row j+1, then column j+1 plus the columns
         # j+2.. weighted by u: a similarity L^-1 h L that clears column j
-        h[j + 2:, j:] = (h[j + 2:, j:] - np.outer(u, h[j + 1, j:]) % p) % p
-        h[:, j + 1] = (h[:, j + 1] + (h[:, j + 2:] * u % p).sum(axis=1)) % p
+        h[:, j + 2:, j:] = (h[:, j + 2:, j:]
+                            - u[:, :, None] * h[:, None, j + 1, j:] % p2) % p2
+        h[:, :, j + 1] = (h[:, :, j + 1]
+                          + (h[:, :, j + 2:] * u[:, None, :] % p2).sum(axis=2)) % p1
 
-    # polys[k] holds the characteristic polynomial of the leading k x k block;
-    # sub[i] is the product of the subdiagonal entries h[i+1,i] .. h[k-1,k-2]
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    sub = np.zeros(0, dtype=np.int64)
-    for k in range(1, n + 1):
+    # polys[:, k] holds the characteristic polynomial of the leading k x k
+    # block; sub[:, i] is the product of the subdiagonal entries
+    # h[i+1,i] .. h[k-1,k-2], which is 0 in every matrix for i < start
+    polys = np.zeros((batch, s + 1, s + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
+    sub = np.zeros((batch, 0), dtype=np.int64)
+    start = 0
+    for k in range(1, s + 1):
         col = k - 1
         if k > 1:
-            sub = np.append(sub, 1) * h[col, col - 1] % p
-        prev = polys[k - 1, :k]
-        nxt = polys[k]
-        nxt[1:k + 1] = prev
-        nxt[:k] -= h[col, col] * prev % p
-        weights = h[:col, col] * sub % p
-        nxt[:col] -= (weights[:, None] * polys[:col, :col] % p).sum(axis=0)
-        nxt %= p
-    return polys[n]
+            if not h[:, col, col - 1].any():
+                start = col
+            sub = np.append(sub, np.ones((batch, 1), dtype=np.int64), axis=1)
+            sub = sub * h[:, col, col - 1, None] % p1
+        prev = polys[:, k - 1, :k]
+        nxt = polys[:, k]
+        nxt[:, 1:k + 1] = prev
+        nxt[:, :k] -= h[:, col, col, None] * prev % p1
+        weights = h[:, start:col, col] * sub[:, start:] % p1
+        nxt[:, :col] -= (weights[:, :, None] * polys[:, start:col, :col] % p2).sum(axis=1)
+        nxt %= p1
+    return polys[:, s]
+
+
+def _poly_mul_mod(f: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Row-wise products of ascending polynomials f[b] * g[b] modulo p[b]."""
+    p1 = p[:, None]
+    out = np.zeros((f.shape[0], f.shape[1] + g.shape[1] - 1), dtype=np.int64)
+    for j in range(g.shape[1]):
+        window = out[:, j:j + f.shape[1]]
+        window[:] = (window + f * g[:, j, None] % p1) % p1
+    return out
 
 
 @dataclass

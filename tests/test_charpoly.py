@@ -13,6 +13,7 @@ from extremal_trees import (
     SizeGuardError,
     bracket_factor,
     build_extremal_graph,
+    char_poly_block_circulant,
     char_poly_exact,
     char_poly_oracle,
     chebyshev_T,
@@ -23,11 +24,14 @@ from extremal_trees import (
 )
 from extremal_trees import charpoly
 from extremal_trees.charpoly import (
-    ORACLE_PRIMES,
+    BLOCK_ORACLE_SIZE_GUARD,
     ORACLE_SIZE_GUARD,
     _char_poly_mod,
     _coefficient_bound,
+    _is_prime,
+    _oracle_primes,
     _primes_for,
+    _root_of_unity,
     divisors,
     euler_phi,
 )
@@ -114,9 +118,12 @@ def _bareiss_det(rows) -> int:
 
 
 def reference_char_poly(g: Graph) -> Poly:
+    return reference_char_poly_of_matrix(g.adjacency_matrix().tolist())
+
+
+def reference_char_poly_of_matrix(a) -> Poly:
     """det(xI - A) at x = 0..n, interpolated in the binomial basis C(x, k)."""
-    a = g.adjacency_matrix().tolist()
-    n = g.n
+    n = len(a)
     values = [
         _bareiss_det([[(x if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)])
         for x in range(n + 1)
@@ -175,15 +182,78 @@ def test_char_poly_mod_small_primes(seed, p):
     # skipped all-zero columns
     g = random_graph(seed)
     expected = [c % p for c in reference_char_poly(g).coeffs]
-    assert _char_poly_mod(g.adjacency_matrix(), p).tolist() == expected
+    assert _char_poly_mod(g.adjacency_matrix()[None], np.array([p]))[0].tolist() == expected
+
+
+def test_char_poly_mod_mixed_batch():
+    # One batch of 7 x 7 matrices, each modulo its own prime.  At the first
+    # column the swap graph needs a row and column swap, K_7 has its pivot in
+    # place and the edgeless graph has an all-zero column; the signed random
+    # matrices are not symmetric, like the blocks H_t of the block oracle.
+    rng = np.random.default_rng(11)
+    signed = [rng.integers(-3, 4, (7, 7)) for _ in range(4)]
+    mats = [SWAP_GRAPH.adjacency_matrix(), complete_graph(7).adjacency_matrix(),
+            Graph.from_edges(7, []).adjacency_matrix(), *signed]
+    batch = [(a, p) for a in mats for p in (2, 3, 5, 7, 11)]
+    got = _char_poly_mod(np.stack([a for a, _ in batch]),
+                         np.array([p for _, p in batch]))
+    for (a, p), row in zip(batch, got.tolist()):
+        assert row == [c % p for c in reference_char_poly_of_matrix(a.tolist()).coeffs]
+
+
+# The literal prime table of the generic oracle before the primes were
+# generated: the sixteen primes just below 2^31, descending.
+OLD_ORACLE_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+    2147483353, 2147483323, 2147483269, 2147483249,
+)
+
+
+def _trial_division_prime(p: int) -> bool:
+    odd = np.arange(3, math.isqrt(p) + 1, 2, dtype=np.int64)
+    return p == 2 or (p > 2 and p % 2 == 1 and bool(np.all(p % odd != 0)))
 
 
 def test_oracle_primes_are_prime():
-    assert len(set(ORACLE_PRIMES)) == len(ORACLE_PRIMES)
-    for p in ORACLE_PRIMES:
+    primes = _oracle_primes(1, 16)
+    assert len(set(primes)) == len(primes)
+    for p in primes:
         assert 2**30 < p < 2**31
-        odd = np.arange(3, math.isqrt(p) + 1, 2, dtype=np.int64)
-        assert p % 2 and np.all(p % odd != 0), p
+        assert _trial_division_prime(p), p
+
+
+def test_oracle_primes_for_k1_are_the_old_table():
+    assert tuple(_oracle_primes(1, 16)) == OLD_ORACLE_PRIMES
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7, 9, 15])
+def test_oracle_primes_one_mod_k(k):
+    primes = _oracle_primes(k, 12)
+    assert primes == sorted(primes, reverse=True) and len(set(primes)) == 12
+    for p in primes:
+        assert 2**30 < p < 2**31 and (p - 1) % k == 0
+        assert _trial_division_prime(p), (k, p)
+    # searched downward from 2^31: no prime = 1 (mod k) is skipped
+    for c in range(primes[-1], 2**31, k):
+        assert (c in primes) == _trial_division_prime(c), (k, c)
+
+
+def test_miller_rabin_against_trial_division():
+    assert [n for n in range(3000) if _is_prime(n)] == [
+        n for n in range(3000) if _trial_division_prime(n)]
+    # Carmichael numbers and strong pseudoprimes to base 2 (2047, 3277) and
+    # to bases 2, 3 and 5 (25326001)
+    for n in (561, 1105, 41041, 825265, 2047, 3277, 25326001):
+        assert not _is_prime(n), n
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7, 9, 15])
+def test_root_of_unity_has_exact_order_k(k):
+    for p in _oracle_primes(k, 4):
+        zeta = _root_of_unity(k, p)
+        powers = [pow(zeta, j, p) for j in range(1, k + 1)]
+        assert powers[-1] == 1 and 1 not in powers[:-1], (k, p)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -198,19 +268,77 @@ def test_oracle_prime_count_covers_bound(seed):
 
 
 def test_oracle_prime_table_covers_size_guard():
-    # the complete graph has the largest bound at any n; one prime must be
-    # left over for the check
+    # the complete graph has the largest bound at any n: K_128 needs fifteen
+    # primes, and with the check prime they are the old sixteen-entry table
     n = ORACLE_SIZE_GUARD
     primes = _primes_for(_coefficient_bound(n, n - 1))
     assert math.prod(primes) > 2 * _coefficient_bound(n, n - 1)
-    assert len(primes) < len(ORACLE_PRIMES)
+    assert tuple(_oracle_primes(1, len(primes) + 1)) == OLD_ORACLE_PRIMES
+
+
+def _one_prime_lift(bound, k=1):
+    return _oracle_primes(k, 1)
 
 
 def test_oracle_check_prime_catches_short_lift(monkeypatch):
     # G(2,6) has coefficients of 33 bits, so one prime near 2^31 cannot hold them
-    monkeypatch.setattr(charpoly, "_primes_for", lambda bound: [ORACLE_PRIMES[0]])
+    monkeypatch.setattr(charpoly, "_primes_for", _one_prime_lift)
     with pytest.raises(ConsistencyError):
         char_poly_oracle(build_extremal_graph(2, 6))
+
+
+def test_block_oracle_check_prime_catches_short_lift(monkeypatch):
+    monkeypatch.setattr(charpoly, "_primes_for", _one_prime_lift)
+    with pytest.raises(ConsistencyError):
+        char_poly_block_circulant(build_extremal_graph(2, 6), 5)
+
+
+# The 18 pairs of the default verify sweep with n <= 84.
+DEFAULT_SWEEP_PAIRS = [(m, d) for m in range(1, 4) for d in range(2 * m + 2, 2 * m + 9)
+                       if (2 * m + 1) * (d + 1) <= 84]
+# For m = 1..4, the smallest d and the largest d with n <= 128.
+GENERIC_ORACLE_EDGE_PAIRS = [
+    (m, d) for m in range(1, 5)
+    for d in (2 * m + 2, ORACLE_SIZE_GUARD // (2 * m + 1) - 1)
+]
+
+
+def test_default_sweep_pairs():
+    assert len(DEFAULT_SWEEP_PAIRS) == 18
+    assert GENERIC_ORACLE_EDGE_PAIRS == [(1, 4), (1, 41), (2, 6), (2, 24), (3, 8),
+                                         (3, 17), (4, 10), (4, 13)]
+
+
+@pytest.mark.parametrize("m,d", DEFAULT_SWEEP_PAIRS + GENERIC_ORACLE_EDGE_PAIRS)
+def test_block_oracle_equals_generic_oracle(m, d):
+    g = build_extremal_graph(m, d)
+    assert char_poly_block_circulant(g, 2 * m + 1) == char_poly_oracle(g)
+
+
+@pytest.mark.parametrize("m,d", [(1, 99), (2, 59), (7, 19)])
+def test_block_oracle_equals_closed_form_at_its_guard(m, d):
+    g = build_extremal_graph(m, d)
+    assert g.n == BLOCK_ORACLE_SIZE_GUARD
+    assert char_poly_block_circulant(g, 2 * m + 1) == char_poly_exact(m, d)
+
+
+def test_block_oracle_on_other_block_circulant_graphs():
+    # the cycle C_12 in 3 or 4 blocks, K_12 in 6 blocks, and any graph as one block
+    cycle = Graph.from_edges(12, [(i, (i + 1) % 12) for i in range(12)])
+    for g, k in [(cycle, 3), (cycle, 4), (complete_graph(12), 6), (SWAP_GRAPH, 1)]:
+        assert char_poly_block_circulant(g, k) == reference_char_poly(g)
+
+
+def test_block_oracle_refuses_non_block_circulant():
+    g = build_extremal_graph(1, 4)
+    # move one cross edge: 0-5 for 1-5 breaks the circulant pattern
+    edges = [e for e in g.edges() if e != (1, 5)] + [(0, 5)]
+    with pytest.raises(ValueError, match="not block circulant"):
+        char_poly_block_circulant(Graph.from_edges(g.n, edges), 3)
+    with pytest.raises(ValueError, match="equal blocks"):
+        char_poly_block_circulant(g, 4)  # 15 vertices
+    with pytest.raises(SizeGuardError):
+        char_poly_block_circulant(build_extremal_graph(1, 100), 3)  # 303 vertices
 
 
 @pytest.mark.parametrize("m,d", [(1, 4), (2, 6)])

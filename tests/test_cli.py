@@ -319,7 +319,7 @@ VERIFY_ROWS = {
         ("construction", "-", True, False, "-", "-", None),
         ("lambda2", "-", True, False, "-", "-", None),
         ("spectra", "-", True, False, "-", "-", None),
-        ("charpoly", "-", None, True, "-", "-", "n=153 above oracle size guard 128"),
+        ("charpoly", "-", True, False, "-", "-", None),
         ("rootbound", "-", None, True, "-", "-", "quartic inequality applies for m >= 2"),
         ("pipeline", 3, True, False, None, True, None),
         ("packing", "-", True, False, "-", "-", None),
@@ -330,7 +330,7 @@ VERIFY_ROWS = {
         ("construction", "-", True, False, "-", "-", None),
         ("lambda2", "-", True, False, "-", "-", None),
         ("spectra", "-", True, False, "-", "-", None),
-        ("charpoly", "-", None, True, "-", "-", "n=505 above oracle size guard 128"),
+        ("charpoly", "-", None, True, "-", "-", "n=505 above block oracle guard 300"),
         ("rootbound", "-", True, False, "-", "-", None),
         ("pipeline", 5, True, False, True, True, None),
         ("packing", "-", None, True, "-", "-", "|E|=25250 above packing guard 10500"),
@@ -341,7 +341,7 @@ VERIFY_ROWS = {
         ("construction", "-", True, False, "-", "-", None),
         ("lambda2", "-", None, True, "-", "-", "n=1005 above eigensolver guard 600"),
         ("spectra", "-", None, True, "-", "-", "n=1005 above eigensolver guard 600"),
-        ("charpoly", "-", None, True, "-", "-", "n=1005 above oracle size guard 128"),
+        ("charpoly", "-", None, True, "-", "-", "n=1005 above block oracle guard 300"),
         ("rootbound", "-", True, False, "-", "-", None),
         ("pipeline", "-", None, True, "-", "-", "n=1005 above eigensolver guard 600"),
         ("packing", "-", None, True, "-", "-", "|E|=100500 above packing guard 10500"),
