@@ -154,8 +154,9 @@ def char_poly_block_circulant(g: Graph, k: int) -> Poly:
     raises ValueError.  Modulo a prime p = 1 (mod k) with zeta of order k,
     the matrix is similar to the block-diagonal matrix of the k blocks
     H_t = sum_i zeta^(ti) b_i (Davis, Circulant Matrices, 1979), so its
-    characteristic polynomial mod p is the product of theirs.  Primes, lift and check prime are those of
-    ``char_poly_oracle``.  Refuses graphs above BLOCK_ORACLE_SIZE_GUARD.
+    characteristic polynomial mod p is the product of theirs.  The prime
+    count, lift and check prime are those of ``char_poly_oracle``.  Refuses
+    graphs above BLOCK_ORACLE_SIZE_GUARD.
     """
     n = g.n
     if k < 1 or n % k:
@@ -243,8 +244,6 @@ def _oracle_primes(k: int, count: int) -> list[int]:
     primes = _ORACLE_PRIMES.setdefault(k, [])
     candidate = primes[-1] - k if primes else (2**31 - 2) // k * k + 1
     while len(primes) < count:
-        if candidate < 2:
-            raise ValueError(f"fewer than {count} primes = 1 (mod {k}) below 2^31")
         if _is_prime(candidate):
             primes.append(candidate)
         candidate -= k
@@ -276,14 +275,12 @@ def _is_prime(n: int) -> bool:
 
 def _root_of_unity(k: int, p: int) -> int:
     """The first g^((p-1)/k) of exact multiplicative order k modulo the prime p."""
-    if (p - 1) % k:
-        raise ValueError(f"no element of order {k} modulo {p}")
-    factors = [q for q in range(2, k + 1) if k % q == 0 and _is_prime(q)]
+    factors = [q for q in divisors(k) if _is_prime(q)]
     for g in range(1, p):
         zeta = pow(g, (p - 1) // k, p)
         if all(pow(zeta, k // q, p) != 1 for q in factors):
             return zeta
-    raise ValueError(f"{p} is not a prime")
+    raise ValueError(f"no element of order {k} modulo {p}")
 
 
 def _char_poly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:

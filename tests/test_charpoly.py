@@ -303,12 +303,6 @@ GENERIC_ORACLE_EDGE_PAIRS = [
 ]
 
 
-def test_default_sweep_pairs():
-    assert len(DEFAULT_SWEEP_PAIRS) == 18
-    assert GENERIC_ORACLE_EDGE_PAIRS == [(1, 4), (1, 41), (2, 6), (2, 24), (3, 8),
-                                         (3, 17), (4, 10), (4, 13)]
-
-
 @pytest.mark.parametrize("m,d", DEFAULT_SWEEP_PAIRS + GENERIC_ORACLE_EDGE_PAIRS)
 def test_block_oracle_equals_generic_oracle(m, d):
     g = build_extremal_graph(m, d)
