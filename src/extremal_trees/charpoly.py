@@ -11,7 +11,8 @@ assembly is done in exact integer arithmetic (with q the product over n and
 e the exponent of the (x+1) prefactor, one Taylor shift y -> x+1 of the
 integer polynomial y^e 2^deg q(y/2), then an exact division by 2^deg) and
 must come out integral and monic; anything else is an implementation bug
-and raises ConsistencyError.
+and raises ConsistencyError.  The shift's n passes are each one prefix sum
+(``itertools.accumulate``) over the reversed coefficient list.
 
 Two multi-modular oracles provide the independent cross-check; neither
 reads the Chebyshev algebra.  Both compute the characteristic polynomial
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -56,8 +58,8 @@ _ORACLE_PRIMES: dict[int, list[int]] = {}
 
 
 def divisors(k: int) -> list[int]:
-    out = [d for d in range(1, k + 1) if k % d == 0]
-    return out
+    small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
+    return small + [k // d for d in reversed(small) if d * d != k]
 
 
 def euler_phi(k: int) -> int:
@@ -113,13 +115,13 @@ def char_poly_exact(m: int, d: int) -> Poly:
 
 
 def _taylor_shift_1(coeffs: list[int]) -> list[int]:
-    """Ascending coefficients of f(x+1) from those of f, in integer additions."""
-    a = list(coeffs)
-    top = len(a) - 1
-    for i in range(top):
-        for j in range(top - 1, i - 1, -1):
-            a[j] += a[j + 1]
-    return a
+    """Ascending coefficients of f(x+1) from those of f, in integer additions:
+    pass i of the classical scheme puts the sum of a[j:] into each a[j], j >= i,
+    which on the reversed list is one ``accumulate`` over its first len - i."""
+    r = list(reversed(coeffs))
+    for end in range(len(r), 1, -1):
+        r[:end] = accumulate(r[:end])
+    return r[::-1]
 
 
 def char_poly_oracle(g: Graph) -> Poly:

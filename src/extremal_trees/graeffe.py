@@ -9,8 +9,8 @@ power sum is a polynomial in the five leading coefficients:
 For the bracket factor B_n(z)/2^n of G(m,d) the five leading coefficients
 have the closed form in ``factor_leading_coeffs``, giving the explicit bound
 ``largest_root_bound``.  The quartic inequality in ``check_root_bound_inequality``
-(verified exactly in rational arithmetic) then places every bracket root, and
-hence lambda_2 = 2 z_0 - 1, strictly below d - (2m+1)/(d+3).
+(decided exactly by integer cross-multiplication) then places every bracket
+root, and hence lambda_2 = 2 z_0 - 1, strictly below d - (2m+1)/(d+3).
 """
 
 from __future__ import annotations
@@ -122,18 +122,18 @@ def largest_root_bound(n: int, m: int, d: int) -> float:
 def check_root_bound_inequality(m: int, d: int) -> bool:
     """Exact test of Q^(1/4) < d - (2m+1)/(d+3) + 1 with Q the n=2m+1 radicand.
 
-    Compared as Q < RHS^4 in rational arithmetic, so the verdict carries no
-    floating-point uncertainty.  Defined for d >= 2m+2 >= 6 (m = 1 has the
-    bound fail by a hair and is handled by a separate argument, so it is
-    outside this inequality's domain).
+    Compared as Q (d+3)^4 < ((d+1)(d+3) - (2m+1))^4, which is Q < RHS^4 with
+    the positive denominator (d+3)^4 cleared, in integers, so the verdict
+    carries no floating-point uncertainty.  Defined for d >= 2m+2 >= 6 (m = 1
+    has the bound fail by a hair and is handled by a separate argument, so it
+    is outside this inequality's domain).
     """
     if m < 2 or d < 2 * m + 2:
         raise ParameterDomainError(
             f"inequality domain is d >= 2m+2 >= 6; got m={m}, d={d}"
         )
     q = root_bound_radicand(2 * m + 1, m, d)
-    rhs = Fraction(d) + 1 - Fraction(2 * m + 1, d + 3)
-    return Fraction(q) < rhs**4
+    return q * (d + 3) ** 4 < ((d + 1) * (d + 3) - (2 * m + 1)) ** 4
 
 
 def fn_max_root(n: int, m: int, d: int) -> float:

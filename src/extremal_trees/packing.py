@@ -115,6 +115,10 @@ class _Forest:
         if self._root(u) == self._root(v):
             # a pointer cycle would make every later climb in this tree loop
             raise ConsistencyError(f"edge {eid} ({u},{v}) would close a cycle in its forest")
+        self.hang(u, v, eid)
+
+    def hang(self, u: int, v: int, eid: int) -> None:
+        """``add`` without its cycle check, for a caller that just compared the roots."""
         up, up_edge = self.up, self.up_edge
         # re-root v's tree at v: reverse the pointers from v up to the old root
         child, parent, edge = v, up[v], up_edge[v]
@@ -198,7 +202,8 @@ class _PackingState:
         u, v = self.edges[e0]
         for i, forest in enumerate(self.forests):
             if forest._root(u) != forest._root(v):
-                self._augment(e0, i, {}, e0)  # a chain of e0 alone
+                forest.hang(u, v, e0)
+                self.forest_of[e0] = i
                 return None
         find = self.clumps.find
         labels: dict[int, tuple[int, int] | None] = {e0: None}

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremal_trees import (
     CheckFailure,
@@ -32,6 +34,7 @@ from extremal_trees.charpoly import (
     _oracle_primes,
     _primes_for,
     _root_of_unity,
+    _taylor_shift_1,
     divisors,
     euler_phi,
 )
@@ -44,6 +47,20 @@ def test_divisor_helpers():
     assert divisors(7) == [1, 7]
     assert euler_phi(9) == 6
     assert euler_phi(1) == 1
+
+
+def test_divisors_match_trial_division():
+    for k in range(1, 2001):
+        assert divisors(k) == [d for d in range(1, k + 1) if k % d == 0], k
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.lists(st.integers(min_value=-(2**200), max_value=2**200), max_size=40))
+def test_taylor_shift_matches_binomial_sum(coeffs):
+    # f(x+1) = sum_i a_i (x+1)^i, so its x^j coefficient is sum_i a_i C(i, j)
+    n = len(coeffs)
+    expected = [sum(coeffs[i] * math.comb(i, j) for i in range(j, n)) for j in range(n)]
+    assert _taylor_shift_1(coeffs) == expected
 
 
 @pytest.mark.parametrize("m,d", [(1, 4), (2, 6), (3, 9)])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from extremal_trees import (
     leading_coeffs_of,
     verify_upper_bound_pipeline,
 )
+from extremal_trees import graeffe
 from extremal_trees.charpoly import divisors
 from extremal_trees.graeffe import LeadingCoeffs, root_bound_radicand
 from extremal_trees.spectral import lambda2_window
@@ -131,6 +133,28 @@ def test_quartic_inequality_values():
         check_root_bound_inequality(1, 4)
     with pytest.raises(ParameterDomainError):
         check_root_bound_inequality(2, 5)
+
+
+def _rational_rhs4(m, d):
+    return (Fraction(d) + 1 - Fraction(2 * m + 1, d + 3)) ** 4
+
+
+def test_quartic_inequality_matches_rational_reference():
+    # the integer form clears the positive denominator (d+3)^4 of Q < RHS^4
+    pairs = [(m, d) for m in range(2, 51) for d in range(2 * m + 2, 201)]
+    pairs += [(m, d) for m in range(2, 51) for d in (10**4, 10**6, 10**9)]
+    for m, d in pairs:
+        q = root_bound_radicand(2 * m + 1, m, d)
+        assert check_root_bound_inequality(m, d) == (q < _rational_rhs4(m, d)), (m, d)
+
+
+@pytest.mark.parametrize("m,d", [(2, 6), (7, 40), (50, 10**9)])
+def test_quartic_inequality_flips_at_the_rational_threshold(monkeypatch, m, d):
+    # every family pair passes with room to spare, so move Q across RHS^4
+    rhs4 = _rational_rhs4(m, d)
+    for q in (math.floor(rhs4) - 1, math.floor(rhs4), math.ceil(rhs4), math.ceil(rhs4) + 1):
+        monkeypatch.setattr(graeffe, "root_bound_radicand", lambda n, m, d, q=q: q)
+        assert check_root_bound_inequality(m, d) == (q < rhs4), q
 
 
 def test_fn_max_root_is_a_root():

@@ -144,6 +144,23 @@ def test_sigma_climbs_only_outside_saturated_clumps(monkeypatch, m, d, most):
     assert len(calls) <= most
 
 
+# The direct insert climbs to both roots to pick its forest and hangs the
+# edge there without climbing again (1,720, 5,354 and 7,428 climbs when it
+# went through add's cycle check); augmenting-chain inserts keep the check.
+@pytest.mark.parametrize("m,d,most", [(2, 10, 1300), (3, 14, 4200), (4, 10, 6200)])
+def test_direct_insert_climbs_to_each_root_once(monkeypatch, m, d, most):
+    calls = []
+    real = _Forest._root
+
+    def counted(self, v):
+        calls.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(_Forest, "_root", counted)
+    assert sigma(build_extremal_graph(m, d), m + 1) == m
+    assert len(calls) <= most
+
+
 def test_path_graph_sigma_one():
     g = path_graph(6)
     assert sigma(g, 3) == 1
