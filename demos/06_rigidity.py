@@ -32,9 +32,3 @@ for r in (1, 2, 3):
     print(f"  relaxed threshold {hyp.relaxed_threshold:.9f} would be cleared: "
           f"{hyp.relaxed_would_hold}")
     print()
-
-print("the vertex-deleted conditions are informational; for r=1, d=6:")
-report = check_spectral_rigidity_hypotheses(1, 6, include_vertex_deleted=True)
-holds = sum(1 for e in report.vertex_deleted if e["holds"])
-print(f"  mu2(G - u) > (4r-1)/(delta+1) holds for {holds} of "
-      f"{len(report.vertex_deleted)} vertices")

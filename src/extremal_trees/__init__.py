@@ -9,7 +9,6 @@ and rigidity certificates, each against an independent oracle.
 
 from .charpoly import (
     bracket_factor,
-    char_poly_block_circulant,
     char_poly_exact,
     char_poly_oracle,
     verify_determinant_identities,
@@ -38,7 +37,6 @@ from .graeffe import (
 from .graphs import (
     Graph,
     Partition,
-    VertexId,
     build_extremal_graph,
     clique_partition,
     crossing_edges,

@@ -14,20 +14,16 @@ must come out integral and monic; anything else is an implementation bug
 and raises ConsistencyError.  The shift's n passes are each one prefix sum
 (``itertools.accumulate``) over the reversed coefficient list.
 
-Two multi-modular oracles provide the independent cross-check; neither
-reads the Chebyshev algebra.  Both compute the characteristic polynomial
-modulo primes p < 2^31 by Hessenberg reduction (one batched kernel for all
-matrices and primes), lift it by the Chinese remainder theorem past the
-Hadamard bound on its coefficients, and check the lift modulo one further
-prime:
-
-* ``char_poly_oracle(g)`` reduces the whole adjacency matrix of any graph,
-  modulo the primes just below 2^31 (n <= ORACLE_SIZE_GUARD);
-* ``char_poly_block_circulant(g, k)`` reads k blocks off the adjacency matrix
-  of a block-circulant graph such as G(m,d) with k = 2m+1, checks that they
-  assemble to it, and modulo each prime p = 1 (mod k) reduces the k blocks
-  of size n/k into which the matrix splits over F_p instead
-  (n <= BLOCK_ORACLE_SIZE_GUARD).
+The multi-modular oracle ``char_poly_oracle(g, k=1)`` provides the
+independent cross-check; it does not read the Chebyshev algebra.  It reads k
+blocks off the adjacency matrix of a block-circulant graph (any graph is one
+block; G(m,d) splits into k = 2m+1), checks that they assemble to it, and
+modulo each prime p = 1 (mod k) below 2^31 reduces the k blocks of size n/k
+into which the matrix splits over F_p by Hessenberg reduction (one batched
+kernel for all blocks and primes).  It lifts the product of their
+characteristic polynomials by the Chinese remainder theorem past the
+Hadamard bound on its coefficients and checks the lift modulo one further
+prime (n <= ORACLE_SIZE_GUARD).
 """
 
 from __future__ import annotations
@@ -49,8 +45,7 @@ from .graphs import Graph, check_family_params
 from .polynomials import Poly
 from .spectral import assemble_block_circulant
 
-ORACLE_SIZE_GUARD = 128
-BLOCK_ORACLE_SIZE_GUARD = 300
+ORACLE_SIZE_GUARD = 300
 
 # The oracle primes p = 1 (mod k) below 2^31, descending, listed per k as far
 # as some call has needed them.  k = 1 gives the primes just below 2^31.
@@ -124,97 +119,61 @@ def _taylor_shift_1(coeffs: list[int]) -> list[int]:
     return r[::-1]
 
 
-def char_poly_oracle(g: Graph) -> Poly:
-    """Characteristic polynomial of the adjacency matrix, exact, multi-modularly.
-
-    The polynomial is computed modulo enough word-size primes that their
-    product exceeds twice the Hadamard bound on its coefficients
-    (``_coefficient_bound``), lifted by the symmetric Chinese remainder
-    theorem, and checked against its residue modulo one further prime.
-    Refuses graphs above the desk-scale size guard (use
-    char_poly_block_circulant or char_poly_exact for family members instead).
-    """
-    n = g.n
-    if n > ORACLE_SIZE_GUARD:
-        raise SizeGuardError(
-            f"oracle limited to {ORACLE_SIZE_GUARD} vertices (got {n}); "
-            "use char_poly_exact for family graphs"
-        )
-    a = g.adjacency_matrix()
-
-    def residues(primes: list[int]) -> np.ndarray:
-        return _char_poly_mod(np.broadcast_to(a, (len(primes), n, n)), np.array(primes))
-
-    return _multimodular(g, 1, residues)
-
-
-def char_poly_block_circulant(g: Graph, k: int) -> Poly:
-    """Characteristic polynomial of a block-circulant graph, exact, multi-modularly.
+def char_poly_oracle(g: Graph, k: int = 1) -> Poly:
+    """Characteristic polynomial of a graph, exact, multi-modularly.
 
     The adjacency matrix must be k x k blocks of size s = n/k whose (r, c)
     block is b_((c-r) mod k), where b_i = a[:s, i*s:(i+1)*s]; anything else
     raises ValueError.  Modulo a prime p = 1 (mod k) with zeta of order k,
     the matrix is similar to the block-diagonal matrix of the k blocks
     H_t = sum_i zeta^(ti) b_i (Davis, Circulant Matrices, 1979), so its
-    characteristic polynomial mod p is the product of theirs.  The prime
-    count, lift and check prime are those of ``char_poly_oracle``.  Refuses
-    graphs above BLOCK_ORACLE_SIZE_GUARD.
+    characteristic polynomial mod p is the product of theirs; with k = 1
+    the one block is the whole matrix.  The polynomial is computed modulo
+    enough primes that their product exceeds twice the Hadamard bound on its
+    coefficients (``_coefficient_bound``), lifted by the symmetric Chinese
+    remainder theorem, and checked against its residue modulo one further
+    prime.  Refuses graphs above ORACLE_SIZE_GUARD.
     """
     n = g.n
     if k < 1 or n % k:
         raise ValueError(f"{n} vertices do not split into {k} equal blocks")
-    if n > BLOCK_ORACLE_SIZE_GUARD:
-        raise SizeGuardError(
-            f"block oracle limited to {BLOCK_ORACLE_SIZE_GUARD} vertices (got {n})"
-        )
+    if n > ORACLE_SIZE_GUARD:
+        raise SizeGuardError(f"oracle limited to {ORACLE_SIZE_GUARD} vertices (got {n})")
     s = n // k
     a = g.adjacency_matrix()
     blocks = [a[:s, i * s:(i + 1) * s] for i in range(k)]
     if not np.array_equal(a, assemble_block_circulant(blocks)):
         raise ValueError(f"adjacency matrix is not block circulant with {k} blocks")
     flat = np.stack(blocks).reshape(k, s * s)
+    # the fewest primes = 1 (mod k) whose product exceeds twice the bound, so
+    # the symmetric lift is exact, and one further prime to check it
+    lift = _primes_for(_coefficient_bound(n, max(map(len, g.adjacency), default=0)), k)
+    primes = _oracle_primes(k, len(lift) + 1)
+    # twiddle[j, t, i] = zeta_j^(t*i) modulo primes[j]; entries of b_i are
+    # 0 or 1, so each sum over i stays below k * 2^31
     exponents = np.outer(np.arange(k), np.arange(k)) % k
+    zetas = [_root_of_unity(k, p) for p in primes]
+    twiddle = np.array([[pow(zeta, e, p) for e in range(k)]
+                        for zeta, p in zip(zetas, primes)], dtype=np.int64)[:, exponents]
+    h = (twiddle @ flat).reshape(len(primes) * k, s, s)
+    polys = _char_poly_mod(h, np.repeat(primes, k)).reshape(len(primes), k, s + 1)
+    moduli = np.array(primes)
+    product = polys[:, 0]
+    for t in range(1, k):
+        product = _poly_mul_mod(product, polys[:, t], moduli)
+    *rows, check = product.tolist()
 
-    def residues(primes: list[int]) -> np.ndarray:
-        # twiddle[j, t, i] = zeta_j^(t*i) modulo primes[j]; entries of b_i are
-        # 0 or 1, so each sum over i stays below k * 2^31
-        zetas = [_root_of_unity(k, p) for p in primes]
-        twiddle = np.array([[pow(zeta, e, p) for e in range(k)]
-                            for zeta, p in zip(zetas, primes)], dtype=np.int64)[:, exponents]
-        h = (twiddle @ flat).reshape(len(primes) * k, s, s)
-        polys = _char_poly_mod(h, np.repeat(primes, k)).reshape(len(primes), k, s + 1)
-        moduli = np.array(primes)
-        product = polys[:, 0]
-        for t in range(1, k):
-            product = _poly_mul_mod(product, polys[:, t], moduli)
-        return product
-
-    return _multimodular(g, k, residues)
-
-
-def _multimodular(g: Graph, k: int, residues) -> Poly:
-    """Lift residues(primes), ascending rows mod each prime, to g's charpoly.
-
-    The lift primes are the fewest oracle primes = 1 (mod k) whose product
-    exceeds twice the Hadamard bound on the coefficients
-    (``_coefficient_bound``), so the symmetric lift is exact; one further
-    prime checks the lift.
-    """
-    bound = _coefficient_bound(g.n, max(map(len, g.adjacency), default=0))
-    lift = _primes_for(bound, k)
-    check_prime = _oracle_primes(k, len(lift) + 1)[-1]
-    rows = residues(lift + [check_prime]).tolist()
     modulus = math.prod(lift)
     # basis[i] is 1 modulo lift[i] and 0 modulo the others
     basis = [(modulus // p) * pow(modulus // p, -1, p) for p in lift]
     coeffs = []
-    for column in zip(*rows[:-1]):
+    for column in zip(*rows):
         c = sum(r * b for r, b in zip(column, basis)) % modulus
         coeffs.append(c - modulus if c > modulus // 2 else c)
-    if [c % check_prime for c in coeffs] != rows[-1]:
+    if [c % primes[-1] for c in coeffs] != check:
         raise ConsistencyError(
             f"lifted characteristic polynomial disagrees with its residue "
-            f"modulo the check prime {check_prime}"
+            f"modulo the check prime {primes[-1]}"
         )
     return Poly(coeffs)
 

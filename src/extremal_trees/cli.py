@@ -4,9 +4,9 @@ polynomials, packing and rigidity certificates, and verification sweeps.
 ``verify`` runs named checks from one table: for each check a guard, which
 decides from (m, d) alone whether the pair is out of the check's reach, and a
 run, which returns the check's rows.  Its ``charpoly`` check compares the
-closed form with the block-circulant multi-modular oracle on the built graph
-(n <= 300); ``charpoly --oracle`` runs the generic multi-modular oracle on
-the whole adjacency matrix (n <= 128).
+closed form with the multi-modular oracle on the built graph's 2m+1
+circulant blocks; ``charpoly --oracle`` runs the same oracle on the whole
+adjacency matrix as one block.  Both refuse n above 300.
 
 Exit codes: 0 all requested work passed, 1 a verification check failed,
 2 usage or parameter-domain error, an ``--out`` path that cannot be written,
@@ -28,9 +28,7 @@ import numpy as np
 
 from . import __version__
 from .charpoly import (
-    BLOCK_ORACLE_SIZE_GUARD,
     ORACLE_SIZE_GUARD,
-    char_poly_block_circulant,
     char_poly_exact,
     char_poly_oracle,
     divisors,
@@ -65,6 +63,7 @@ from .spectral import family_spectrum, lambda2, lambda2_window
 
 EIGEN_SIZE_GUARD = 600
 PACKING_EDGE_GUARD = 10500
+BUILD_EDGE_GUARD = 1_000_000
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -88,6 +87,7 @@ def _parse_range(text: str) -> list[int]:
 
 
 def cmd_build(args) -> int:
+    _refuse_above(_build_guard, args.m, args.d)
     g = build_extremal_graph(args.m, args.d)
     _write_output(export(g, args.format), args.out)
     return 0
@@ -180,11 +180,7 @@ def _eigen_guard(m: int, d: int) -> str | None:
 
 
 def _oracle_guard(m: int, d: int) -> str | None:
-    return _above("n", (2 * m + 1) * (d + 1), "oracle size", ORACLE_SIZE_GUARD)
-
-
-def _block_oracle_guard(m: int, d: int) -> str | None:
-    return _above("n", (2 * m + 1) * (d + 1), "block oracle", BLOCK_ORACLE_SIZE_GUARD)
+    return _above("n", (2 * m + 1) * (d + 1), "oracle", ORACLE_SIZE_GUARD)
 
 
 def _rootbound_guard(m: int, d: int) -> str | None:
@@ -193,6 +189,10 @@ def _rootbound_guard(m: int, d: int) -> str | None:
 
 def _packing_guard(m: int, d: int) -> str | None:
     return _above("|E|", (2 * m + 1) * (d + 1) * d // 2, "packing", PACKING_EDGE_GUARD)
+
+
+def _build_guard(m: int, d: int) -> str | None:
+    return _above("|E|", (2 * m + 1) * (d + 1) * d // 2, "build", BUILD_EDGE_GUARD)
 
 
 def _rigidity_guard(m: int, d: int) -> str | None:
@@ -237,8 +237,7 @@ def _check_spectra(m: int, d: int, seed: int) -> list[dict]:
 
 
 def _check_charpoly(m: int, d: int, seed: int) -> list[dict]:
-    same = char_poly_exact(m, d) == char_poly_block_circulant(
-        build_extremal_graph(m, d), 2 * m + 1)
+    same = char_poly_exact(m, d) == char_poly_oracle(build_extremal_graph(m, d), 2 * m + 1)
     return [dict(ok=same, detail="coefficientwise equal" if same else "MISMATCH")]
 
 
@@ -301,7 +300,7 @@ CHECKS = {
     "construction": (_unguarded, _check_construction),
     "lambda2": (_eigen_guard, _check_lambda2),
     "spectra": (_eigen_guard, _check_spectra),
-    "charpoly": (_block_oracle_guard, _check_charpoly),
+    "charpoly": (_oracle_guard, _check_charpoly),
     "rootbound": (_rootbound_guard, _check_rootbound),
     "pipeline": (_eigen_guard, _check_pipeline),
     "packing": (_packing_guard, _check_packing),
@@ -388,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--exact", action="store_true", default=True,
                        help="closed-form assembly (default)")
     group.add_argument("--oracle", action="store_true",
-                       help="generic multi-modular Hessenberg oracle on the whole "
+                       help="multi-modular Hessenberg oracle on the whole "
                             f"adjacency matrix (n <= {ORACLE_SIZE_GUARD})")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_charpoly)

@@ -14,16 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
 from .errors import InvalidPartitionError, ParameterDomainError
-
-
-class VertexId(NamedTuple):
-    clique: int
-    slot: int
 
 
 @dataclass(frozen=True)
@@ -82,14 +77,6 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self.parts)
-
-
-def linear_index(v: VertexId, d: int) -> int:
-    return v.clique * (d + 1) + v.slot
-
-
-def clique_slot(idx: int, d: int) -> VertexId:
-    return VertexId(*divmod(idx, d + 1))
 
 
 def check_family_params(m: int, d: int) -> None:

@@ -26,10 +26,6 @@ class Poly:
         return cls((0, 1))
 
     @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
-
-    @classmethod
     def from_roots(cls, roots) -> "Poly":
         """Monic polynomial prod (x - r); exact if the roots are exact."""
         p = cls((1,))
@@ -44,9 +40,6 @@ class Poly:
     @property
     def leading(self):
         return self.coeffs[-1] if self.coeffs else 0
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __getitem__(self, k: int):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
@@ -151,14 +144,6 @@ class Poly:
     def to_json_dict(self, variable: str = "x") -> dict:
         """Exact serialization: coefficients as decimal strings, ascending."""
         return {"variable": variable, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Poly":
-        coeffs = []
-        for s in data["coeffs"]:
-            f = Fraction(s)
-            coeffs.append(f.numerator if f.denominator == 1 else f)
-        return cls(coeffs)
 
     def __repr__(self) -> str:
         if not self.coeffs:

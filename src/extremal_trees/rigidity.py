@@ -20,7 +20,7 @@ route to 1e-8; the test suite asserts that equivalence separately).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CheckFailure, ConsistencyError, ParameterDomainError
 from .graphs import (
@@ -29,10 +29,8 @@ from .graphs import (
     build_extremal_graph,
     clique_partition,
     crossing_edges,
-    degrees,
 )
-from .spectral import BOUND_SLACK, lambda2, symmetric_eigenvalues
-import numpy as np
+from .spectral import BOUND_SLACK, lambda2
 
 
 @dataclass(frozen=True)
@@ -115,8 +113,7 @@ class HypothesesReport:
 
     The point of the family: condition (1) fails (mu_2 is at most the
     threshold) while the relaxed threshold with d+3 in place of d+1 would
-    pass, yet the partition certificate rules out r rigid subgraphs.  The
-    vertex-deleted condition (2) is informational only.
+    pass, yet the partition certificate rules out r rigid subgraphs.
     """
 
     r: int
@@ -127,7 +124,6 @@ class HypothesesReport:
     relaxed_threshold: float
     relaxed_would_hold: bool
     certificate: RigidityCertificate
-    vertex_deleted: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         """The ``rigidity`` command's JSON: mu2, its (relaxed, threshold]
@@ -142,35 +138,11 @@ class HypothesesReport:
         }
 
 
-def _induced_subgraph(g: Graph, removed: set[int]) -> Graph:
-    keep = [v for v in range(g.n) if v not in removed]
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (index[u], index[v])
-        for u, v in g.edges()
-        if u not in removed and v not in removed
-    ]
-    return Graph.from_edges(len(keep), edges)
-
-
-def _laplacian_mu2(g: Graph) -> float:
-    a = g.adjacency_matrix().astype(float)
-    lap = np.diag(a.sum(axis=1)) - a
-    return float(symmetric_eigenvalues(lap)[1])
-
-
-def check_spectral_rigidity_hypotheses(
-    r: int,
-    d: int,
-    include_vertex_deleted: bool = False,
-) -> HypothesesReport:
+def check_spectral_rigidity_hypotheses(r: int, d: int) -> HypothesesReport:
     """Report how G(3r-1,d) sits against the spectral rigidity criterion.
 
     Asserts that condition (1) fails while its d+3 relaxation holds, and
-    attaches the refuting partition certificate.  Of the subgraph
-    conditions only (2) remains: on demand, it is computed for every
-    deleted vertex (one Laplacian eigensolve each) and reported without
-    judgement.
+    attaches the refuting partition certificate.
     """
     report_mu2 = mu2_window(r, d)
     mu2 = report_mu2.mu2
@@ -182,18 +154,7 @@ def check_spectral_rigidity_hypotheses(
             f"tightness pattern broken for (r,d)=({r},{d}): mu2={mu2!r}, "
             f"threshold={threshold}, relaxed={relaxed}"
         )
-    report = HypothesesReport(
+    return HypothesesReport(
         r, d, mu2, threshold, cond1, relaxed, relaxed_holds,
         certificate=rigidity_certificate(r, d),
     )
-    if include_vertex_deleted:
-        g = build_extremal_graph(3 * r - 1, d)
-        for u in range(g.n):
-            sub = _induced_subgraph(g, {u})
-            delta = min(degrees(sub))
-            bound = (4 * r - 1) / (delta + 1)
-            val = _laplacian_mu2(sub)
-            report.vertex_deleted.append(
-                {"u": u, "mu2": val, "bound": bound, "holds": val > bound}
-            )
-    return report

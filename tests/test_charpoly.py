@@ -15,7 +15,6 @@ from extremal_trees import (
     SizeGuardError,
     bracket_factor,
     build_extremal_graph,
-    char_poly_block_circulant,
     char_poly_exact,
     char_poly_oracle,
     chebyshev_T,
@@ -26,7 +25,6 @@ from extremal_trees import (
 )
 from extremal_trees import charpoly
 from extremal_trees.charpoly import (
-    BLOCK_ORACLE_SIZE_GUARD,
     ORACLE_SIZE_GUARD,
     _char_poly_mod,
     _coefficient_bound,
@@ -113,7 +111,7 @@ def test_oracle_known_spectra():
 
 def test_oracle_size_guard():
     with pytest.raises(SizeGuardError):
-        char_poly_oracle(build_extremal_graph(3, 18))  # 133 vertices
+        char_poly_oracle(build_extremal_graph(1, 100))  # 303 vertices
 
 
 def _bareiss_det(rows) -> int:
@@ -206,7 +204,7 @@ def test_char_poly_mod_mixed_batch():
     # One batch of 7 x 7 matrices, each modulo its own prime.  At the first
     # column the swap graph needs a row and column swap, K_7 has its pivot in
     # place and the edgeless graph has an all-zero column; the signed random
-    # matrices are not symmetric, like the blocks H_t of the block oracle.
+    # matrices are not symmetric, like the blocks H_t of the oracle at k > 1.
     rng = np.random.default_rng(11)
     signed = [rng.integers(-3, 4, (7, 7)) for _ in range(4)]
     mats = [SWAP_GRAPH.adjacency_matrix(), complete_graph(7).adjacency_matrix(),
@@ -218,7 +216,7 @@ def test_char_poly_mod_mixed_batch():
         assert row == [c % p for c in reference_char_poly_of_matrix(a.tolist()).coeffs]
 
 
-# The literal prime table of the generic oracle before the primes were
+# The literal prime table of the one-block oracle before the primes were
 # generated: the sixteen primes just below 2^31, descending.
 OLD_ORACLE_PRIMES = (
     2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
@@ -286,8 +284,9 @@ def test_oracle_prime_count_covers_bound(seed):
 
 def test_oracle_prime_table_covers_size_guard():
     # the complete graph has the largest bound at any n: K_128 needs fifteen
-    # primes, and with the check prime they are the old sixteen-entry table
-    n = ORACLE_SIZE_GUARD
+    # primes, and with the check prime they are the old sixteen-entry table,
+    # sized for the old guard of 128 vertices
+    n = 128
     primes = _primes_for(_coefficient_bound(n, n - 1))
     assert math.prod(primes) > 2 * _coefficient_bound(n, n - 1)
     assert tuple(_oracle_primes(1, len(primes) + 1)) == OLD_ORACLE_PRIMES
@@ -307,37 +306,50 @@ def test_oracle_check_prime_catches_short_lift(monkeypatch):
 def test_block_oracle_check_prime_catches_short_lift(monkeypatch):
     monkeypatch.setattr(charpoly, "_primes_for", _one_prime_lift)
     with pytest.raises(ConsistencyError):
-        char_poly_block_circulant(build_extremal_graph(2, 6), 5)
+        char_poly_oracle(build_extremal_graph(2, 6), 5)
 
 
 # The 18 pairs of the default verify sweep with n <= 84.
 DEFAULT_SWEEP_PAIRS = [(m, d) for m in range(1, 4) for d in range(2 * m + 2, 2 * m + 9)
                        if (2 * m + 1) * (d + 1) <= 84]
-# For m = 1..4, the smallest d and the largest d with n <= 128.
+# For m = 1..4, the smallest d and the largest d with n <= 128, the guard
+# of the one-block oracle before it shared the block oracle's guard.
 GENERIC_ORACLE_EDGE_PAIRS = [
     (m, d) for m in range(1, 5)
-    for d in (2 * m + 2, ORACLE_SIZE_GUARD // (2 * m + 1) - 1)
+    for d in (2 * m + 2, 128 // (2 * m + 1) - 1)
 ]
 
 
 @pytest.mark.parametrize("m,d", DEFAULT_SWEEP_PAIRS + GENERIC_ORACLE_EDGE_PAIRS)
 def test_block_oracle_equals_generic_oracle(m, d):
     g = build_extremal_graph(m, d)
-    assert char_poly_block_circulant(g, 2 * m + 1) == char_poly_oracle(g)
+    assert char_poly_oracle(g, 2 * m + 1) == char_poly_oracle(g)
 
 
 @pytest.mark.parametrize("m,d", [(1, 99), (2, 59), (7, 19)])
 def test_block_oracle_equals_closed_form_at_its_guard(m, d):
     g = build_extremal_graph(m, d)
-    assert g.n == BLOCK_ORACLE_SIZE_GUARD
-    assert char_poly_block_circulant(g, 2 * m + 1) == char_poly_exact(m, d)
+    assert g.n == ORACLE_SIZE_GUARD
+    assert char_poly_oracle(g, 2 * m + 1) == char_poly_exact(m, d)
 
 
 def test_block_oracle_on_other_block_circulant_graphs():
     # the cycle C_12 in 3 or 4 blocks, K_12 in 6 blocks, and any graph as one block
     cycle = Graph.from_edges(12, [(i, (i + 1) % 12) for i in range(12)])
     for g, k in [(cycle, 3), (cycle, 4), (complete_graph(12), 6), (SWAP_GRAPH, 1)]:
-        assert char_poly_block_circulant(g, k) == reference_char_poly(g)
+        assert char_poly_oracle(g, k) == reference_char_poly(g)
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=24), st.sets(st.integers(min_value=1, max_value=12)))
+def test_oracle_on_circulant_graphs_in_every_block_count(n, jumps):
+    # the Cayley graph of Z_n on the connection set {+-j mod n}: its adjacency
+    # matrix is circulant, so it is block circulant with k blocks for every
+    # divisor k of n
+    g = Graph.from_edges(n, {(i, (i + j) % n) for i in range(n) for j in jumps if j % n})
+    expected = reference_char_poly(g)
+    for k in divisors(n):
+        assert char_poly_oracle(g, k) == expected, k
 
 
 def test_block_oracle_refuses_non_block_circulant():
@@ -345,11 +357,11 @@ def test_block_oracle_refuses_non_block_circulant():
     # move one cross edge: 0-5 for 1-5 breaks the circulant pattern
     edges = [e for e in g.edges() if e != (1, 5)] + [(0, 5)]
     with pytest.raises(ValueError, match="not block circulant"):
-        char_poly_block_circulant(Graph.from_edges(g.n, edges), 3)
+        char_poly_oracle(Graph.from_edges(g.n, edges), 3)
     with pytest.raises(ValueError, match="equal blocks"):
-        char_poly_block_circulant(g, 4)  # 15 vertices
+        char_poly_oracle(g, 4)  # 15 vertices
     with pytest.raises(SizeGuardError):
-        char_poly_block_circulant(build_extremal_graph(1, 100), 3)  # 303 vertices
+        char_poly_oracle(build_extremal_graph(1, 100), 3)  # 303 vertices
 
 
 @pytest.mark.parametrize("m,d", [(1, 4), (2, 6)])

@@ -63,6 +63,14 @@ def test_build_domain_error(capsys):
     assert "2m+2" in err
 
 
+def test_build_refuses_pair_above_build_guard(capsys, built_graphs):
+    code, out, err = run_cli("build", "5", "2000", capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: |E|=22011000 above build guard 1000000\n"
+    assert built_graphs == []
+
+
 def test_spectrum_blocks(capsys):
     code, out, _ = run_cli("spectrum", "2", "6", "--method", "blocks", capsys=capsys)
     assert code == 0
@@ -83,11 +91,20 @@ def test_charpoly_exact_oracle_identical(capsys):
     assert len(data["coeffs"]) == 16 and data["coeffs"][-1] == "1"
 
 
+def test_charpoly_oracle_above_old_guard_equals_exact(capsys):
+    # n = 133, above the one-block oracle's old guard of 128
+    code, exact_out, _ = run_cli("charpoly", "3", "18", "--exact", capsys=capsys)
+    assert code == 0
+    code, oracle_out, _ = run_cli("charpoly", "3", "18", "--oracle", capsys=capsys)
+    assert code == 0
+    assert oracle_out == exact_out
+
+
 def test_charpoly_oracle_size_guard(capsys, built_graphs):
-    code, out, err = run_cli("charpoly", "3", "18", "--oracle", capsys=capsys)
+    code, out, err = run_cli("charpoly", "1", "100", "--oracle", capsys=capsys)
     assert code == 2
     assert out == ""
-    assert err == "error: n=133 above oracle size guard 128\n"
+    assert err == "error: n=303 above oracle guard 300\n"
     assert built_graphs == []
 
 
@@ -159,7 +176,8 @@ def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
         raise MemoryError
 
     monkeypatch.setattr(cli, "build_extremal_graph", exhausted)
-    code, out, err = run_cli("build", "5", "2000", capsys=capsys)
+    # within the build guard, which refuses 5 2000 before any graph is built
+    code, out, err = run_cli("build", "5", "100", capsys=capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error: out of memory")
@@ -330,7 +348,7 @@ VERIFY_ROWS = {
         ("construction", "-", True, False, "-", "-", None),
         ("lambda2", "-", True, False, "-", "-", None),
         ("spectra", "-", True, False, "-", "-", None),
-        ("charpoly", "-", None, True, "-", "-", "n=505 above block oracle guard 300"),
+        ("charpoly", "-", None, True, "-", "-", "n=505 above oracle guard 300"),
         ("rootbound", "-", True, False, "-", "-", None),
         ("pipeline", 5, True, False, True, True, None),
         ("packing", "-", None, True, "-", "-", "|E|=25250 above packing guard 10500"),
@@ -341,7 +359,7 @@ VERIFY_ROWS = {
         ("construction", "-", True, False, "-", "-", None),
         ("lambda2", "-", None, True, "-", "-", "n=1005 above eigensolver guard 600"),
         ("spectra", "-", None, True, "-", "-", "n=1005 above eigensolver guard 600"),
-        ("charpoly", "-", None, True, "-", "-", "n=1005 above block oracle guard 300"),
+        ("charpoly", "-", None, True, "-", "-", "n=1005 above oracle guard 300"),
         ("rootbound", "-", True, False, "-", "-", None),
         ("pipeline", "-", None, True, "-", "-", "n=1005 above eigensolver guard 600"),
         ("packing", "-", None, True, "-", "-", "|E|=100500 above packing guard 10500"),

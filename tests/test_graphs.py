@@ -5,7 +5,6 @@ from extremal_trees import (
     InvalidPartitionError,
     ParameterDomainError,
     Partition,
-    VertexId,
     build_extremal_graph,
     clique_partition,
     crossing_edges,
@@ -13,7 +12,6 @@ from extremal_trees import (
     export,
     is_connected,
 )
-from extremal_trees.graphs import clique_slot, linear_index
 
 from conftest import DESK_SWEEP
 
@@ -131,14 +129,6 @@ def test_single_vertex_connected():
 
 def test_degrees_g38():
     assert degrees(build_extremal_graph(3, 8)) == [8] * 63
-
-
-def test_vertex_id_roundtrip():
-    d = 6
-    for idx in range(35):
-        v = clique_slot(idx, d)
-        assert isinstance(v, VertexId)
-        assert linear_index(v, d) == idx
 
 
 def test_edgelist_export():

@@ -87,14 +87,6 @@ def test_hypotheses_tightness_pattern():
     assert report.certificate.deficit == 2
 
 
-def test_hypotheses_reports_deleted_vertex_conditions():
-    report = check_spectral_rigidity_hypotheses(1, 6, include_vertex_deleted=True)
-    assert len(report.vertex_deleted) == 35
-    entry = report.vertex_deleted[0]
-    assert {"u", "mu2", "bound", "holds"} <= set(entry)
-    assert report.certificate.deficit == 2
-
-
 def test_window_failure_raises():
     # impossible window parameters must fail loudly, not silently pass
     with pytest.raises((CheckFailure, ParameterDomainError)):
