@@ -24,6 +24,11 @@ kernel for all blocks and primes).  It lifts the product of their
 characteristic polynomials by the Chinese remainder theorem past the
 Hadamard bound on its coefficients and checks the lift modulo one further
 prime (n <= ORACLE_SIZE_GUARD).
+
+``verify_root_of_unity_identities`` decides the Chebyshev identities behind
+the closed form exactly, modulo the oracle's first prime for k = 2m+1;
+``verify_determinant_identities`` samples the determinant identities in
+floating point.
 """
 
 from __future__ import annotations
@@ -316,6 +321,79 @@ def _poly_mul_mod(f: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
+def verify_root_of_unity_identities(m: int) -> int:
+    """Decide the Chebyshev product and sum identities at the roots of unity exactly.
+
+    For every (2m+1)-th root of unity zeta^t with g = gcd(2m+1, t),
+    n = (2m+1)/g, c_j = zeta^(tj) + zeta^(-tj), D_j = x^2+2x-1+c_j and
+    z = (x+1)/2:
+
+      (x+1) prod_{j<=m} D_j = (2 T_n(z))^g
+      sum_{j<=m} (2x+c_j)/D_j = -1/(2z) + (2m+1)(T_n(z)-(z-1)U_{n-1}(z)) / (2 T_n(z))
+
+    At t = 1, D_j = 4(z^2 - sin^2(pi j/(2m+1))), so the first is the
+    odd-index product form T_{2m+1}(z)/z = 4^m prod (z^2 - sin^2(pi j/(2m+1))).
+    With P = prod D_j and S/P the sum on the left, the second multiplied out
+    is 2 T_n (x+1) S = (2m+1)(x+1) P (T_n - (z-1)U_{n-1}) - 2 T_n P.  Both
+    are polynomial identities of degree at most 4m+2 in x, so they hold in
+    F_p[x] once they hold at the 4m+3 points x = 0..4m+2; t and 2m+1-t give
+    the same c_j, so t runs over 1..m and 2m+1.  p is the oracle's first prime
+    = 1 (mod 2m+1) and zeta an element of order 2m+1 modulo p.  Sending a
+    primitive root of unity to zeta (and 1/2 to its inverse) is a ring
+    homomorphism into F_p, so identities that hold over the complex numbers
+    hold modulo p: one prime cannot report a false failure.  Returns p;
+    raises CheckFailure naming the identity, t and x that fail.
+    """
+    if m < 1:
+        raise ParameterDomainError(f"need m >= 1, got m={m}")
+    k = 2 * m + 1
+    p = _oracle_primes(k, 1)[0]
+    zeta = _root_of_unity(k, p)
+    powers = np.array([pow(zeta, e, p) for e in range(k)], dtype=np.int64)
+    x = np.arange(4 * m + 3, dtype=np.int64)
+    z = (x + 1) * ((p + 1) // 2) % p
+    quadratic = x * x + 2 * x - 1
+    for n in divisors(k):
+        g = k // n
+        ts = [t for t in (*range(1, m + 1), k) if math.gcd(t, k) == g]
+        # c[i, j-1] = zeta^(t_i j) + zeta^(-t_i j); every product of two
+        # residues is reduced modulo p before it enters a sum
+        exponents = np.outer(ts, np.arange(1, m + 1)) % k
+        c = (powers[exponents] + powers[-exponents % k]) % p
+        prod = np.ones((len(ts), x.size), dtype=np.int64)
+        s = np.zeros_like(prod)
+        for j in range(m):
+            cj = c[:, j, None]
+            den = (quadratic + cj) % p
+            s = (s * den % p + (2 * x + cj) % p * prod % p) % p
+            prod = prod * den % p
+        t_n = _evaluate_mod(chebyshev_T(n), z, p)
+        u = _evaluate_mod(chebyshev_U(n - 1), z, p)
+        two_t = 2 * t_n % p
+        sides = {
+            "product": ((x + 1) * prod % p,
+                        np.array([pow(v, g, p) for v in two_t.tolist()])),
+            "sum": (two_t * ((x + 1) * s % p) % p,
+                    (k * (x + 1) % p * prod % p * ((t_n - (z - 1) * u) % p)
+                     - two_t * prod % p) % p),
+        }
+        for name, (lhs, rhs) in sides.items():
+            bad = np.argwhere(lhs != rhs)
+            if bad.size:
+                i, point = bad[0]
+                raise CheckFailure(f"root-of-unity {name} identity fails modulo {p} "
+                                   f"at t={ts[i]}, x={point}")
+    return p
+
+
+def _evaluate_mod(f: Poly, z: np.ndarray, p: int) -> np.ndarray:
+    """f(z) modulo p at each entry of z (entries in [0, p)), by Horner's rule."""
+    out = np.zeros_like(z)
+    for c in reversed(f.coeffs):
+        out = (out * z + c % p) % p
+    return out
+
+
 @dataclass
 class IdentityReport:
     """Outcome of a randomized identity check; worst deviation and where."""
@@ -338,87 +416,6 @@ class IdentityReport:
 
 def _rel_dev(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-
-def _sample_away_from_poles(rng, ms: int, zeta: complex, lo=-3.0, hi=6.0):
-    """Random x with all quadratic denominators and z bounded away from zero."""
-    for _ in range(1000):
-        x = rng.uniform(lo, hi)
-        z = (x + 1.0) / 2.0
-        if abs(z) < 1e-3:
-            continue
-        dens = [
-            x * x + 2 * x - 1 + 2 * (zeta**j).real for j in range(1, ms + 1)
-        ]
-        if all(abs(den) > 1e-3 for den in dens):
-            return x
-    raise RuntimeError("could not sample an evaluation point away from the poles")
-
-
-def verify_root_of_unity_identities(
-    m: int, trials: int, tol: float, seed: int = 0
-) -> IdentityReport:
-    """Numerically check the Chebyshev product/sum identities at roots of unity.
-
-    For every (2m+1)-th root of unity zeta = exp(2*pi*i*t/(2m+1)) with
-    g = gcd(2m+1, t) and n = (2m+1)/g, and z = (x+1)/2:
-
-      prod_{j<=m} (x^2+2x-1+zeta^j+conj) = (2 T_n(z))^g / (2z)
-      sum_{j<=m}  (2x+zeta^j+conj)/(x^2+2x-1+zeta^j+conj)
-                  = -1/(2z) + (2m+1)(T_n(z)-(z-1)U_{n-1}(z)) / (2 T_n(z))
-
-    plus the odd-index product form T_{2m+1}(z)/z = 4^m prod (z^2 - sin^2(pi j/(2m+1))).
-    Evaluation points are resampled away from the poles.  Raises CheckFailure
-    if any deviation exceeds tol.
-    """
-    if m < 1:
-        raise ParameterDomainError(f"need m >= 1, got m={m}")
-    k = 2 * m + 1
-    rng = np.random.RandomState(seed)
-    report = IdentityReport("root-of-unity identities", trials, seed, tol)
-    for t in range(1, k + 1):
-        zeta = complex(np.cos(2 * np.pi * t / k), np.sin(2 * np.pi * t / k))
-        g = math.gcd(k, t)
-        n = k // g
-        t_n = chebyshev_T(n)
-        u_prev = chebyshev_U(n - 1)
-        for _ in range(trials):
-            x = _sample_away_from_poles(rng, m, zeta)
-            z = (x + 1.0) / 2.0
-            cosines = [2 * (zeta**j).real for j in range(1, m + 1)]
-            dens = [x * x + 2 * x - 1 + c for c in cosines]
-
-            prod_lhs = 1.0
-            for den in dens:
-                prod_lhs *= den
-            prod_rhs = (2 * t_n(z)) ** g / (2 * z)
-            report.record(_rel_dev(prod_lhs, prod_rhs), t=t, x=x, side="product")
-
-            if abs(t_n(z)) > 1e-3:
-                sum_lhs = sum((2 * x + c) / den for c, den in zip(cosines, dens))
-                sum_rhs = -1 / (2 * z) + k * (t_n(z) - (z - 1) * u_prev(z)) / (
-                    2 * t_n(z)
-                )
-                report.record(_rel_dev(sum_lhs, sum_rhs), t=t, x=x, side="sum")
-
-    t_top = chebyshev_T(k)
-    sines = [np.sin(np.pi * j / k) ** 2 for j in range(1, m + 1)]
-    for _ in range(trials):
-        z = rng.uniform(-2.0, 2.0)
-        if abs(z) < 1e-3:
-            continue
-        lhs = t_top(z) / z
-        rhs = 4**m
-        for s in sines:
-            rhs *= z * z - s
-        report.record(_rel_dev(lhs, rhs), t=k, x=2 * z - 1, side="odd product form")
-
-    if not report.passed:
-        raise CheckFailure(
-            f"root-of-unity identity deviation {report.max_deviation:.3e} > {tol:.1e} "
-            f"at {report.worst_case}"
-        )
-    return report
 
 
 def verify_determinant_identities(trials: int, tol: float, seed: int = 0) -> IdentityReport:

@@ -69,7 +69,7 @@ def partition_rigidity_check(g: Graph, p: Partition, r: int, ell: int) -> Rigidi
     return RigidityCertificate(r, ell, p, trivial, crossing, required, required - crossing)
 
 
-def _check_rigidity_params(r: int, d: int) -> None:
+def check_rigidity_params(r: int, d: int) -> None:
     if r < 1 or d < 6 * r:
         raise ParameterDomainError(
             f"rigidity family needs minimum degree d >= 6r; got r={r}, d={d}"
@@ -78,7 +78,7 @@ def _check_rigidity_params(r: int, d: int) -> None:
 
 def rigidity_certificate(r: int, d: int) -> RigidityCertificate:
     """Clique-partition certificate for G(3r-1, d): deficit exactly 3r-1 > 0."""
-    _check_rigidity_params(r, d)
+    check_rigidity_params(r, d)
     g = build_extremal_graph(3 * r - 1, d)
     cert = partition_rigidity_check(g, clique_partition(g), r, 0)
     if cert.deficit != 3 * r - 1:
@@ -96,7 +96,7 @@ class Mu2Report:
 
 def mu2_window(r: int, d: int) -> Mu2Report:
     """Check (6r-1)/(d+3) < mu_2(G(3r-1,d)) <= (6r-1)/(d+1) within slack."""
-    _check_rigidity_params(r, d)
+    check_rigidity_params(r, d)
     m = 3 * r - 1
     mu2 = d - lambda2(m, d, method="blocks")
     lo, hi = (6 * r - 1) / (d + 3), (6 * r - 1) / (d + 1)

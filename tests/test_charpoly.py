@@ -401,16 +401,40 @@ def test_factor_grouping_equivalence(m, d):
     assert p == char_poly_exact(m, d)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+# a float64 check of the sum identity drifted past 1e-10 for m = 8..14
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 10, 11, 12])
 def test_root_of_unity_identities(m):
-    report = verify_root_of_unity_identities(m, trials=40, tol=1e-10, seed=7)
-    assert report.passed
-    assert report.max_deviation < 1e-10
+    # decided modulo the oracle's first prime for k = 2m+1
+    assert verify_root_of_unity_identities(m) == _oracle_primes(2 * m + 1, 1)[0]
 
 
-def test_root_of_unity_identities_fail_loudly():
-    with pytest.raises(CheckFailure):
-        verify_root_of_unity_identities(2, trials=20, tol=1e-18, seed=0)
+def test_root_of_unity_identities_fail_loudly(monkeypatch):
+    # T_n + 1 breaks (2 T_n)^g = (x+1) prod D_j
+    monkeypatch.setattr(charpoly, "chebyshev_T", lambda n: chebyshev_T(n) + 1)
+    with pytest.raises(CheckFailure, match="product identity"):
+        verify_root_of_unity_identities(2)
+
+
+def test_patched_u_breaks_only_the_sum_identity(monkeypatch):
+    # U_{n-1} enters only the sum identity, so every product check before
+    # the first sum check passes
+    monkeypatch.setattr(charpoly, "chebyshev_U", lambda n: chebyshev_U(n) + Poly.x())
+    with pytest.raises(CheckFailure, match="root-of-unity sum identity fails"):
+        verify_root_of_unity_identities(3)
+
+
+@pytest.mark.parametrize("m,order", [(1, 1), (4, 1), (4, 3), (7, 3), (7, 5)])
+def test_root_of_unity_of_wrong_order_fails(monkeypatch, m, order):
+    real_root = charpoly._root_of_unity
+    monkeypatch.setattr(charpoly, "_root_of_unity",
+                        lambda k, p: pow(real_root(k, p), k // order, p))
+    with pytest.raises(CheckFailure, match="identity fails modulo"):
+        verify_root_of_unity_identities(m)
+
+
+def test_root_of_unity_identities_domain():
+    with pytest.raises(ParameterDomainError):
+        verify_root_of_unity_identities(0)
 
 
 def test_determinant_identities():

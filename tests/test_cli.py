@@ -197,9 +197,9 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
 def test_identity_reports_computed_once_per_m_and_seed(monkeypatch, capsys):
     calls = {"roots": [], "determinants": []}
 
-    def counted_roots(m, **kwargs):
-        calls["roots"].append((m, kwargs["seed"]))
-        return roots(m, **kwargs)
+    def counted_roots(m):
+        calls["roots"].append(m)
+        return roots(m)
 
     def counted_determinants(**kwargs):
         calls["determinants"].append(kwargs["seed"])
@@ -218,7 +218,50 @@ def test_identity_reports_computed_once_per_m_and_seed(monkeypatch, capsys):
         cli._determinant_report.cache_clear()
     assert code == 0
     assert len(json.loads(out)["results"]) == 14
-    assert calls == {"roots": [(1, 0), (2, 0)], "determinants": [0]}
+    assert calls == {"roots": [1, 2], "determinants": [0]}
+
+
+def test_verify_identities_exact_where_floats_drifted(capsys):
+    # a float64 check of the sum identity drifted past 1e-10 for m = 8..14
+    code, out, _ = run_cli("verify", "--m", "8..12", "--d", "auto",
+                           "--checks", "identities", capsys=capsys)
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert len(rows) == 35 and all(row["ok"] for row in rows)
+    assert rows[0]["detail"].startswith("root-of-unity identities exact modulo ")
+
+
+@pytest.mark.parametrize("d", [16384, 10**80])
+def test_verify_rootbound_decided_in_integers(capsys, d):
+    # at (2, 16384) a float64 image of the bound missed the window edge, and
+    # 10**80 overflows a float
+    code, out, _ = run_cli("verify", "--checks", "rootbound", "--m", "2", "--d", str(d),
+                           capsys=capsys)
+    assert code == 0
+    [row] = json.loads(out)["results"]
+    assert (row["ok"], row["detail"]) == (True, "monotone=True exact=True")
+
+
+def test_verify_rootbound_reports_non_monotone_radicands(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "root_bound_radicand", lambda n, m, d: -n)
+    code, out, _ = run_cli("verify", "--checks", "rootbound", "--m", "4", "--d", "10",
+                           capsys=capsys)
+    assert code == 1
+    [row] = json.loads(out)["results"]
+    assert (row["ok"], row["detail"]) == (False, "monotone=False exact=True")
+
+
+def test_verify_construction_skips_pair_above_build_guard(monkeypatch, capsys):
+    def refuse(m, d):
+        raise AssertionError("the build guard should have skipped this pair")
+
+    monkeypatch.setattr(cli, "build_extremal_graph", refuse)
+    code, out, _ = run_cli("verify", "--m", "5", "--d", "2000", "--checks", "construction",
+                           capsys=capsys)
+    assert code == 0
+    [row] = json.loads(out)["results"]
+    assert row["skipped"] is True
+    assert row["detail"] == "|E|=22011000 above build guard 1000000"
 
 
 @pytest.mark.parametrize("argv", [("spectrum", "2", "6"), ("rigidity", "1", "6"),
@@ -279,6 +322,14 @@ def test_rigidity_command(capsys):
 def test_rigidity_domain_error(capsys):
     code, _, _ = run_cli("rigidity", "1", "5", capsys=capsys)
     assert code == 2
+
+
+def test_rigidity_refuses_pair_above_eigensolver_guard(capsys, built_graphs):
+    code, out, err = run_cli("rigidity", "1", "200", capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: n=1005 above eigensolver guard 600\n"
+    assert built_graphs == []
 
 
 def test_verify_small_sweep_json(capsys):
