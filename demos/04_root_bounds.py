@@ -6,7 +6,7 @@ coefficients.  Applied to the bracket factors B_n(z)/2^n this gives
 
     z_0 <= (1/2) (d^4 + 4d^3 - (8m-2)d^2 + 4d + 8m^2 - 8m + 6n - 5)^(1/4),
 
-increasing in n, and at n = 2m+1 an exact rational comparison shows the bound
+increasing in n, and at n = 2m+1 integer cross-multiplication shows the bound
 stays below (d - (2m+1)/(d+3) + 1)/2.  Mapping roots through x = 2z - 1 that
 is precisely lambda_2 < d - (2m+1)/(d+3).
 """
@@ -35,7 +35,7 @@ report = verify_upper_bound_pipeline(m, d)
 print(f"\nlambda2 = {report.lam2:.9f}, window {report.window}")
 print(f"largest root image 2z0-1 agrees with lambda2 to {report.consistency_gap:.2e}")
 
-print("\nexact quartic inequality (rational arithmetic, no rounding):")
+print("\nexact quartic inequality (integer cross-multiplication, no rounding):")
 for mm, dd in [(2, 6), (2, 7), (10, 50), (50, 200)]:
     print(f"  m={mm:>2}, d={dd:>3}: {check_root_bound_inequality(mm, dd)}")
 print("the (2,6) margin is thin: 1721^(1/4) = "

@@ -27,14 +27,13 @@ prime (n <= ORACLE_SIZE_GUARD).
 
 ``verify_root_of_unity_identities`` decides the Chebyshev identities behind
 the closed form exactly, modulo the oracle's first prime for k = 2m+1;
-``verify_determinant_identities`` samples the determinant identities in
-floating point.
+``verify_determinant_identities`` decides the determinant identities in
+integers on fixed cases, its determinants from the oracle's kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -394,67 +393,69 @@ def _evaluate_mod(f: Poly, z: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class IdentityReport:
-    """Outcome of a randomized identity check; worst deviation and where."""
+def verify_determinant_identities() -> int:
+    """Decide the determinant identities behind the closed form exactly, in integers.
 
-    name: str
-    trials: int
-    seed: int
-    tol: float
-    max_deviation: float = 0.0
-    worst_case: dict = field(default_factory=dict)
-    passed: bool = True
+    For n = 2..6, on the fixed cases of ``_determinant_cases`` (A singular in
+    half of them), with A_i the matrix A whose column i is replaced by u and
+    J the all-ones matrix, checks the division-free forms, which hold for
+    singular A and aI + bJ too:
 
-    def record(self, deviation: float, **context) -> None:
-        if deviation > self.max_deviation:
-            self.max_deviation = deviation
-            self.worst_case = context
-        if deviation > self.tol:
-            self.passed = False
+      det(A + u v^T) = det A + sum_i v_i det A_i        (the lemma, by Cramer's rule)
+      det(aI + bJ) = a^n + n a^(n-1) b
+      (aI + bJ)((a+nb)I - bJ) = a(a+nb) I               (the inverse of aI + bJ)
 
-
-def _rel_dev(lhs: complex, rhs: complex) -> float:
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-
-def verify_determinant_identities(trials: int, tol: float, seed: int = 0) -> IdentityReport:
-    """Numerically check det(A+uv^T) = (1+v^T A^-1 u) det A and the aI+bJ formulas.
-
-    Random dense A (resampled until well-conditioned), random u, v; and for
-    aI_n + bJ_n both det = a^n + n a^(n-1) b and the explicit inverse.
+    Every determinant is (-1)^n c_0 of the characteristic polynomial from
+    the oracle kernel ``_char_poly_mod`` modulo the oracle's first prime
+    p = 2^31 - 1, one batched call per n.  The entries of A, u, v, a and b
+    lie in [-3, 3], so no matrix entry exceeds 12 in absolute value.  By
+    Hadamard's inequality every determinant is below (12 sqrt 6)^6 < 6.5e8
+    and the lemma's right side below 19 (3 sqrt 6)^6 < 3e6 in absolute
+    value, so both sides of each identity are below p/2 and agree in Z once
+    they agree modulo p; the inverse is compared in int64.
+    Returns p; raises CheckFailure naming the identity, n and case that fail.
     """
-    rng = np.random.RandomState(seed)
-    report = IdentityReport("determinant identities", trials, seed, tol)
-    for _ in range(trials):
-        n = rng.randint(2, 7)
-        a = rng.uniform(-2.0, 2.0, (n, n))
-        while abs(np.linalg.det(a)) < 0.1:
-            a = rng.uniform(-2.0, 2.0, (n, n))
-        u = rng.uniform(-2.0, 2.0, n)
-        v = rng.uniform(-2.0, 2.0, n)
-        lhs = np.linalg.det(a + np.outer(u, v))
-        rhs = (1.0 + v @ np.linalg.solve(a, u)) * np.linalg.det(a)
-        report.record(_rel_dev(lhs, rhs), n=n, side="rank-one update")
+    p = _oracle_primes(1, 1)[0]
+    for n in range(2, 7):
+        a_mat, u, v, a, b = _determinant_cases(n)
+        # replaced[c, i] is A_i of case c
+        replaced = np.where(np.eye(n, dtype=bool)[:, None], u[:, None, :, None], a_mat[:, None])
+        updated = a_mat + u[:, :, None] * v[:, None, :]
+        # per case: A, A + u v^T, A_0 .. A_(n-1), aI + bJ
+        batch = np.concatenate([a_mat[:, None], updated[:, None], replaced,
+                                _a_i_plus_b_j(a, b, n)[:, None]], axis=1)
+        flat = batch.reshape(-1, n, n)
+        c0 = _char_poly_mod(flat, np.full(len(flat), p))[:, 0]
+        dets = c0.reshape(-1, n + 3) * (-1) ** n % p
+        sides = {
+            "matrix determinant lemma":
+                (dets[:, 1], (dets[:, 0] + (v % p * dets[:, 2:-1] % p).sum(axis=1)) % p),
+            "det(aI+bJ)": (dets[:, -1], (a**n + n * a ** (n - 1) * b) % p),
+            "inverse of aI+bJ": (_a_i_plus_b_j(a, b, n) @ _a_i_plus_b_j(a + n * b, -b, n),
+                                 (a * (a + n * b))[:, None, None] * np.eye(n, dtype=np.int64)),
+        }
+        for name, (lhs, rhs) in sides.items():
+            bad = np.flatnonzero((lhs != rhs).reshape(len(a), -1).any(axis=1))
+            if bad.size:
+                raise CheckFailure(f"{name} fails at n={n}, case {bad[0]}")
+    return p
 
-        aa = rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0])
-        bb = rng.uniform(-2.0, 2.0)
-        if abs(aa + n * bb) < 0.1:
-            bb += 0.5
-        mat = aa * np.eye(n) + bb * np.ones((n, n))
-        report.record(
-            _rel_dev(np.linalg.det(mat), aa**n + n * aa ** (n - 1) * bb),
-            n=n,
-            side="aI+bJ determinant",
-        )
-        inv = np.eye(n) / aa - (bb / (aa * (aa + n * bb))) * np.ones((n, n))
-        report.record(
-            float(np.max(np.abs(inv @ mat - np.eye(n)))), n=n, side="aI+bJ inverse"
-        )
 
-    if not report.passed:
-        raise CheckFailure(
-            f"determinant identity deviation {report.max_deviation:.3e} > {tol:.1e} "
-            f"at {report.worst_case}"
-        )
-    return report
+def _determinant_cases(n: int) -> tuple[np.ndarray, ...]:
+    """Eight fixed cases of size n: A, u, v, a and b, integers in [-3, 3].
+
+    The entries run through k^2 mod 101 mod 7 - 3 over consecutive k; in the
+    even cases the last row of A repeats its first, so that A is singular.
+    """
+    width = n * n + 2 * n + 2
+    k = np.arange(8 * width, dtype=np.int64).reshape(8, width) + 11 * n
+    entries = k * k % 101 % 7 - 3
+    a_mat = entries[:, :n * n].reshape(8, n, n)
+    a_mat[::2, -1] = a_mat[::2, 0]
+    u, v = entries[:, n * n:n * n + n], entries[:, n * n + n:-2]
+    return a_mat, u, v, entries[:, -2], entries[:, -1]
+
+
+def _a_i_plus_b_j(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The batch of n x n matrices a[c] I + b[c] J."""
+    return a[:, None, None] * np.eye(n, dtype=np.int64) + b[:, None, None]

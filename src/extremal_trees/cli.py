@@ -22,7 +22,7 @@ import csv
 import io
 import json
 import sys
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -64,13 +64,14 @@ from .spectral import family_spectrum, lambda2, lambda2_window
 EIGEN_SIZE_GUARD = 600
 PACKING_EDGE_GUARD = 10500
 BUILD_EDGE_GUARD = 1_000_000
+IDENTITIES_M_GUARD = 150
 
 
 def _write_output(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w") as fh:
             fh.write(text)
@@ -169,10 +170,6 @@ def _result(check, m, d, ok=None, skipped=False, detail="", **extra) -> dict:
 # Guards: why the check is skipped for (m, d), or None.  Each is worked out
 # from (m, d) alone, so a skipped check builds no graph.
 
-def _unguarded(m: int, d: int) -> None:
-    return None
-
-
 def _above(size: str, value: int, guard: str, limit: int) -> str | None:
     return f"{size}={value} above {guard} guard {limit}" if value > limit else None
 
@@ -197,6 +194,10 @@ def _build_guard(m: int, d: int) -> str | None:
     return _above("|E|", (2 * m + 1) * (d + 1) * d // 2, "build", BUILD_EDGE_GUARD)
 
 
+def _identities_guard(m: int, d: int) -> str | None:
+    return _above("m", m, "identities", IDENTITIES_M_GUARD)
+
+
 def _rigidity_guard(m: int, d: int) -> str | None:
     # d >= 2m+2 = 6r holds for every pair, so only the family and size remain
     if (m + 1) % 3 != 0:
@@ -207,7 +208,7 @@ def _rigidity_guard(m: int, d: int) -> str | None:
 # Runs: the rows of one check on (m, d), each as the keyword arguments of
 # ``_result`` after its name, m and d.  A failed claim raises CheckFailure.
 
-def _check_construction(m: int, d: int, seed: int) -> list[dict]:
+def _check_construction(m: int, d: int) -> list[dict]:
     g = build_extremal_graph(m, d)
     degs = degrees(g)
     parts = clique_partition(g)
@@ -225,25 +226,25 @@ def _check_construction(m: int, d: int, seed: int) -> list[dict]:
     return [dict(ok=not problems, detail="; ".join(problems))]
 
 
-def _check_lambda2(m: int, d: int, seed: int) -> list[dict]:
+def _check_lambda2(m: int, d: int) -> list[dict]:
     val = lambda2(m, d)
     lo, hi = lambda2_window(m, d)
     return [dict(ok=True, detail=f"lambda2={val:.12g} in [{lo:.12g},{hi:.12g})")]
 
 
-def _check_spectra(m: int, d: int, seed: int) -> list[dict]:
+def _check_spectra(m: int, d: int) -> list[dict]:
     dense = np.array(family_spectrum(m, d, "dense").values)
     blocks = np.array(family_spectrum(m, d, "blocks").values)
     gap = float(np.max(np.abs(dense - blocks)))
     return [dict(ok=gap <= 1e-8, detail=f"max elementwise gap {gap:.3e}")]
 
 
-def _check_charpoly(m: int, d: int, seed: int) -> list[dict]:
+def _check_charpoly(m: int, d: int) -> list[dict]:
     same = char_poly_exact(m, d) == char_poly_oracle(build_extremal_graph(m, d), 2 * m + 1)
     return [dict(ok=same, detail="coefficientwise equal" if same else "MISMATCH")]
 
 
-def _check_rootbound(m: int, d: int, seed: int) -> list[dict]:
+def _check_rootbound(m: int, d: int) -> list[dict]:
     # each bound is its radicand's fourth root, so the integers decide the order
     radicands = [root_bound_radicand(n, m, d) for n in divisors(2 * m + 1) if n != 1]
     monotone = all(q2 >= q1 for q1, q2 in zip(radicands, radicands[1:]))
@@ -251,7 +252,7 @@ def _check_rootbound(m: int, d: int, seed: int) -> list[dict]:
     return [dict(ok=monotone and exact_ok, detail=f"monotone={monotone} exact={exact_ok}")]
 
 
-def _check_pipeline(m: int, d: int, seed: int) -> list[dict]:
+def _check_pipeline(m: int, d: int) -> list[dict]:
     report = verify_upper_bound_pipeline(m, d)
     return [
         dict(ok=True, n=row.n, root_bound=row.root_bound, max_root=row.max_root,
@@ -261,14 +262,14 @@ def _check_pipeline(m: int, d: int, seed: int) -> list[dict]:
     ]
 
 
-def _check_packing(m: int, d: int, seed: int) -> list[dict]:
+def _check_packing(m: int, d: int) -> list[dict]:
     value = sigma(build_extremal_graph(m, d), m + 1)
     cert = clique_certificate(m, d)
     return [dict(ok=value == m and cert.deficit == m,
                  detail=f"sigma={value} certificate_deficit={cert.deficit}")]
 
 
-def _check_rigidity(m: int, d: int, seed: int) -> list[dict]:
+def _check_rigidity(m: int, d: int) -> list[dict]:
     report = check_spectral_rigidity_hypotheses((m + 1) // 3, d)
     return [dict(ok=True, detail=f"mu2={report.mu2:.12g} below threshold "
                                  f"{report.threshold:.12g}, certificate deficit "
@@ -276,22 +277,22 @@ def _check_rigidity(m: int, d: int, seed: int) -> list[dict]:
 
 
 # Neither identity suite reads d, and the determinant suite reads no m, so a
-# sweep (pairs in order of m) computes each once per m, or per seed.
+# sweep (pairs in order of m) computes the first once per m and the second
+# once per process.
 @lru_cache(maxsize=1)
 def _root_of_unity_report(m: int) -> int:
     return verify_root_of_unity_identities(m)
 
 
-@lru_cache(maxsize=1)
-def _determinant_report(seed: int):
-    return verify_determinant_identities(trials=25, tol=1e-10, seed=seed)
+@cache
+def _determinant_report() -> int:
+    return verify_determinant_identities()
 
 
-def _check_identities(m: int, d: int, seed: int) -> list[dict]:
-    prime = _root_of_unity_report(m)
-    report = _determinant_report(seed)
-    return [dict(ok=True, detail=f"root-of-unity identities exact modulo {prime}, "
-                                 f"determinant max deviation {report.max_deviation:.3e}")]
+def _check_identities(m: int, d: int) -> list[dict]:
+    return [dict(ok=True, detail=f"root-of-unity identities exact modulo "
+                                 f"{_root_of_unity_report(m)}, determinant identities "
+                                 f"exact modulo {_determinant_report()}")]
 
 
 # name -> (guard, run), in report order
@@ -304,18 +305,18 @@ CHECKS = {
     "pipeline": (_eigen_guard, _check_pipeline),
     "packing": (_packing_guard, _check_packing),
     "rigidity": (_rigidity_guard, _check_rigidity),
-    "identities": (_unguarded, _check_identities),
+    "identities": (_identities_guard, _check_identities),
 }
 CHECK_NAMES = tuple(CHECKS)
 
 
-def _run_check(check: str, m: int, d: int, seed: int) -> list[dict]:
+def _run_check(check: str, m: int, d: int) -> list[dict]:
     guard, run = CHECKS[check]
     reason = guard(m, d)
     if reason is not None:
         return [_result(check, m, d, skipped=True, detail=reason)]
     try:
-        rows = run(m, d, seed)
+        rows = run(m, d)
     except CheckFailure as exc:
         rows = [dict(ok=False, detail=str(exc))]
     return [_result(check, m, d, **row) for row in rows]
@@ -331,12 +332,11 @@ def cmd_verify(args) -> int:
         raise ValueError("sweep selects no valid (m, d) pairs (need d >= 2m+2)")
 
     results = [row for m, d in pairs for check in checks
-               for row in _run_check(check, m, d, args.seed)]
+               for row in _run_check(check, m, d)]
     all_ok = all(r["ok"] for r in results if not r["skipped"])
     if args.format == "json":
         payload = {
             "version": __version__,
-            "seed": args.seed,
             "m": args.m,
             "d": args.d,
             "checks": checks,
@@ -411,8 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="range like 6..20, a single value, or 'auto' (2m+2..2m+8)")
     p.add_argument("--checks", default="all",
                    help="comma-separated subset of: " + ", ".join(CHECK_NAMES))
-    p.add_argument("--seed", type=int, default=0,
-                   help="seeds the sampled determinant identities, the only random check")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)

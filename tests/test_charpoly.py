@@ -27,7 +27,9 @@ from extremal_trees import charpoly
 from extremal_trees.charpoly import (
     ORACLE_SIZE_GUARD,
     _char_poly_mod,
+    _a_i_plus_b_j,
     _coefficient_bound,
+    _determinant_cases,
     _is_prime,
     _oracle_primes,
     _primes_for,
@@ -438,10 +440,78 @@ def test_root_of_unity_identities_domain():
 
 
 def test_determinant_identities():
-    report = verify_determinant_identities(trials=100, tol=1e-10, seed=3)
-    assert report.passed
-    # frozen spot value: det(2I + J) = 2^3 + 3*4 = 20 for n = 3
-    assert abs(np.linalg.det(2 * np.eye(3) + np.ones((3, 3))) - 20.0) < 1e-12
+    # decided modulo the oracle's first prime for k = 1
+    assert verify_determinant_identities() == _oracle_primes(1, 1)[0] == 2**31 - 1
+    # frozen spot value: det(2I + J) = 2^3 + 3*2 = 20 for n = 3
+    assert _bareiss_det(_a_i_plus_b_j(np.array([2]), np.array([1]), 3)[0].tolist()) == 20
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_determinant_cases_stay_below_half_the_prime(n):
+    a_mat, u, v, a, b = _determinant_cases(n)
+    assert 5 <= len(a) <= 20
+    for array in (a_mat, u, v, a, b):
+        assert array.dtype == np.int64 and np.abs(array).max() <= 3
+    dets = [_bareiss_det(x.tolist()) for x in a_mat]
+    assert 0 in dets and any(dets)  # singular and non-singular A
+    half = (2**31 - 1) // 2
+    for x, y in zip(a_mat, u[:, :, None] * v[:, None, :]):
+        assert abs(_bareiss_det((x + y).tolist())) < half
+
+
+def _perturb_kernel_det(monkeypatch, index):
+    """Add 1 to c_0 of the kernel's batch entry ``index`` modulo its prime."""
+    real = charpoly._char_poly_mod
+
+    def perturbed(h, p):
+        polys = real(h, p)
+        polys[index, 0] = (polys[index, 0] + 1) % p[index]
+        return polys
+
+    monkeypatch.setattr(charpoly, "_char_poly_mod", perturbed)
+
+
+def test_determinant_lemma_fails_loudly(monkeypatch):
+    # batch entry 1 is A + u v^T of the first case
+    _perturb_kernel_det(monkeypatch, 1)
+    with pytest.raises(CheckFailure, match=r"^matrix determinant lemma fails at n=2, case 0$"):
+        verify_determinant_identities()
+
+
+def test_a_i_plus_b_j_determinant_fails_loudly(monkeypatch):
+    # at n = 2 a case holds n + 3 = 5 matrices, the last of them aI + bJ
+    _perturb_kernel_det(monkeypatch, 4)
+    with pytest.raises(CheckFailure, match=r"^det\(aI\+bJ\) fails at n=2, case 0$"):
+        verify_determinant_identities()
+
+
+def test_a_i_plus_b_j_inverse_fails_loudly(monkeypatch):
+    # M -> M U with U unimodular keeps every determinant, so only the
+    # product (aI + bJ)((a+nb)I - bJ) = a(a+nb) I breaks
+    real = charpoly._a_i_plus_b_j
+
+    def sheared(a, b, n):
+        shear = np.eye(n, dtype=np.int64)
+        shear[0, -1] = 1
+        return real(a, b, n) @ shear
+
+    monkeypatch.setattr(charpoly, "_a_i_plus_b_j", sheared)
+    with pytest.raises(CheckFailure, match=r"^inverse of aI\+bJ fails at n=2, case "):
+        verify_determinant_identities()
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.integers(0, n - 1), st.integers(0, n - 1))))
+def test_kernel_determinant_matches_bareiss(case):
+    # det M = (-1)^n c_0; copying row i over row j (i != j) makes M singular
+    rows, i, j = case
+    if i != j:
+        rows[j] = list(rows[i])
+    n, p = len(rows), _oracle_primes(1, 1)[0]
+    c0 = _char_poly_mod(np.array([rows], dtype=np.int64), np.array([p]))[0, 0]
+    assert (-1) ** n * int(c0) % p == _bareiss_det(rows) % p
 
 
 def test_u_t_relation_inside_brackets():

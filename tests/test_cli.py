@@ -194,16 +194,16 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
     assert not target.parent.exists()
 
 
-def test_identity_reports_computed_once_per_m_and_seed(monkeypatch, capsys):
-    calls = {"roots": [], "determinants": []}
+def test_identity_suites_computed_once_per_m_and_per_process(monkeypatch, capsys):
+    calls = {"roots": [], "determinants": 0}
 
     def counted_roots(m):
         calls["roots"].append(m)
         return roots(m)
 
-    def counted_determinants(**kwargs):
-        calls["determinants"].append(kwargs["seed"])
-        return determinants(**kwargs)
+    def counted_determinants():
+        calls["determinants"] += 1
+        return determinants()
 
     roots, determinants = cli.verify_root_of_unity_identities, cli.verify_determinant_identities
     monkeypatch.setattr(cli, "verify_root_of_unity_identities", counted_roots)
@@ -218,7 +218,38 @@ def test_identity_reports_computed_once_per_m_and_seed(monkeypatch, capsys):
         cli._determinant_report.cache_clear()
     assert code == 0
     assert len(json.loads(out)["results"]) == 14
-    assert calls == {"roots": [1, 2], "determinants": [0]}
+    assert calls == {"roots": [1, 2], "determinants": 1}
+    assert all(r["detail"].endswith("determinant identities exact modulo 2147483647")
+               for r in json.loads(out)["results"])
+
+
+def test_identities_skipped_above_guard(monkeypatch, capsys):
+    def refuse(m):
+        raise AssertionError(f"root-of-unity identities ran at m={m}")
+
+    monkeypatch.setattr(cli, "verify_root_of_unity_identities", refuse)
+    code, out, _ = run_cli("verify", "--m", "200", "--d", "402", "--checks", "identities",
+                           capsys=capsys)
+    assert code == 0
+    [row] = json.loads(out)["results"]
+    assert row["skipped"] and row["ok"] is None
+    assert row["detail"] == f"m=200 above identities guard {cli.IDENTITIES_M_GUARD}" \
+        == "m=200 above identities guard 150"
+
+
+def test_verify_has_no_seed_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--seed", "0", "--m", "1", "--d", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("charpoly", "1", "4"), ("build", "1", "4")])
+def test_out_file_bytes_equal_stdout(tmp_path, capsys, argv):
+    target = tmp_path / "out.txt"
+    code, out, _ = run_cli(*argv, capsys=capsys)
+    assert code == 0 and run_cli(*argv, "--out", str(target), capsys=capsys)[0] == 0
+    assert target.read_bytes() == out.encode() and out.endswith("\n")
 
 
 def test_verify_identities_exact_where_floats_drifted(capsys):
@@ -341,7 +372,7 @@ def test_verify_small_sweep_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["all_ok"] is True
-    assert data["seed"] == 0 and "version" in data
+    assert "seed" not in data and "version" in data
     assert "tol" not in data
     ms = {r["m"] for r in data["results"]}
     assert ms == {1, 2}
@@ -432,13 +463,6 @@ def test_verify_rows_of_every_check(capsys, m, d):
         for r in json.loads(out)["results"]
     ]
     assert got == [(check, m, d, *rest) for check, *rest in VERIFY_ROWS[(m, d)]]
-
-
-def test_verify_identities_seeded(capsys):
-    code, out, _ = run_cli("verify", "--m", "1", "--d", "4", "--checks", "identities",
-                        "--seed", "5", capsys=capsys)
-    assert code == 0
-    assert json.loads(out)["seed"] == 5
 
 
 def test_verify_malformed_range(capsys):
