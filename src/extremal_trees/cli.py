@@ -6,7 +6,11 @@ decides from (m, d) alone whether the pair is out of the check's reach, and a
 run, which returns the check's rows.  Its ``charpoly`` check compares the
 closed form with the multi-modular oracle on the built graph's 2m+1
 circulant blocks; ``charpoly --oracle`` runs the same oracle on the whole
-adjacency matrix as one block.  Both refuse n above 300.
+adjacency matrix as one block.  Both refuse n above 300.  Its ``packing``
+check proves sigma = m without a failed search: sigma <= m from the counted
+modified-clique partition (``clique_certificate``), sigma >= m from one
+verified m-packing.  Only when one of the two fails does it search sigma down
+from m+1, as ``pack`` always does.
 
 Exit codes: 0 all requested work passed, 1 a verification check failed,
 2 usage or parameter-domain error, an ``--out`` path that cannot be written,
@@ -263,8 +267,16 @@ def _check_pipeline(m: int, d: int) -> list[dict]:
 
 
 def _check_packing(m: int, d: int) -> list[dict]:
-    value = sigma(build_extremal_graph(m, d), m + 1)
+    # sigma <= m: the modified cliques cross in m(2m+1) edges, fewer than the
+    # (m+1)(2m) that m+1 trees need.  sigma >= m: pack_spanning_trees verifies
+    # every packing it returns.  Without both proofs the search from m+1 runs,
+    # so a failing row reports the sigma it found.
+    g = build_extremal_graph(m, d)
     cert = clique_certificate(m, d)
+    if cert.refutes and isinstance(pack_spanning_trees(g, m), ForestPacking):
+        value = m
+    else:
+        value = sigma(g, m + 1)
     return [dict(ok=value == m and cert.deficit == m,
                  detail=f"sigma={value} certificate_deficit={cert.deficit}")]
 

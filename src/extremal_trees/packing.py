@@ -18,11 +18,15 @@ crossing edges.  This module realizes both directions constructively:
   condition before being returned.
 
 * ``sigma`` searches down from k_max, jumping from each failed k to the
-  bound c // (t-1) < k of its witness (c crossing edges over t parts).
+  bound c // (t-1) < k of its witness (c crossing edges over t parts).  The
+  ``pack`` command runs it from m+1; ``verify``'s packing check runs it only
+  as a fallback, when the m-packing or the clique certificate fails.
 
 * ``clique_certificate`` instantiates the partition upper bound for G(m,d):
   the modified cliques form a partition with m(2m+1) crossing edges, fewer
   than the (m+1)(2m) that m+1 trees would need, so sigma(G(m,d)) <= m.
+  ``verify``'s packing check takes sigma <= m from it and sigma >= m from
+  one verified m-packing, so no failed (m+1)-search runs there.
 
 Edges are processed lowest index first and the search order is fixed, so
 packings are reproducible.

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from extremal_trees import Graph, packing
+from extremal_trees import Graph, cli, packing
 
 
 def complete_graph(n: int) -> Graph:
@@ -28,4 +28,5 @@ def pack_calls(monkeypatch):
         return real(g, k)
 
     monkeypatch.setattr(packing, "pack_spanning_trees", counted)
+    monkeypatch.setattr(cli, "pack_spanning_trees", counted)
     return ks

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from extremal_trees import ConsistencyError, SolverConvergenceError, cli, graphs, spectral
+from extremal_trees import ConsistencyError, SolverConvergenceError, cli, graphs, packing, spectral
 from extremal_trees.cli import main
 
 
@@ -398,6 +399,68 @@ def test_verify_single_values(capsys):
     kinds = {r["check"] for r in data["results"]}
     assert kinds == {"packing", "rigidity"}
     assert all(r["ok"] for r in data["results"])
+
+
+@pytest.fixture
+def sigma_calls(monkeypatch):
+    """(k_max, result) of every sigma search the CLI starts from here on."""
+    calls = []
+    real = cli.sigma
+
+    def counted(g, k_max):
+        calls.append((k_max, real(g, k_max)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, "sigma", counted)
+    return calls
+
+
+def verify_packing(capsys, m, d):
+    code, out, _ = run_cli("verify", "--m", m, "--d", d, "--checks", "packing", capsys=capsys)
+    return code, [(r["m"], r["d"], r["ok"], r["detail"]) for r in json.loads(out)["results"]]
+
+
+def test_verify_packing_proves_sigma_without_a_search(capsys, pack_calls, sigma_calls):
+    code, rows = verify_packing(capsys, "3", "8")
+    assert code == 0
+    assert rows == [(3, 8, True, "sigma=3 certificate_deficit=3")]
+    assert pack_calls == [3]
+    assert sigma_calls == []
+
+
+def test_verify_packing_searches_when_the_m_packing_fails(monkeypatch, capsys, sigma_calls):
+    # every packing of 3 or more trees "fails" with the clique partition, so
+    # the search must run and the row must carry the sigma it found, not m
+    real = packing.pack_spanning_trees
+
+    def no_m_packing(g, k):
+        return packing.clique_certificate(3, 8) if k >= 3 else real(g, k)
+
+    monkeypatch.setattr(packing, "pack_spanning_trees", no_m_packing)
+    monkeypatch.setattr(cli, "pack_spanning_trees", no_m_packing)
+    code, rows = verify_packing(capsys, "3", "8")
+    assert sigma_calls == [(4, 2)]
+    assert code == 1
+    assert rows == [(3, 8, False, "sigma=2 certificate_deficit=3")]
+
+
+def test_verify_packing_searches_when_the_certificate_does_not_refute(
+        monkeypatch, capsys, sigma_calls):
+    real = packing.clique_certificate
+    monkeypatch.setattr(cli, "clique_certificate",
+                        lambda m, d: dataclasses.replace(real(m, d), deficit=0))
+    code, rows = verify_packing(capsys, "3", "8")
+    assert sigma_calls == [(4, 3)]
+    assert code == 1
+    assert rows == [(3, 8, False, "sigma=3 certificate_deficit=0")]
+
+
+def test_verify_packing_sweep_rows(capsys):
+    # the 36 pairs of the packing benchmark, details included
+    code, rows = verify_packing(capsys, "1..4", "14..22")
+    assert code == 0
+    assert rows == [(m, d, True, f"sigma={m} certificate_deficit={m}")
+                    for m in range(1, 5) for d in range(14, 23)]
 
 
 # Every row of `verify --checks all` on four pairs that reach all eight skip
