@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from extremal_trees import (
+    CheckFailure,
     ParameterDomainError,
     Poly,
     bracket_factor,
@@ -185,3 +186,74 @@ def test_factor_params_validated():
         factor_leading_coeffs(1, 2, 6)  # n must be >= 3 here
     with pytest.raises(ParameterDomainError):
         largest_root_bound(7, 2, 6)  # 7 does not divide 5
+
+
+# The pipeline's accept set, one comparison at a time: each test moves one
+# measured value across its slack S = BOUND_SLACK and leaves the rest real.
+S = 1e-9
+FAILED_2_6 = r"root-bound pipeline failed for \(m,d\)=\(2,6\)"
+
+
+def test_pipeline_rejects_a_root_above_its_bound(monkeypatch):
+    over = lambda n, m, d: largest_root_bound(n, m, d) + 2 * S
+    monkeypatch.setattr(graeffe, "fn_max_root", over)
+    with pytest.raises(CheckFailure, match=FAILED_2_6):
+        verify_upper_bound_pipeline(2, 6)
+
+
+@pytest.mark.parametrize("below,accepted", [(S / 2, True), (2 * S, False)])
+def test_pipeline_root_bound_slack(monkeypatch, below, accepted):
+    z0 = fn_max_root(5, 2, 6)
+    monkeypatch.setattr(graeffe, "largest_root_bound", lambda n, m, d: z0 - below)
+    if accepted:
+        verify_upper_bound_pipeline(2, 6)
+    else:
+        with pytest.raises(CheckFailure, match=FAILED_2_6):
+            verify_upper_bound_pipeline(2, 6)
+
+
+@pytest.mark.parametrize("over,accepted", [(S / 2, True), (2 * S, False)])
+def test_pipeline_image_edge_slack(monkeypatch, over, accepted):
+    # a root whose image x = 2z - 1 sits just past the upper window edge,
+    # with a bound above it and a lambda_2 that agrees with it
+    image = lambda2_window(2, 6)[1] + over
+    monkeypatch.setattr(graeffe, "fn_max_root", lambda n, m, d: (image + 1) / 2)
+    monkeypatch.setattr(graeffe, "largest_root_bound", lambda n, m, d: 10.0)
+    monkeypatch.setattr(graeffe, "lambda2", lambda m, d: image)
+    if accepted:
+        verify_upper_bound_pipeline(2, 6)
+    else:
+        with pytest.raises(CheckFailure, match=FAILED_2_6):
+            verify_upper_bound_pipeline(2, 6)
+
+
+@pytest.mark.parametrize("drop,accepted", [(S / 2, True), (2 * S, False)])
+def test_pipeline_bounds_monotone_slack(monkeypatch, drop, accepted):
+    # G(2,6) has the one factor n = 5, so the order of the bounds needs a
+    # pair with two: 2m+1 = 9 has the factors n = 3, 9
+    top = largest_root_bound(9, 4, 10)
+    monkeypatch.setattr(graeffe, "largest_root_bound",
+                        lambda n, m, d: top + drop if n == 3 else top)
+    if accepted:
+        verify_upper_bound_pipeline(4, 10)
+    else:
+        with pytest.raises(CheckFailure,
+                           match=r"root-bound pipeline failed for \(m,d\)=\(4,10\)"):
+            verify_upper_bound_pipeline(4, 10)
+
+
+def test_pipeline_rejects_a_failed_quartic_inequality(monkeypatch):
+    monkeypatch.setattr(graeffe, "check_root_bound_inequality", lambda m, d: False)
+    with pytest.raises(CheckFailure, match=FAILED_2_6):
+        verify_upper_bound_pipeline(2, 6)
+
+
+@pytest.mark.parametrize("off,accepted", [(5e-7, True), (2e-6, False)])
+def test_pipeline_consistency_gap(monkeypatch, off, accepted):
+    real = graeffe.lambda2
+    monkeypatch.setattr(graeffe, "lambda2", lambda m, d: real(m, d) + off)
+    if accepted:
+        verify_upper_bound_pipeline(2, 6)
+    else:
+        with pytest.raises(CheckFailure, match=FAILED_2_6):
+            verify_upper_bound_pipeline(2, 6)

@@ -13,6 +13,7 @@ from extremal_trees import (
     partition_rigidity_check,
     rigidity_certificate,
 )
+from extremal_trees import rigidity
 
 from conftest import complete_graph
 
@@ -88,6 +89,30 @@ def test_hypotheses_tightness_pattern():
 
 
 def test_window_failure_raises():
-    # impossible window parameters must fail loudly, not silently pass
-    with pytest.raises((CheckFailure, ParameterDomainError)):
-        mu2_window(1, 5)
+    # d < 6r is outside the family, so it is refused before any eigensolve
+    with pytest.raises(ParameterDomainError):
+        check_spectral_rigidity_hypotheses(1, 5)
+
+
+# The accept set of mu_2 is (relaxed + S, threshold + S] with S = BOUND_SLACK:
+# below it the d+3 relaxation fails, above it condition (1) would hold.
+S = 1e-9
+RELAXED, THRESHOLD = 5 / 9, 5 / 7  # (6r-1)/(d+3) and (6r-1)/(d+1) at (r,d) = (1,6)
+
+
+@pytest.mark.parametrize(
+    "mu2,accepted",
+    [
+        (RELAXED + S / 2, False),
+        (RELAXED + 3 * S, True),
+        (THRESHOLD, True),
+        (THRESHOLD + 3 * S, False),
+    ],
+)
+def test_mu2_accept_set(monkeypatch, mu2, accepted):
+    monkeypatch.setattr(rigidity, "lambda2", lambda m, d, method: d - mu2)
+    if accepted:
+        assert check_spectral_rigidity_hypotheses(1, 6).mu2 == pytest.approx(mu2, abs=1e-14)
+    else:
+        with pytest.raises(CheckFailure):
+            check_spectral_rigidity_hypotheses(1, 6)
