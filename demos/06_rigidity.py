@@ -12,23 +12,17 @@ i.e. mu_2 misses the sufficient threshold but would clear any relaxation of
 it toward (6r-1)/(d+3).
 """
 
-from extremal_trees import (
-    check_spectral_rigidity_hypotheses,
-    mu2_window,
-    rigidity_certificate,
-)
+from extremal_trees import check_spectral_rigidity_hypotheses, rigidity_certificate
 
 for r in (1, 2, 3):
     d = 6 * r
     cert = rigidity_certificate(r, d)
     print(f"r={r}, d={d}: partition certificate crossing={cert.crossing}, "
           f"required={cert.required}, deficit={cert.deficit} = 3r-1")
-    report = mu2_window(r, d)
-    lo, hi = report.window
-    print(f"  mu2 = {report.mu2:.9f} in ({lo:.9f}, {hi:.9f}]")
     hyp = check_spectral_rigidity_hypotheses(r, d)
+    print(f"  mu2 = {hyp.mu2:.9f} in ({hyp.relaxed_threshold:.9f}, {hyp.threshold:.9f}]")
     print(f"  sufficient condition mu2 > {hyp.threshold:.9f} holds: "
-          f"{hyp.condition1_holds} (as it must not)")
+          f"{hyp.mu2 > hyp.threshold} (as it must not)")
     print(f"  relaxed threshold {hyp.relaxed_threshold:.9f} would be cleared: "
-          f"{hyp.relaxed_would_hold}")
+          f"{hyp.mu2 > hyp.relaxed_threshold}")
     print()

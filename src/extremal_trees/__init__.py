@@ -56,7 +56,6 @@ from .polynomials import Poly
 from .rigidity import (
     RigidityCertificate,
     check_spectral_rigidity_hypotheses,
-    mu2_window,
     partition_rigidity_check,
     rigidity_certificate,
 )

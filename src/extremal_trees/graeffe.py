@@ -11,11 +11,14 @@ have the closed form in ``factor_leading_coeffs``, giving the explicit bound
 ``largest_root_bound``.  The quartic inequality in ``check_root_bound_inequality``
 (decided exactly by integer cross-multiplication) then places every bracket
 root, and hence lambda_2 = 2 z_0 - 1, strictly below d - (2m+1)/(d+3).
+
+A float check raises CheckFailure at the comparison that fails, so a returned
+report holds only measured values, never a verdict flag.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -155,37 +158,24 @@ def fn_max_root(n: int, m: int, d: int) -> float:
     return float(np.max(roots.real))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorRow:
     n: int
     max_root: float
     root_bound: float
-    bound_ok: bool
-    window_ok: bool
-
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineReport:
-    """Per-factor root bounds plus the global second-eigenvalue checks."""
+    """Per-factor root bounds plus the global second-eigenvalue measurements."""
 
     m: int
     d: int
     lam2: float
     window: tuple[float, float]
-    rows: list[FactorRow] = field(default_factory=list)
-    bounds_monotone: bool = True
-    quartic_exact_ok: bool | None = None
-    consistency_gap: float = 0.0
-    passed: bool = True
-
-    def to_dict(self) -> dict:
-        out = self.__dict__.copy()
-        out["rows"] = [r.to_dict() for r in self.rows]
-        out["window"] = list(self.window)
-        return out
+    rows: tuple[FactorRow, ...]
+    quartic_exact_ok: bool | None
+    consistency_gap: float
 
 
 def verify_upper_bound_pipeline(m: int, d: int) -> PipelineReport:
@@ -195,38 +185,26 @@ def verify_upper_bound_pipeline(m: int, d: int) -> PipelineReport:
     its Graeffe bound and map below the upper window edge under x = 2z - 1;
     the bounds must be monotone in n; for m >= 2 the exact quartic inequality
     must hold; and lambda_2 from the dense spectrum must equal the largest
-    root image.  Raises CheckFailure on any violation.
+    root image.  Raises CheckFailure at the first violation.
     """
-    k = 2 * m + 1
+    where = f"root-bound pipeline failed for (m,d)=({m},{d})"
     lam2_val = lambda2(m, d)  # raises if the window itself fails
     window = lambda2_window(m, d)
-    report = PipelineReport(m, d, lam2_val, window)
-
-    upper = window[1]
-    prev_bound = None
-    best_image = -np.inf
-    for n in [n for n in divisors(k) if n != 1]:
+    rows: list[FactorRow] = []
+    for n in divisors(2 * m + 1)[1:]:
         z0 = fn_max_root(n, m, d)
         bound = largest_root_bound(n, m, d)
-        bound_ok = z0 <= bound + BOUND_SLACK
-        window_ok = 2 * z0 - 1 < upper + BOUND_SLACK
-        report.rows.append(FactorRow(n, z0, bound, bound_ok, window_ok))
-        if prev_bound is not None and bound < prev_bound - BOUND_SLACK:
-            report.bounds_monotone = False
-        prev_bound = bound
-        best_image = max(best_image, 2 * z0 - 1)
-
-    if m >= 2:
-        report.quartic_exact_ok = check_root_bound_inequality(m, d)
-
-    report.consistency_gap = abs(lam2_val - best_image)
-    report.passed = (
-        all(r.bound_ok and r.window_ok for r in report.rows)
-        and report.bounds_monotone
-        and report.quartic_exact_ok is not False
-        and report.consistency_gap < 1e-6
-    )
-    if not report.passed:
-        raise CheckFailure(f"root-bound pipeline failed for (m,d)=({m},{d}): "
-                           f"{report.to_dict()}")
-    return report
+        if not z0 <= bound + BOUND_SLACK:
+            raise CheckFailure(f"{where}: n={n} root {z0} above its bound {bound}")
+        if not 2 * z0 - 1 < window[1] + BOUND_SLACK:
+            raise CheckFailure(f"{where}: n={n} image {2 * z0 - 1} not below {window[1]}")
+        if rows and bound < rows[-1].root_bound - BOUND_SLACK:
+            raise CheckFailure(f"{where}: n={n} bound {bound} below {rows[-1].root_bound}")
+        rows.append(FactorRow(n, z0, bound))
+    quartic_ok = check_root_bound_inequality(m, d) if m >= 2 else None
+    if quartic_ok is False:
+        raise CheckFailure(f"{where}: the exact quartic inequality fails")
+    gap = abs(lam2_val - max(2 * row.max_root - 1 for row in rows))
+    if not gap < 1e-6:
+        raise CheckFailure(f"{where}: lambda2 {lam2_val} is {gap} from the top root image")
+    return PipelineReport(m, d, lam2_val, window, tuple(rows), quartic_ok, gap)

@@ -16,6 +16,9 @@ subgraphs: the threshold cannot be lowered to (6r-1)/(d+3) or beyond.
 
 The block-circulant spectral route is used for mu_2 (it agrees with the dense
 route to 1e-8; the test suite asserts that equivalence separately).
+
+A float check raises CheckFailure at the comparison that fails, so a returned
+report holds only measured values, never a verdict flag.
 """
 
 from __future__ import annotations
@@ -86,28 +89,7 @@ def rigidity_certificate(r: int, d: int) -> RigidityCertificate:
     return cert
 
 
-@dataclass
-class Mu2Report:
-    r: int
-    d: int
-    mu2: float
-    window: tuple[float, float]
-
-
-def mu2_window(r: int, d: int) -> Mu2Report:
-    """Check (6r-1)/(d+3) < mu_2(G(3r-1,d)) <= (6r-1)/(d+1) within slack."""
-    check_rigidity_params(r, d)
-    m = 3 * r - 1
-    mu2 = d - lambda2(m, d, method="blocks")
-    lo, hi = (6 * r - 1) / (d + 3), (6 * r - 1) / (d + 1)
-    if not lo - BOUND_SLACK < mu2 <= hi + BOUND_SLACK:
-        raise CheckFailure(
-            f"mu2={mu2!r} outside ({lo}, {hi}] for (r,d)=({r},{d})"
-        )
-    return Mu2Report(r, d, mu2, (lo, hi))
-
-
-@dataclass
+@dataclass(frozen=True)
 class HypothesesReport:
     """Condition (1) of the spectral rigidity criterion evaluated on G(3r-1,d).
 
@@ -120,41 +102,38 @@ class HypothesesReport:
     d: int
     mu2: float
     threshold: float
-    condition1_holds: bool
     relaxed_threshold: float
-    relaxed_would_hold: bool
     certificate: RigidityCertificate
 
     def to_dict(self) -> dict:
         """The ``rigidity`` command's JSON: mu2, its (relaxed, threshold]
-        window, the certificate and whether condition (1) holds."""
+        window and the certificate.  A report is returned only when
+        condition (1) fails, so ``condition1_holds`` is always False."""
         return {
             "r": self.r,
             "d": self.d,
             "mu2": self.mu2,
             "window": [self.relaxed_threshold, self.threshold],
             "certificate": self.certificate.to_dict(),
-            "condition1_holds": self.condition1_holds,
+            "condition1_holds": False,
         }
 
 
 def check_spectral_rigidity_hypotheses(r: int, d: int) -> HypothesesReport:
     """Report how G(3r-1,d) sits against the spectral rigidity criterion.
 
-    Asserts that condition (1) fails while its d+3 relaxation holds, and
-    attaches the refuting partition certificate.
+    Checks (6r-1)/(d+3) < mu_2 <= (6r-1)/(d+1) within slack, i.e. condition
+    (1) fails while its d+3 relaxation holds, and attaches the refuting
+    partition certificate.
     """
-    report_mu2 = mu2_window(r, d)
-    mu2 = report_mu2.mu2
-    relaxed, threshold = report_mu2.window
-    cond1 = mu2 > threshold + BOUND_SLACK
-    relaxed_holds = mu2 > relaxed + BOUND_SLACK
-    if cond1 or not relaxed_holds:
+    check_rigidity_params(r, d)
+    mu2 = d - lambda2(3 * r - 1, d, method="blocks")  # raises outside the lambda_2 window
+    relaxed, threshold = (6 * r - 1) / (d + 3), (6 * r - 1) / (d + 1)
+    if not relaxed + BOUND_SLACK < mu2 <= threshold + BOUND_SLACK:
         raise CheckFailure(
-            f"tightness pattern broken for (r,d)=({r},{d}): mu2={mu2!r}, "
-            f"threshold={threshold}, relaxed={relaxed}"
+            f"tightness pattern broken for (r,d)=({r},{d}): mu2={mu2} "
+            f"outside ({relaxed}, {threshold}]"
         )
     return HypothesesReport(
-        r, d, mu2, threshold, cond1, relaxed, relaxed_holds,
-        certificate=rigidity_certificate(r, d),
+        r, d, mu2, threshold, relaxed, certificate=rigidity_certificate(r, d)
     )

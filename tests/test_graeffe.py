@@ -170,7 +170,7 @@ def test_fn_max_root_is_a_root():
 @pytest.mark.parametrize("m,d", [(1, 4), (2, 6), (3, 8)])
 def test_pipeline(m, d):
     report = verify_upper_bound_pipeline(m, d)
-    assert report.passed
+    assert [row.n for row in report.rows] == [n for n in divisors(2 * m + 1) if n != 1]
     assert report.consistency_gap < 1e-6
     lo, hi = lambda2_window(m, d)
     assert lo - 1e-9 <= report.lam2 < hi + 1e-9

@@ -9,7 +9,6 @@ from extremal_trees import (
     clique_partition,
     crossing_edges,
     lambda2,
-    mu2_window,
     partition_rigidity_check,
     rigidity_certificate,
 )
@@ -50,7 +49,7 @@ def test_domain_guard():
     with pytest.raises(ParameterDomainError):
         rigidity_certificate(1, 5)
     with pytest.raises(ParameterDomainError):
-        mu2_window(2, 11)
+        check_spectral_rigidity_hypotheses(2, 11)
 
 
 def test_generic_partition_check():
@@ -69,8 +68,9 @@ def test_generic_partition_check():
 
 @pytest.mark.parametrize("r,d", [(1, 6), (1, 8), (2, 12)])
 def test_mu2_window(r, d):
-    report = mu2_window(r, d)
+    report = check_spectral_rigidity_hypotheses(r, d)
     lo, hi = (6 * r - 1) / (d + 3), (6 * r - 1) / (d + 1)
+    assert (report.relaxed_threshold, report.threshold) == (lo, hi)
     assert lo - 1e-9 < report.mu2 <= hi + 1e-9
 
 
@@ -78,13 +78,14 @@ def test_mu2_window(r, d):
 def test_mu2_lambda2_sum_to_degree(r, d):
     m = 3 * r - 1
     lam2 = lambda2(m, d, method="blocks")
-    assert abs(mu2_window(r, d).mu2 + lam2 - d) < 1e-10
+    assert abs(check_spectral_rigidity_hypotheses(r, d).mu2 + lam2 - d) < 1e-10
 
 
 def test_hypotheses_tightness_pattern():
     report = check_spectral_rigidity_hypotheses(1, 6)
-    assert not report.condition1_holds  # mu2 <= (6r-1)/(d+1): condition (1) fails
-    assert report.relaxed_would_hold  # but mu2 > (6r-1)/(d+3)
+    assert report.mu2 <= report.threshold  # condition (1) fails
+    assert report.mu2 > report.relaxed_threshold  # but its d+3 relaxation holds
+    assert report.to_dict()["condition1_holds"] is False
     assert report.certificate.deficit == 2
 
 
