@@ -48,6 +48,7 @@ from .packing import (
     ForestPacking,
     PartitionCertificate,
     clique_certificate,
+    lift_packing,
     pack_spanning_trees,
     sigma,
     verify_nash_williams,

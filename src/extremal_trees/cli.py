@@ -7,10 +7,12 @@ run, which returns the check's rows.  Its ``charpoly`` check compares the
 closed form with the multi-modular oracle on the built graph's 2m+1
 circulant blocks; ``charpoly --oracle`` runs the same oracle on the whole
 adjacency matrix as one block.  Both refuse n above 300.  Its ``packing``
-check proves sigma = m without a failed search: sigma <= m from the counted
-modified-clique partition (``clique_certificate``), sigma >= m from one
-verified m-packing.  Only when one of the two fails does it search sigma down
-from m+1, as ``pack`` always does.
+check proves sigma = m without a search on the whole graph: sigma <= m from
+the counted modified-clique partition (``clique_certificate``), sigma >= m
+from m trees lifted from packings of one modified clique and of the clique
+quotient K_{2m+1} (``lift_packing``), verified on the whole graph.  Only when
+one of the two fails does it search sigma down from m+1, as ``pack`` always
+does.
 
 Exit codes: 0 all requested work passed, 1 a verification check failed,
 2 usage or parameter-domain error, an ``--out`` path that cannot be written,
@@ -55,13 +57,18 @@ from .graeffe import (
 from .graphs import (
     build_extremal_graph,
     check_family_params,
-    clique_partition,
-    crossing_edges,
+    clique_crossings,
     degrees,
     export,
     is_connected,
 )
-from .packing import ForestPacking, clique_certificate, pack_spanning_trees, sigma
+from .packing import (
+    ForestPacking,
+    clique_certificate,
+    lift_packing,
+    pack_spanning_trees,
+    sigma,
+)
 from .rigidity import check_rigidity_params, check_spectral_rigidity_hypotheses
 from .spectral import family_spectrum, lambda2, lambda2_window
 
@@ -215,7 +222,6 @@ def _rigidity_guard(m: int, d: int) -> str | None:
 def _check_construction(m: int, d: int) -> list[dict]:
     g = build_extremal_graph(m, d)
     degs = degrees(g)
-    parts = clique_partition(g)
     problems = []
     if not (min(degs) == max(degs) == d):
         problems.append("not regular")
@@ -225,7 +231,7 @@ def _check_construction(m: int, d: int) -> list[dict]:
         problems.append("wrong edge count")
     if not is_connected(g):
         problems.append("disconnected")
-    if crossing_edges(g, parts) != m * (2 * m + 1):
+    if clique_crossings(m, d) != m * (2 * m + 1):
         problems.append("wrong cross-edge count")
     return [dict(ok=not problems, detail="; ".join(problems))]
 
@@ -269,12 +275,13 @@ def _check_pipeline(m: int, d: int) -> list[dict]:
 
 def _check_packing(m: int, d: int) -> list[dict]:
     # sigma <= m: the modified cliques cross in m(2m+1) edges, fewer than the
-    # (m+1)(2m) that m+1 trees need.  sigma >= m: pack_spanning_trees verifies
-    # every packing it returns.  Without both proofs the search from m+1 runs,
-    # so a failing row reports the sigma it found.
+    # (m+1)(2m) that m+1 trees need.  sigma >= m: the m trees lifted from one
+    # modified clique and the quotient K_{2m+1}, verified on the whole graph.
+    # Without both proofs the search from m+1 runs, so a failing row reports
+    # the sigma it found.
     g = build_extremal_graph(m, d)
     cert = clique_certificate(m, d)
-    if cert.refutes and isinstance(pack_spanning_trees(g, m), ForestPacking):
+    if cert.refutes and lift_packing(g) is not None:
         value = m
     else:
         value = sigma(g, m + 1)

@@ -137,6 +137,23 @@ def clique_partition(g: Graph) -> Partition:
     return Partition(parts)
 
 
+def clique_crossings(m: int, d: int) -> int:
+    """Edges of G(m,d) between two of its modified cliques, counted once per (m, d).
+
+    The construction check, the packing certificate and the rigidity
+    certificate all read this count; ``crossing_edges`` counts it.
+    """
+    check_family_params(m, d)
+    return _remembered_clique_crossings(m, d)
+
+
+# Like the graph: each check of a `verify` pair reads the count of that pair.
+@lru_cache(maxsize=2)
+def _remembered_clique_crossings(m: int, d: int) -> int:
+    g = _remembered_graph(m, d)
+    return crossing_edges(g, clique_partition(g))
+
+
 def validate_partition(g: Graph, p: Partition) -> None:
     seen: set[int] = set()
     total = 0

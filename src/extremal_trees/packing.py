@@ -17,16 +17,25 @@ crossing edges.  This module realizes both directions constructively:
   the clumps as a blocking partition, verified against the partition
   condition before being returned.
 
+* ``lift_packing`` packs m trees of G(m,d) from two small packings found by
+  ``pack_spanning_trees``: one on H, the modified clique induced on clique 0
+  (d+1 vertices), and one on the clique quotient Q = K_{2m+1}, whose edge
+  between two cliques stands for their one cross edge.  Tree f is the 2m+1
+  copies of H's tree f, one per clique, plus the cross edges of Q's tree f.
+  Both pieces exist: K_{2m+1} has exactly m edge-disjoint spanning trees and
+  H meets the partition condition for m trees when d >= 2m+2 (Nash-Williams
+  1961, Tutte 1961).  The lifted packing is verified on the whole G(m,d).
+
 * ``sigma`` searches down from k_max, jumping from each failed k to the
   bound c // (t-1) < k of its witness (c crossing edges over t parts).  The
   ``pack`` command runs it from m+1; ``verify``'s packing check runs it only
-  as a fallback, when the m-packing or the clique certificate fails.
+  as a fallback, when the lift or the clique certificate fails.
 
 * ``clique_certificate`` instantiates the partition upper bound for G(m,d):
   the modified cliques form a partition with m(2m+1) crossing edges, fewer
   than the (m+1)(2m) that m+1 trees would need, so sigma(G(m,d)) <= m.
   ``verify``'s packing check takes sigma <= m from it and sigma >= m from
-  one verified m-packing, so no failed (m+1)-search runs there.
+  the lifted m-packing, so no search on the whole graph runs there.
 
 Edges are processed lowest index first and the search order is fixed, so
 packings are reproducible.
@@ -42,10 +51,10 @@ from .graphs import (
     Graph,
     Partition,
     build_extremal_graph,
+    clique_crossings,
     clique_partition,
     connected_components,
     crossing_edges,
-    is_connected,
 )
 
 
@@ -85,7 +94,10 @@ class ForestPacking:
 
 def verify_nash_williams(g: Graph, p: Partition, k: int) -> PartitionCertificate:
     """Evaluate the partition condition sum e(V_i, V_j) >= k(t-1) for p."""
-    crossing = crossing_edges(g, p)
+    return _partition_certificate(p, crossing_edges(g, p), k)
+
+
+def _partition_certificate(p: Partition, crossing: int, k: int) -> PartitionCertificate:
     required = k * (len(p) - 1)
     return PartitionCertificate(p, crossing, k, required, required - crossing)
 
@@ -93,7 +105,7 @@ def verify_nash_williams(g: Graph, p: Partition, k: int) -> PartitionCertificate
 def clique_certificate(m: int, d: int) -> PartitionCertificate:
     """The modified-clique partition of G(m,d) against k = m+1 trees; deficit m."""
     g = build_extremal_graph(m, d)
-    return verify_nash_williams(g, clique_partition(g), m + 1)
+    return _partition_certificate(clique_partition(g), clique_crossings(m, d), m + 1)
 
 
 class _Forest:
@@ -298,7 +310,52 @@ def pack_spanning_trees(g: Graph, k: int) -> ForestPacking | PartitionCertificat
     return cert
 
 
+def lift_packing(g: Graph) -> ForestPacking | None:
+    """m edge-disjoint spanning trees of the family graph G(m,d), lifted from
+    packings of its modified clique H and its clique quotient K_{2m+1}.
+
+    Both pieces are read off g and its clique partition.  Returns None when
+    either piece does not pack m trees; a returned packing has passed
+    ``_verify_packing`` on g itself.
+    """
+    parts = [sorted(part) for part in clique_partition(g).parts]
+    m = g.params[0]
+    clique_of, slot_of = [0] * g.n, [0] * g.n
+    for i, part in enumerate(parts):
+        for a, v in enumerate(part):
+            clique_of[v], slot_of[v] = i, a
+    h_edges: list[tuple[int, int]] = []  # clique 0, in slots
+    cross: dict[tuple[int, int], tuple[int, int]] = {}  # clique pair -> its cross edge
+    for u, v in g.edges():
+        i, j = clique_of[u], clique_of[v]
+        if i != j:
+            cross[min(i, j), max(i, j)] = (u, v)
+        elif i == 0:
+            h_edges.append((slot_of[u], slot_of[v]))
+    h_trees = pack_spanning_trees(Graph.from_edges(len(parts[0]), h_edges), m)
+    if not isinstance(h_trees, ForestPacking):
+        return None
+    q_trees = pack_spanning_trees(Graph.from_edges(len(parts), cross), m)
+    if not isinstance(q_trees, ForestPacking):
+        return None
+    packing = ForestPacking(tuple(
+        frozenset(
+            [(part[a], part[b]) for part in parts for a, b in h_tree]
+            + [cross[pair] for pair in q_tree]
+        )
+        for h_tree, q_tree in zip(h_trees.trees, q_trees.trees)
+    ))
+    _verify_packing(g, packing)
+    return packing
+
+
 def _verify_packing(g: Graph, packing: ForestPacking) -> None:
+    """Raise ConsistencyError unless the trees are pairwise edge-disjoint
+    spanning trees of g, each edge written (u, v) with u < v.
+
+    n-1 edges of g of which none joins two already connected vertices form
+    a spanning tree.
+    """
     seen: set[tuple[int, int]] = set()
     for tree in packing.trees:
         if len(tree) != g.n - 1:
@@ -306,11 +363,15 @@ def _verify_packing(g: Graph, packing: ForestPacking) -> None:
         if tree & seen:
             raise ConsistencyError("trees share an edge")
         seen |= tree
+        components = _UnionFind(g.n)
+        find, parent = components.find, components.parent
         for u, v in tree:
-            if not g.has_edge(u, v):
-                raise ConsistencyError(f"tree edge ({u},{v}) is not in the graph")
-        if not is_connected(Graph.from_edges(g.n, tree)):
-            raise ConsistencyError("tree does not span")
+            if not (0 <= u < v < g.n and g.has_edge(u, v)):
+                raise ConsistencyError(f"tree edge ({u},{v}) is not an edge (u < v) of the graph")
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                raise ConsistencyError(f"tree edge ({u},{v}) closes a cycle")
+            parent[rv] = ru
 
 
 def sigma(g: Graph, k_max: int) -> int:

@@ -30,6 +30,7 @@ from .graphs import (
     Graph,
     Partition,
     build_extremal_graph,
+    clique_crossings,
     clique_partition,
     crossing_edges,
 )
@@ -66,8 +67,11 @@ class RigidityCertificate:
 
 def partition_rigidity_check(g: Graph, p: Partition, r: int, ell: int) -> RigidityCertificate:
     """Evaluate e(pi) >= (3r+ell)(|pi|-1) - rt for an arbitrary partition."""
+    return _rigidity_certificate(p, crossing_edges(g, p), r, ell)
+
+
+def _rigidity_certificate(p: Partition, crossing: int, r: int, ell: int) -> RigidityCertificate:
     trivial = sum(1 for part in p.parts if len(part) == 1)
-    crossing = crossing_edges(g, p)
     required = (3 * r + ell) * (len(p) - 1) - r * trivial
     return RigidityCertificate(r, ell, p, trivial, crossing, required, required - crossing)
 
@@ -82,9 +86,10 @@ def check_rigidity_params(r: int, d: int) -> None:
 def rigidity_certificate(r: int, d: int) -> RigidityCertificate:
     """Clique-partition certificate for G(3r-1, d): deficit exactly 3r-1 > 0."""
     check_rigidity_params(r, d)
-    g = build_extremal_graph(3 * r - 1, d)
-    cert = partition_rigidity_check(g, clique_partition(g), r, 0)
-    if cert.deficit != 3 * r - 1:
+    m = 3 * r - 1
+    cert = _rigidity_certificate(clique_partition(build_extremal_graph(m, d)),
+                                 clique_crossings(m, d), r, 0)
+    if cert.deficit != m:
         raise ConsistencyError("certificate deficit left its closed form")
     return cert
 

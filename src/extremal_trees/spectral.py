@@ -168,6 +168,6 @@ def lambda2(m: int, d: int, method: str = "dense") -> float:
     lo, hi = lambda2_window(m, d)
     if not (lo - BOUND_SLACK <= lam2_ < hi + BOUND_SLACK):
         raise CheckFailure(
-            f"lambda2={lam2_!r} outside [{lo}, {hi}) for (m,d)=({m},{d})"
+            f"lambda2={lam2_} outside [{lo}, {hi}) for (m,d)=({m},{d})"
         )
     return lam2_

@@ -19,14 +19,14 @@ CROSS_CHECK_CASES = [(1, 4), (1, 5), (2, 6), (2, 7), (3, 8)]
 
 @pytest.fixture
 def pack_calls(monkeypatch):
-    """The k of every pack_spanning_trees call made from here on."""
-    ks = []
+    """(g.n, k) of every pack_spanning_trees call made from here on."""
+    calls = []
     real = packing.pack_spanning_trees
 
     def counted(g, k):
-        ks.append(k)
+        calls.append((g.n, k))
         return real(g, k)
 
     monkeypatch.setattr(packing, "pack_spanning_trees", counted)
     monkeypatch.setattr(cli, "pack_spanning_trees", counted)
-    return ks
+    return calls

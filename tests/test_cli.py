@@ -6,18 +6,30 @@ import sys
 import numpy as np
 import pytest
 
-from extremal_trees import ConsistencyError, SolverConvergenceError, cli, graphs, packing, spectral
+from extremal_trees import (
+    ConsistencyError,
+    SolverConvergenceError,
+    cli,
+    graphs,
+    packing,
+    rigidity,
+    spectral,
+)
 from extremal_trees.cli import main
+
+from conftest import DESK_SWEEP
 
 
 @pytest.fixture
 def fresh_memos():
-    """Forget the graphs and spectra remembered by earlier calls."""
-    graphs._remembered_graph.cache_clear()
-    spectral._remembered_spectrum.cache_clear()
+    """Forget the graphs, crossing counts and spectra remembered by earlier calls."""
+    memos = (graphs._remembered_graph, graphs._remembered_clique_crossings,
+             spectral._remembered_spectrum)
+    for memo in memos:
+        memo.cache_clear()
     yield
-    graphs._remembered_graph.cache_clear()
-    spectral._remembered_spectrum.cache_clear()
+    for memo in memos:
+        memo.cache_clear()
 
 
 @pytest.fixture
@@ -316,7 +328,7 @@ def test_pack_searches_sigma_down_from_m_plus_1(capsys, pack_calls):
     code, out, _ = run_cli("pack", "3", "8", capsys=capsys)
     assert code == 0
     assert json.loads(out)["sigma"] == 3
-    assert pack_calls == [4, 3]
+    assert pack_calls == [(63, 4), (63, 3)]
 
 
 def test_pack_explicit_k_failure(capsys):
@@ -424,8 +436,31 @@ def test_verify_packing_proves_sigma_without_a_search(capsys, pack_calls, sigma_
     code, rows = verify_packing(capsys, "3", "8")
     assert code == 0
     assert rows == [(3, 8, True, "sigma=3 certificate_deficit=3")]
-    assert pack_calls == [3]
+    # one modified clique (d+1 = 9 vertices) and the quotient K_7, never G(3,8)
+    assert pack_calls == [(9, 3), (7, 3)]
     assert sigma_calls == []
+
+
+def test_verify_packing_lifts_every_desk_pair(capsys, pack_calls, sigma_calls):
+    code, rows = verify_packing(capsys, "1..5", "auto")
+    assert code == 0
+    assert [(m, d) for m, d, _, _ in rows] == DESK_SWEEP
+    assert pack_calls == [call for m, d in DESK_SWEEP for call in ((d + 1, m), (2 * m + 1, m))]
+    assert sigma_calls == []
+
+
+@pytest.mark.parametrize("piece_n", [9, 7], ids=["clique", "quotient"])
+def test_verify_packing_searches_when_a_piece_fails(monkeypatch, capsys, sigma_calls, piece_n):
+    real = packing.pack_spanning_trees
+
+    def failing_piece(g, k):
+        return packing.clique_certificate(3, 8) if g.n == piece_n else real(g, k)
+
+    monkeypatch.setattr(packing, "pack_spanning_trees", failing_piece)
+    code, rows = verify_packing(capsys, "3", "8")
+    assert sigma_calls == [(4, 3)]
+    assert code == 0
+    assert rows == [(3, 8, True, "sigma=3 certificate_deficit=3")]
 
 
 def test_verify_packing_searches_when_the_m_packing_fails(monkeypatch, capsys, sigma_calls):
@@ -453,6 +488,25 @@ def test_verify_packing_searches_when_the_certificate_does_not_refute(
     assert sigma_calls == [(4, 3)]
     assert code == 1
     assert rows == [(3, 8, False, "sigma=3 certificate_deficit=0")]
+
+
+def test_clique_crossings_counted_once_per_pair(monkeypatch, capsys, fresh_memos):
+    # construction, the packing certificate and the rigidity certificate all
+    # read the one count of G(2,12)'s clique crossing edges
+    calls = []
+    real = graphs.crossing_edges
+
+    def counted(g, p):
+        calls.append(g.params)
+        return real(g, p)
+
+    for module in (graphs, packing, rigidity):
+        monkeypatch.setattr(module, "crossing_edges", counted)
+    code, out, _ = run_cli("verify", "--m", "2", "--d", "12", "--checks",
+                           "construction,packing,rigidity", capsys=capsys)
+    assert code == 0
+    assert [r["ok"] for r in json.loads(out)["results"]] == [True, True, True]
+    assert calls == [(2, 12)]
 
 
 def test_verify_packing_sweep_rows(capsys):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extremal_trees import (
+    ConsistencyError,
     ForestPacking,
     Graph,
     ParameterDomainError,
@@ -20,13 +21,15 @@ from extremal_trees import (
     clique_certificate,
     clique_partition,
     crossing_edges,
+    lift_packing,
     pack_spanning_trees,
+    packing,
     sigma,
     verify_nash_williams,
 )
 from extremal_trees.packing import _Forest
 
-from conftest import complete_graph, path_graph
+from conftest import CROSS_CHECK_CASES, complete_graph, path_graph
 
 # deterministic, so tier-1 runs the same examples every time
 PROPERTY = settings(deadline=None, derandomize=True)
@@ -124,7 +127,8 @@ def test_sigma_values():
 def test_sigma_of_extremal_graph_takes_two_packings(pack_calls, m, d):
     # m+1 fails with a witness whose bound is exactly m, and m packs
     assert sigma(build_extremal_graph(m, d), m + 1) == m
-    assert pack_calls == [m + 1, m]
+    n = (2 * m + 1) * (d + 1)
+    assert pack_calls == [(n, m + 1), (n, m)]
 
 
 # A search that expands every labelled edge, free edges included, climbs
@@ -253,6 +257,66 @@ def test_verify_packing_rejects_duplicate_tree_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ConsistencyError: trees share an edge"
+
+
+def test_verify_packing_rejects_a_non_tree_under_optimize():
+    # each tree has n-1 = 3 edges; the graph is K_4 minus (2,3)
+    code = textwrap.dedent("""
+        from extremal_trees import ConsistencyError, ForestPacking, Graph
+        from extremal_trees.packing import _verify_packing
+        g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+        for tree in [
+            {(0, 1), (1, 2), (0, 2)},  # a cycle, and vertex 3 hangs loose
+            {(0, 1), (1, 2), (2, 3)},  # (2,3) is not in g
+            {(0, 1), (2, 1), (1, 3)},  # (v, u) could hide a second use of (u, v)
+            {(0, 1), (1, 2), (-1, 0)},
+        ]:
+            try:
+                _verify_packing(g, ForestPacking((frozenset(tree),)))
+            except ConsistencyError as exc:
+                print(exc)
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env={"PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4
+    assert lines[0].endswith("closes a cycle")
+    assert lines[1:] == [f"tree edge {edge} is not an edge (u < v) of the graph"
+                         for edge in ("(2,3)", "(2,1)", "(-1,0)")]
+
+
+@pytest.mark.parametrize("m,d", CROSS_CHECK_CASES + [(4, 22), (5, 13)])
+def test_lift_packing_packs_m_spanning_trees(m, d):
+    g = build_extremal_graph(m, d)
+    lifted = lift_packing(g)
+    check_packing_independently(g, lifted, m)
+    # every tree has d edges inside each clique, so its other 2m edges cross
+    for tree in lifted.trees:
+        inside = [sum(1 for u, v in tree if u in part and v in part)
+                  for part in clique_partition(g).parts]
+        assert inside == [d] * (2 * m + 1)
+
+
+def test_lift_packing_needs_a_family_graph():
+    with pytest.raises(ValueError):
+        lift_packing(complete_graph(6))
+
+
+def test_lift_packing_verifies_the_lift_on_the_whole_graph(monkeypatch):
+    # a quotient packing whose two trees coincide lifts to trees that share edges
+    real = packing.pack_spanning_trees
+
+    def doubled(h, k):
+        result = real(h, k)
+        return ForestPacking((result.trees[0],) * k) if h.n == 5 else result
+
+    monkeypatch.setattr(packing, "pack_spanning_trees", doubled)
+    with pytest.raises(ConsistencyError, match="trees share an edge"):
+        lift_packing(build_extremal_graph(2, 6))
 
 
 def set_partitions(n: int):

@@ -15,6 +15,7 @@ from extremal_trees import (
     hermitian_block,
     lambda2,
     lambda2_window,
+    spectral,
     symmetric_eigenvalues,
 )
 from extremal_trees.charpoly import divisors, euler_phi
@@ -172,3 +173,14 @@ def test_window_violation_raises():
     # sanity check of the failure path: an impossible window must raise
     with pytest.raises((CheckFailure, ParameterDomainError)):
         lambda2(1, 3)
+
+
+def test_window_failure_message_prints_the_plain_number(monkeypatch):
+    # the spectrum holds np.float64 values, whose repr is np.float64(...)
+    monkeypatch.setattr(spectral, "lambda2_window", lambda m, d: (0.0, 1.0))
+    with pytest.raises(CheckFailure) as exc:
+        lambda2(2, 6)
+    message = str(exc.value)
+    assert "np.float64(" not in message
+    assert message.startswith("lambda2=5.42141855613")
+    assert message.endswith("outside [0.0, 1.0) for (m,d)=(2,6)")
