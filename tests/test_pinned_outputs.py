@@ -1,11 +1,11 @@
 """Outputs of the packing and rigidity layers, pinned byte for byte.
 
-The JSON of four ``pack`` and two ``rigidity`` commands, and two SHA-256
-digests over packings, witnesses and sigma: one of 305 graphs with n <= 15,
-one of 70 clustered graphs with n in 16..32, where failed searches build large
-saturated clumps.  Any change to the
-union-find, tree extraction, spanning check or partition validation behind
-them that alters a packing, a witness or a certificate shows up here.
+The JSON of four ``pack`` and two ``rigidity`` commands (the rigidity
+certificate as exact text), and two SHA-256 digests over packings, witnesses
+and sigma: one of 305 graphs with n <= 15, one of 70 clustered graphs with n
+in 16..32, where failed searches build large saturated clumps.  Any change to
+the union-find, tree extraction, spanning check or partition validation
+behind them that alters a packing, a witness or a certificate shows up here.
 """
 
 import hashlib
@@ -69,6 +69,16 @@ def test_rigidity_output_pinned(capsys, r, d, mu2, window, certificate):
     assert data["condition1_holds"] is False
     assert data["mu2"] == pytest.approx(mu2, abs=1e-12)
     assert data["window"] == pytest.approx(window, abs=1e-12)
+
+
+@pytest.mark.parametrize("r,d,mu2,window,certificate", RIGIDITY_OUTPUTS)
+def test_rigidity_certificate_text_pinned(capsys, r, d, mu2, window, certificate):
+    # the exact text, so a renamed or reordered key shows up as well; the
+    # literals above list the keys in the order the command writes them
+    assert main(["rigidity", str(r), str(d)]) == 0
+    out = capsys.readouterr().out
+    start = out.index('"certificate": ') + len('"certificate": ')
+    assert out[start:out.index(', "condition1_holds": ')] == json.dumps(certificate)
 
 
 def packing_graphs():
