@@ -50,16 +50,12 @@ from .packing import (
     clique_certificate,
     lift_packing,
     pack_spanning_trees,
+    partition_certificate,
     sigma,
     verify_nash_williams,
 )
 from .polynomials import Poly
-from .rigidity import (
-    RigidityCertificate,
-    check_spectral_rigidity_hypotheses,
-    partition_rigidity_check,
-    rigidity_certificate,
-)
+from .rigidity import check_spectral_rigidity_hypotheses, rigidity_certificate
 from .spectral import (
     Spectrum,
     assemble_block_circulant,

@@ -69,7 +69,7 @@ from .packing import (
     pack_spanning_trees,
     sigma,
 )
-from .rigidity import check_rigidity_params, check_spectral_rigidity_hypotheses
+from .rigidity import check_spectral_rigidity_hypotheses
 from .spectral import family_spectrum, lambda2, lambda2_window
 
 EIGEN_SIZE_GUARD = 600
@@ -106,7 +106,8 @@ def cmd_build(args) -> int:
 
 
 def _refuse_above(guard, m: int, d: int) -> None:
-    """Raise SizeGuardError with the guard's reason before any graph is built."""
+    """Before any graph is built, raise ParameterDomainError outside the
+    family's domain and SizeGuardError with the guard's reason above it."""
     check_family_params(m, d)
     reason = guard(m, d)
     if reason is not None:
@@ -154,7 +155,6 @@ def cmd_pack(args) -> int:
 
 
 def cmd_rigidity(args) -> int:
-    check_rigidity_params(args.r, args.d)
     _refuse_above(_eigen_guard, 3 * args.r - 1, args.d)
     report = check_spectral_rigidity_hypotheses(args.r, args.d)
     _write_output(json.dumps(report.to_dict()), args.out)

@@ -1,8 +1,12 @@
 """Edge-disjoint spanning tree packing and partition certificates.
 
-The packing number sigma(G) is characterized by the partition condition:
-sigma(G) >= k iff every partition of V(G) into t parts has at least k(t-1)
-crossing edges.  This module realizes both directions constructively:
+A graph with r spanning rigid subgraphs and k spanning trees, all
+edge-disjoint, has e(pi) >= (3r+k)(t-1) - rs crossing edges for every
+partition pi into t parts, s of them singletons; ``partition_certificate``
+evaluates this for one partition.  At r = 0 the condition is also sufficient
+(Nash-Williams 1961, Tutte 1961): sigma(G) >= k iff every partition has at
+least k(t-1) crossing edges.  This module realizes both directions of that
+constructively:
 
 * ``pack_spanning_trees`` runs matroid-union augmentation over k graphic
   matroids (Edmonds 1965), inserting edges one at a time into k
@@ -60,13 +64,16 @@ from .graphs import (
 
 @dataclass(frozen=True)
 class PartitionCertificate:
-    """Partition evidence for the packing bound; deficit > 0 refutes sigma >= k."""
+    """Partition evidence against r spanning rigid subgraphs plus k spanning
+    trees; deficit > 0 refutes them (at r = 0: refutes sigma >= k)."""
 
     partition: Partition
     crossing: int
     k: int
     required: int
     deficit: int
+    r: int
+    trivial_count: int  # the singleton parts
 
     @property
     def refutes(self) -> bool:
@@ -92,20 +99,22 @@ class ForestPacking:
         return {"trees": [sorted(t) for t in self.trees]}
 
 
+def partition_certificate(p: Partition, crossing: int, k: int, r: int = 0) -> PartitionCertificate:
+    """Evaluate e(pi) >= (3r+k)(t-1) - rs for p, given its crossing count."""
+    trivial = sum(1 for part in p.parts if len(part) == 1)
+    required = (3 * r + k) * (len(p) - 1) - r * trivial
+    return PartitionCertificate(p, crossing, k, required, required - crossing, r, trivial)
+
+
 def verify_nash_williams(g: Graph, p: Partition, k: int) -> PartitionCertificate:
     """Evaluate the partition condition sum e(V_i, V_j) >= k(t-1) for p."""
-    return _partition_certificate(p, crossing_edges(g, p), k)
-
-
-def _partition_certificate(p: Partition, crossing: int, k: int) -> PartitionCertificate:
-    required = k * (len(p) - 1)
-    return PartitionCertificate(p, crossing, k, required, required - crossing)
+    return partition_certificate(p, crossing_edges(g, p), k)
 
 
 def clique_certificate(m: int, d: int) -> PartitionCertificate:
     """The modified-clique partition of G(m,d) against k = m+1 trees; deficit m."""
     g = build_extremal_graph(m, d)
-    return _partition_certificate(clique_partition(g), clique_crossings(m, d), m + 1)
+    return partition_certificate(clique_partition(g), clique_crossings(m, d), m + 1)
 
 
 class _Forest:
@@ -267,10 +276,13 @@ def pack_spanning_trees(g: Graph, k: int) -> ForestPacking | PartitionCertificat
     The failure witness is a partition pi with fewer than k(|pi|-1) crossing
     edges; it is re-verified against the partition condition before being
     returned.  Disconnected inputs fail immediately with their component
-    partition.
+    partition.  An empty graph, whose one partition has no parts and would
+    need -k crossing edges, is refused.
     """
     if k < 1:
         raise ParameterDomainError(f"need k >= 1, got k={k}")
+    if g.n == 0:
+        raise ParameterDomainError("need a graph with at least one vertex, got n=0")
     comps = connected_components(g)
     if len(comps) > 1:
         cert = verify_nash_williams(g, Partition(tuple(comps)), k)

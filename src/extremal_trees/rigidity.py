@@ -1,13 +1,15 @@
-"""Partition certificates against spanning rigid subgraph packings, and the
+"""The partition certificate against spanning rigid subgraph packings, and the
 algebraic-connectivity window that makes the spectral sufficient condition tight.
 
 A graph containing r spanning rigid subgraphs and ell spanning trees, all
-mutually edge-disjoint, must satisfy, for every vertex partition pi with t
-singleton parts,
+mutually edge-disjoint, must satisfy, for every vertex partition pi into t
+parts of which s are singletons,
 
-    e(pi) >= (3r + ell)(|pi| - 1) - r t.
+    e(pi) >= (3r + ell)(t - 1) - r s,
 
-For G(3r-1, d) the modified-clique partition (no singletons, ell = 0) has
+which ``packing.partition_certificate`` evaluates with k = ell.  The domain
+r >= 1, d >= 6r is the family domain of G(3r-1, d), d >= 2m+2 >= 4.  For
+G(3r-1, d) the modified-clique partition (no singletons, ell = 0) has
 (3r-1)(6r-1) crossing edges against a requirement of 3r(6r-2): a deficit of
 3r-1, so fewer than r edge-disjoint spanning rigid subgraphs exist.  At the
 same time mu_2 = d - lambda_2 sits in ((6r-1)/(d+3), (6r-1)/(d+1)], i.e. just
@@ -25,70 +27,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CheckFailure, ConsistencyError, ParameterDomainError
-from .graphs import (
-    Graph,
-    Partition,
-    build_extremal_graph,
-    clique_crossings,
-    clique_partition,
-    crossing_edges,
-)
+from .errors import CheckFailure, ConsistencyError
+from .graphs import build_extremal_graph, check_family_params, clique_crossings, clique_partition
+from .packing import PartitionCertificate, partition_certificate
 from .spectral import BOUND_SLACK, lambda2
 
 
-@dataclass(frozen=True)
-class RigidityCertificate:
-    """Partition evidence: deficit > 0 rules out r rigid subgraphs + ell trees."""
-
-    r: int
-    ell: int
-    partition: Partition
-    trivial_count: int
-    crossing: int
-    required: int
-    deficit: int
-
-    @property
-    def refutes(self) -> bool:
-        return self.deficit > 0
-
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "ell": self.ell,
-            "parts": [sorted(p) for p in self.partition.parts],
-            "trivial_parts": self.trivial_count,
-            "crossing": self.crossing,
-            "required": self.required,
-            "deficit": self.deficit,
-        }
-
-
-def partition_rigidity_check(g: Graph, p: Partition, r: int, ell: int) -> RigidityCertificate:
-    """Evaluate e(pi) >= (3r+ell)(|pi|-1) - rt for an arbitrary partition."""
-    return _rigidity_certificate(p, crossing_edges(g, p), r, ell)
-
-
-def _rigidity_certificate(p: Partition, crossing: int, r: int, ell: int) -> RigidityCertificate:
-    trivial = sum(1 for part in p.parts if len(part) == 1)
-    required = (3 * r + ell) * (len(p) - 1) - r * trivial
-    return RigidityCertificate(r, ell, p, trivial, crossing, required, required - crossing)
-
-
-def check_rigidity_params(r: int, d: int) -> None:
-    if r < 1 or d < 6 * r:
-        raise ParameterDomainError(
-            f"rigidity family needs minimum degree d >= 6r; got r={r}, d={d}"
-        )
-
-
-def rigidity_certificate(r: int, d: int) -> RigidityCertificate:
-    """Clique-partition certificate for G(3r-1, d): deficit exactly 3r-1 > 0."""
-    check_rigidity_params(r, d)
-    m = 3 * r - 1
-    cert = _rigidity_certificate(clique_partition(build_extremal_graph(m, d)),
-                                 clique_crossings(m, d), r, 0)
+def rigidity_certificate(r: int, d: int) -> PartitionCertificate:
+    """Clique-partition certificate for G(3r-1, d) against r rigid subgraphs:
+    deficit exactly 3r-1 > 0."""
+    m = 3 * r - 1  # build_extremal_graph refuses a pair outside the domain
+    cert = partition_certificate(clique_partition(build_extremal_graph(m, d)),
+                                 clique_crossings(m, d), 0, r)
     if cert.deficit != m:
         raise ConsistencyError("certificate deficit left its closed form")
     return cert
@@ -108,18 +58,28 @@ class HypothesesReport:
     mu2: float
     threshold: float
     relaxed_threshold: float
-    certificate: RigidityCertificate
+    certificate: PartitionCertificate
 
     def to_dict(self) -> dict:
         """The ``rigidity`` command's JSON: mu2, its (relaxed, threshold]
-        window and the certificate.  A report is returned only when
-        condition (1) fails, so ``condition1_holds`` is always False."""
+        window and the certificate, with its tree count k as ell.  A report
+        is returned only when condition (1) fails, so ``condition1_holds`` is
+        always False."""
+        cert = self.certificate
         return {
             "r": self.r,
             "d": self.d,
             "mu2": self.mu2,
             "window": [self.relaxed_threshold, self.threshold],
-            "certificate": self.certificate.to_dict(),
+            "certificate": {
+                "r": cert.r,
+                "ell": cert.k,
+                "parts": [sorted(p) for p in cert.partition.parts],
+                "trivial_parts": cert.trivial_count,
+                "crossing": cert.crossing,
+                "required": cert.required,
+                "deficit": cert.deficit,
+            },
             "condition1_holds": False,
         }
 
@@ -131,7 +91,7 @@ def check_spectral_rigidity_hypotheses(r: int, d: int) -> HypothesesReport:
     (1) fails while its d+3 relaxation holds, and attaches the refuting
     partition certificate.
     """
-    check_rigidity_params(r, d)
+    check_family_params(3 * r - 1, d)
     mu2 = d - lambda2(3 * r - 1, d, method="blocks")  # raises outside the lambda_2 window
     relaxed, threshold = (6 * r - 1) / (d + 3), (6 * r - 1) / (d + 1)
     if not relaxed + BOUND_SLACK < mu2 <= threshold + BOUND_SLACK:

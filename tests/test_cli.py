@@ -12,7 +12,6 @@ from extremal_trees import (
     cli,
     graphs,
     packing,
-    rigidity,
     spectral,
 )
 from extremal_trees.cli import main
@@ -364,8 +363,12 @@ def test_rigidity_command(capsys):
 
 
 def test_rigidity_domain_error(capsys):
-    code, _, _ = run_cli("rigidity", "1", "5", capsys=capsys)
-    assert code == 2
+    # r >= 1 and d >= 6r is the family domain of G(3r-1, d)
+    for r, m in [("1", 2), ("0", -1)]:
+        code, out, err = run_cli("rigidity", r, "5", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: family requires d >= 2m+2 >= 4; got m={m}, d=5\n"
 
 
 def test_rigidity_refuses_pair_above_eigensolver_guard(capsys, built_graphs):
@@ -500,7 +503,7 @@ def test_clique_crossings_counted_once_per_pair(monkeypatch, capsys, fresh_memos
         calls.append(g.params)
         return real(g, p)
 
-    for module in (graphs, packing, rigidity):
+    for module in (graphs, packing):
         monkeypatch.setattr(module, "crossing_edges", counted)
     code, out, _ = run_cli("verify", "--m", "2", "--d", "12", "--checks",
                            "construction,packing,rigidity", capsys=capsys)

@@ -24,6 +24,7 @@ from extremal_trees import (
     lift_packing,
     pack_spanning_trees,
     packing,
+    partition_certificate,
     sigma,
     verify_nash_williams,
 )
@@ -228,6 +229,18 @@ def test_k_must_be_positive():
         pack_spanning_trees(complete_graph(3), 0)
 
 
+# The empty graph's only partition has no parts and would need -k crossing
+# edges, so it is refused as input rather than blamed on the search.
+def test_pack_refuses_the_empty_graph():
+    with pytest.raises(ParameterDomainError, match="n=0"):
+        pack_spanning_trees(Graph.from_edges(0, []), 1)
+
+
+def test_sigma_refuses_the_empty_graph():
+    with pytest.raises(ParameterDomainError, match="n=0"):
+        sigma(Graph.from_edges(0, []), 2)
+
+
 def test_serialization():
     packing = pack_spanning_trees(complete_graph(4), 2)
     data = packing.to_dict()
@@ -371,6 +384,32 @@ def test_sigma_matches_ascending_reference(g, k_max):
     packs = [k for k in range(1, k_max + 1)
              if isinstance(pack_spanning_trees(g, k), ForestPacking)]
     assert sigma(g, k_max) == max(packs, default=0)
+
+
+@PROPERTY
+@given(small_graphs(max_n=8).flatmap(lambda g: st.tuples(
+    st.just(g),
+    st.lists(st.integers(0, g.n - 1), min_size=g.n, max_size=g.n),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2),
+)))
+def test_partition_certificate_matches_its_formula(case):
+    # one builder for k trees plus r rigid subgraphs: (3r+k)(t-1) - rs
+    g, labels, k, r = case
+    groups: dict[int, set[int]] = {}
+    for v, label in enumerate(labels):
+        groups.setdefault(label, set()).add(v)
+    p = Partition(tuple(frozenset(grp) for grp in groups.values()))
+    cert = partition_certificate(p, crossing_edges(g, p), k, r)
+    t, s = len(groups), sum(len(grp) == 1 for grp in groups.values())
+    assert (cert.k, cert.r, cert.trivial_count) == (k, r, s)
+    assert cert.required == (3 * r + k) * (t - 1) - r * s
+    assert cert.crossing == sum(labels[u] != labels[v] and g.has_edge(u, v)
+                                for u, v in itertools.combinations(range(g.n), 2))
+    assert cert.deficit == cert.required - cert.crossing
+    assert cert.refutes == (cert.deficit > 0)
+    if r == 0:
+        assert vars(cert) == vars(verify_nash_williams(g, p, k))
 
 
 def bfs_path(adj: dict[int, dict[int, int]], u: int, v: int):

@@ -9,7 +9,7 @@ from extremal_trees import (
     clique_partition,
     crossing_edges,
     lambda2,
-    partition_rigidity_check,
+    partition_certificate,
     rigidity_certificate,
 )
 from extremal_trees import rigidity
@@ -26,7 +26,7 @@ def test_certificate_values(r, crossing, required, deficit):
     assert cert.crossing == crossing
     assert cert.required == required
     assert cert.deficit == deficit
-    assert cert.trivial_count == 0 and cert.ell == 0
+    assert cert.trivial_count == 0 and cert.k == 0
     assert cert.refutes
 
 
@@ -53,16 +53,17 @@ def test_domain_guard():
 
 
 def test_generic_partition_check():
+    # the only fixed case of the -r*s term: six singletons against one rigid subgraph
     g = complete_graph(6)
     singletons = Partition(tuple(frozenset({v}) for v in range(6)))
-    cert = partition_rigidity_check(g, singletons, r=1, ell=0)
+    cert = partition_certificate(singletons, crossing_edges(g, singletons), k=0, r=1)
     assert cert.trivial_count == 6
     assert cert.required == 3 * 5 - 6
     assert cert.crossing == 15
     assert not cert.refutes
 
     one_part = Partition((frozenset(range(6)),))
-    cert = partition_rigidity_check(g, one_part, r=2, ell=1)
+    cert = partition_certificate(one_part, crossing_edges(g, one_part), k=1, r=2)
     assert cert.required == 0 and cert.crossing == 0
 
 
