@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -107,6 +108,29 @@ def test_block_circulant_matches_dense_full_sweep():
         dense = np.array(eigenvalues_dense(build_extremal_graph(m, d)).values)
         blocks = np.array(eigenvalues_block_circulant(m, d).values)
         assert np.max(np.abs(dense - blocks)) < 1e-8, (m, d)
+
+
+def _per_root_block_spectrum(m, d):
+    """The block spectrum route one root at a time: for each zeta_t, t = 1..2m+1,
+    H_t = sum_i zeta_t^i b_i accumulated in the order i = 0..2m and solved on
+    its own; the union sorted descending by Python."""
+    k = 2 * m + 1
+    values = []
+    for t in range(1, k + 1):
+        zeta = complex(math.cos(2 * math.pi * t / k), math.sin(2 * math.pi * t / k))
+        h = np.zeros((d + 1, d + 1), dtype=complex)
+        for i, b in enumerate(blocks_of(m, d)):
+            h += (zeta**i) * b
+        values.extend(symmetric_eigenvalues(h).tolist())
+    values.sort(reverse=True)
+    return values
+
+
+def test_block_spectrum_equals_the_per_root_route_exactly():
+    from conftest import DESK_SWEEP
+
+    for m, d in [*DESK_SWEEP, (5, 43), (8, 20)]:
+        assert list(eigenvalues_block_circulant(m, d).values) == _per_root_block_spectrum(m, d), (m, d)
 
 
 def test_lambda2_window_beyond_desk_scale():
