@@ -57,12 +57,11 @@ from .packing import (
 from .polynomials import Poly
 from .rigidity import check_spectral_rigidity_hypotheses, rigidity_certificate
 from .spectral import (
-    Spectrum,
     assemble_block_circulant,
     blocks_of,
     eigenvalues_block_circulant,
     eigenvalues_dense,
-    hermitian_block,
+    hermitian_blocks,
     lambda2,
     lambda2_window,
     symmetric_eigenvalues,

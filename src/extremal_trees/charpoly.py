@@ -145,10 +145,10 @@ def char_poly_oracle(g: Graph, k: int = 1) -> Poly:
         raise SizeGuardError(f"oracle limited to {ORACLE_SIZE_GUARD} vertices (got {n})")
     s = n // k
     a = g.adjacency_matrix()
-    blocks = [a[:s, i * s:(i + 1) * s] for i in range(k)]
+    blocks = a[:s].reshape(s, k, s).swapaxes(0, 1)
     if not np.array_equal(a, assemble_block_circulant(blocks)):
         raise ValueError(f"adjacency matrix is not block circulant with {k} blocks")
-    flat = np.stack(blocks).reshape(k, s * s)
+    flat = blocks.reshape(k, s * s)
     # the fewest primes = 1 (mod k) whose product exceeds twice the bound, so
     # the symmetric lift is exact, and one further prime to check it
     lift = _primes_for(_coefficient_bound(n, max(map(len, g.adjacency), default=0)), k)

@@ -15,10 +15,12 @@ one of the two fails does it search sigma down from m+1, as ``pack`` always
 does.
 
 Exit codes: 0 all requested work passed, 1 a verification check failed,
-2 usage or parameter-domain error, an ``--out`` path that cannot be written,
-or the machine ran out of memory (ask for a smaller graph), 3 internal error
-(an exact internal cross-check failed or LAPACK's eigensolver did not
-converge: a bug, not a mathematical counterexample).
+2 a refused input (``ParameterDomainError``: a malformed or empty range,
+m < 1, an unknown check, an empty sweep, d < 2m+2; ``SizeGuardError``), an
+``--out`` path that cannot be written, or out of memory (ask for a smaller
+graph), 3 internal error (a failed internal cross-check, LAPACK's
+eigensolver not converging, or any other ``ValueError``: a bug, not a
+mathematical counterexample).
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ import io
 import json
 import sys
 from functools import cache, lru_cache
-
-import numpy as np
 
 from . import __version__
 from .charpoly import (
@@ -44,7 +44,6 @@ from .charpoly import (
 from .errors import (
     CheckFailure,
     ConsistencyError,
-    InvalidPartitionError,
     ParameterDomainError,
     SizeGuardError,
     SolverConvergenceError,
@@ -89,13 +88,14 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
-        if hi_i < lo_i:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo_i, hi_i + 1))
-    return [int(text)]
+    lo, dots, hi = text.partition("..")
+    try:
+        lo_i, hi_i = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise ParameterDomainError(f"malformed range {text!r} (use lo..hi or one integer)") from None
+    if hi_i < lo_i:
+        raise ParameterDomainError(f"empty range {text!r}")
+    return list(range(lo_i, hi_i + 1))
 
 
 def cmd_build(args) -> int:
@@ -116,8 +116,9 @@ def _refuse_above(guard, m: int, d: int) -> None:
 
 def cmd_spectrum(args) -> int:
     _refuse_above(_eigen_guard, args.m, args.d)
-    spectrum = family_spectrum(args.m, args.d, args.method)
-    _write_output(spectrum.to_json(args.m, args.d, solver=args.method), args.out)
+    values = family_spectrum(args.m, args.d, args.method)
+    payload = {"m": args.m, "d": args.d, "solver": args.method, "values": values.tolist()}
+    _write_output(json.dumps(payload), args.out)
     return 0
 
 
@@ -165,7 +166,7 @@ def _sweep_pairs(m_spec: str, d_spec: str) -> list[tuple[int, int]]:
     pairs = []
     for m in _parse_range(m_spec):
         if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
+            raise ParameterDomainError(f"m must be >= 1, got {m}")
         if d_spec == "auto":
             ds = range(2 * m + 2, 2 * m + 9)
         else:
@@ -243,9 +244,7 @@ def _check_lambda2(m: int, d: int) -> list[dict]:
 
 
 def _check_spectra(m: int, d: int) -> list[dict]:
-    dense = np.array(family_spectrum(m, d, "dense").values)
-    blocks = np.array(family_spectrum(m, d, "blocks").values)
-    gap = float(np.max(np.abs(dense - blocks)))
+    gap = float(abs(family_spectrum(m, d, "dense") - family_spectrum(m, d, "blocks")).max())
     return [dict(ok=gap <= 1e-8, detail=f"max elementwise gap {gap:.3e}")]
 
 
@@ -346,10 +345,11 @@ def cmd_verify(args) -> int:
     checks = args.checks.split(",") if args.checks != "all" else list(CHECK_NAMES)
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
-        raise ValueError(f"unknown checks {unknown}; available: {', '.join(CHECK_NAMES)}")
+        raise ParameterDomainError(
+            f"unknown checks {unknown}; available: {', '.join(CHECK_NAMES)}")
     pairs = _sweep_pairs(args.m, args.d)
     if not pairs:
-        raise ValueError("sweep selects no valid (m, d) pairs (need d >= 2m+2)")
+        raise ParameterDomainError("sweep selects no valid (m, d) pairs (need d >= 2m+2)")
 
     results = [row for m, d in pairs for check in checks
                for row in _run_check(check, m, d)]
@@ -442,8 +442,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterDomainError, SizeGuardError, InvalidPartitionError, ValueError,
-            OSError) as exc:
+    except (ParameterDomainError, SizeGuardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
@@ -452,7 +451,8 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (ConsistencyError, SolverConvergenceError) as exc:
+    except (ConsistencyError, SolverConvergenceError, ValueError) as exc:
+        # any other ValueError, InvalidPartitionError included, is a bug
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -390,8 +390,13 @@ def sigma(g: Graph, k_max: int) -> int:
     """Largest k <= k_max for which k edge-disjoint spanning trees exist.
 
     Searches down from k_max, so the first packing runs at k_max and fails
-    whenever k_max > sigma: callers should pass a tight k_max.
+    whenever k_max > sigma: callers should pass a tight k_max.  Refuses
+    k_max < 0 and, like ``pack_spanning_trees``, the empty graph.
     """
+    if k_max < 0:
+        raise ParameterDomainError(f"need k_max >= 0, got k_max={k_max}")
+    if g.n == 0:
+        raise ParameterDomainError("need a graph with at least one vertex, got n=0")
     k = k_max
     while k >= 1:
         result = pack_spanning_trees(g, k)

@@ -1,77 +1,67 @@
 """Adjacency spectra: dense eigensolve and block-circulant reduction.
 
-Two independent routes to the spectrum of G(m,d):
+Two independent routes to the spectrum of G(m,d), each a float64 array
+sorted descending:
 
 * ``eigenvalues_dense`` solves the n x n adjacency matrix.
 
 * ``eigenvalues_block_circulant`` exploits the block-circulant structure:
-  for each (2m+1)-th root of unity zeta, the (d+1)-dimensional Hermitian
-  block H_zeta = sum_k zeta^k b_k is solved on its own.
+  the 2m+1 blocks b_i are built once, and for every (2m+1)-th root of unity
+  zeta the (d+1)-dimensional Hermitian block H_zeta = sum_i zeta^i b_i is
+  stacked into one array (Davis, Circulant Matrices, 1979) and solved in one
+  call.
 
 Every eigensolve is one call of ``symmetric_eigenvalues``, which hands real
-symmetric or complex Hermitian input to LAPACK (``np.linalg.eigvalsh``);
-LAPACK's convergence test is fixed, so no route takes a tolerance.  The two
-multisets must agree, which the test suite asserts elementwise.
+symmetric or complex Hermitian input, one matrix or a stack of them, to
+LAPACK (``np.linalg.eigvalsh``); LAPACK's convergence test is fixed, so no
+route takes a tolerance.  The two multisets must agree, which the test suite
+asserts elementwise.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import CheckFailure, ParameterDomainError, SolverConvergenceError
+from .errors import CheckFailure, SolverConvergenceError
 from .graphs import Graph, build_extremal_graph, check_family_params
 
 BOUND_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted descending."""
-
-    values: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def to_json(self, m: int | None = None, d: int | None = None, solver: str = "dense") -> str:
-        meta = {"m": m, "d": d, "solver": solver, "values": list(self.values)}
-        return json.dumps(meta)
-
-
 def symmetric_eigenvalues(mat: np.ndarray) -> np.ndarray:
     """All eigenvalues of a real symmetric or complex Hermitian matrix, ascending.
 
-    LAPACK (``np.linalg.eigvalsh``) solves it.  eigvalsh reads one triangle
-    only, so a matrix whose Hermitian defect exceeds 1e-9, or is not finite,
-    is rejected instead of solved wrongly.
+    ``mat`` may be one s x s matrix or a stack (..., s, s); the result then
+    has shape (..., s), one ascending row per matrix.  LAPACK
+    (``np.linalg.eigvalsh``) solves it.  eigvalsh reads one triangle only, so
+    input whose Hermitian defect over the last two axes exceeds 1e-9, or is
+    not finite, is rejected instead of solved wrongly.
     """
     a = np.asarray(mat)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError("matrix must be square")
-    herm_defect = float(np.max(np.abs(a - a.conj().T), initial=0.0))
+    herm_defect = float(np.max(np.abs(a - a.conj().swapaxes(-2, -1)), initial=0.0))
     if not herm_defect <= 1e-9:
         raise ValueError(f"matrix is not finite and Hermitian (defect {herm_defect:.2e})")
     try:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise SolverConvergenceError(
-            f"LAPACK eigvalsh failed for a matrix of size {a.shape[0]}: {exc}"
+            f"LAPACK eigvalsh failed for a matrix of size {a.shape[-1]}: {exc}"
         ) from exc
 
 
-def eigenvalues_dense(g: Graph) -> Spectrum:
-    """Spectrum of the adjacency matrix by the dense symmetric solver."""
-    vals = symmetric_eigenvalues(g.adjacency_matrix())
-    return Spectrum(tuple(vals[::-1]))
+def eigenvalues_dense(g: Graph) -> np.ndarray:
+    """Spectrum of the adjacency matrix by the dense symmetric solver, descending."""
+    return symmetric_eigenvalues(g.adjacency_matrix())[::-1]
 
 
-def blocks_of(m: int, d: int) -> list[np.ndarray]:
-    """The 2m+1 square blocks b_0..b_2m of the block-circulant adjacency matrix.
+def blocks_of(m: int, d: int) -> np.ndarray:
+    """The 2m+1 square blocks b_0..b_2m of the block-circulant adjacency matrix,
+    as one int64 array of shape (2m+1, d+1, d+1).
 
     b_0 is the adjacency matrix of one modified clique; for 1 <= i <= m the
     block b_i has a single unit entry (the cross edge at clique offset i) and
@@ -79,61 +69,54 @@ def blocks_of(m: int, d: int) -> list[np.ndarray]:
     """
     check_family_params(m, d)
     size = d + 1
-    blocks = [np.zeros((size, size), dtype=np.int64) for _ in range(2 * m + 1)]
-    for offset in range(1, m + 1):
-        blocks[offset][2 * offset - 1, 2 * offset - 2] = 1
-        blocks[2 * m + 1 - offset][2 * offset - 2, 2 * offset - 1] = 1
-    b0 = np.ones((size, size), dtype=np.int64) - np.eye(size, dtype=np.int64)
-    for offset in range(1, m + 1):
-        b0[2 * offset - 2, 2 * offset - 1] = 0
-        b0[2 * offset - 1, 2 * offset - 2] = 0
-    blocks[0] = b0
+    blocks = np.zeros((2 * m + 1, size, size), dtype=np.int64)
+    blocks[0] = 1 - np.eye(size, dtype=np.int64)
+    offsets = np.arange(1, m + 1)
+    odd, even = 2 * offsets - 1, 2 * offsets - 2
+    blocks[offsets, odd, even] = 1
+    blocks[2 * m + 1 - offsets, even, odd] = 1
+    blocks[0, odd, even] = blocks[0, even, odd] = 0
     return blocks
 
 
-def assemble_block_circulant(blocks: list[np.ndarray]) -> np.ndarray:
+def assemble_block_circulant(blocks: np.ndarray) -> np.ndarray:
     """Block matrix whose (r, c) block is blocks[(c - r) mod len(blocks)]."""
-    k = len(blocks)
-    size = blocks[0].shape[0]
-    out = np.zeros((k * size, k * size), dtype=blocks[0].dtype)
-    for r in range(k):
-        for c in range(k):
-            out[r * size : (r + 1) * size, c * size : (c + 1) * size] = blocks[
-                (c - r) % k
-            ]
-    return out
+    blocks = np.asarray(blocks)
+    k, size = len(blocks), blocks.shape[-1]
+    index = (np.arange(k) - np.arange(k)[:, None]) % k  # index[r, c] = (c - r) mod k
+    return blocks[index].swapaxes(1, 2).reshape(k * size, k * size)
 
 
-def hermitian_block(m: int, d: int, t: int) -> np.ndarray:
-    """The block H_zeta = sum_k zeta^k b_k, a complex (d+1) x (d+1) array.
+def hermitian_blocks(m: int, d: int) -> np.ndarray:
+    """Every block H_t = sum_i zeta_t^i b_i, as one complex (2m+1, d+1, d+1) array.
 
-    zeta = exp(2*pi*i*t/(2m+1)) for t in [1, 2m+1]; t = 2m+1 gives zeta = 1.
+    Row t-1 holds H_t, zeta_t = exp(2*pi*i*t/(2m+1)) for t in [1, 2m+1];
+    t = 2m+1 gives zeta = 1.
     """
-    k = 2 * m + 1
-    if not 1 <= t <= k:
-        raise ParameterDomainError(f"zeta index t must be in [1, {k}], got {t}")
     blocks = blocks_of(m, d)
-    zeta = complex(math.cos(2 * math.pi * t / k), math.sin(2 * math.pi * t / k))
-    h = np.zeros((d + 1, d + 1), dtype=complex)
+    k = len(blocks)
+    zetas = [complex(math.cos(2 * math.pi * t / k), math.sin(2 * math.pi * t / k))
+             for t in range(1, k + 1)]
+    powers = np.array([[zeta**i for i in range(k)] for zeta in zetas])
+    h = np.zeros(blocks.shape, dtype=complex)
     for i, b in enumerate(blocks):
-        h += (zeta**i) * b
+        h += powers[:, i, None, None] * b
     return h
 
 
-def eigenvalues_block_circulant(m: int, d: int) -> Spectrum:
-    """Spectrum of G(m,d) as the union over roots of unity of the block spectra."""
-    values: list[float] = []
-    for t in range(1, 2 * m + 2):
-        values.extend(symmetric_eigenvalues(hermitian_block(m, d, t)).tolist())
-    values.sort(reverse=True)
-    return Spectrum(tuple(values))
+def eigenvalues_block_circulant(m: int, d: int) -> np.ndarray:
+    """Spectrum of G(m,d) as the union over roots of unity of the block spectra,
+    descending; equal values keep the order of their roots."""
+    values = symmetric_eigenvalues(hermitian_blocks(m, d)).ravel()
+    return values[np.argsort(-values, kind="stable")]
 
 
-def family_spectrum(m: int, d: int, method: str = "dense") -> Spectrum:
+def family_spectrum(m: int, d: int, method: str = "dense") -> np.ndarray:
     """Spectrum of G(m,d) by one route: 'dense' or 'blocks'.
 
     Remembered per (m, d, method), so the checks of one ``verify`` pair
-    share one spectrum per route.  The two routes never share a result.
+    share one read-only spectrum per route.  The two routes never share a
+    result.
     """
     if method not in ("dense", "blocks"):
         raise ValueError(f"unknown method {method!r} (use 'dense' or 'blocks')")
@@ -143,10 +126,11 @@ def family_spectrum(m: int, d: int, method: str = "dense") -> Spectrum:
 # `verify` runs every check of one (m, d) pair before it moves to the next,
 # and a pair has one spectrum per route, so two entries catch every reuse.
 @lru_cache(maxsize=2)
-def _remembered_spectrum(m: int, d: int, method: str) -> Spectrum:
-    if method == "dense":
-        return eigenvalues_dense(build_extremal_graph(m, d))
-    return eigenvalues_block_circulant(m, d)
+def _remembered_spectrum(m: int, d: int, method: str) -> np.ndarray:
+    values = (eigenvalues_dense(build_extremal_graph(m, d)) if method == "dense"
+              else eigenvalues_block_circulant(m, d))
+    values.flags.writeable = False  # every check of the pair reads this one array
+    return values
 
 
 def lambda2_window(m: int, d: int) -> tuple[float, float]:
@@ -161,8 +145,7 @@ def lambda2(m: int, d: int, method: str = "dense") -> float:
     more than BOUND_SLACK (that would falsify the bound being verified, so
     it is treated as a failure, not a return value).
     """
-    spectrum = family_spectrum(m, d, method)
-    lam1, lam2_ = spectrum.values[0], spectrum.values[1]
+    lam1, lam2_ = family_spectrum(m, d, method)[:2]
     if abs(lam1 - d) > 1e-8:
         raise CheckFailure(f"largest eigenvalue {lam1} != degree {d}")
     lo, hi = lambda2_window(m, d)

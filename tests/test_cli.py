@@ -141,6 +141,26 @@ def test_internal_error_exit_code(monkeypatch, capsys, error):
     assert err == "internal error: simulated\n"
 
 
+# A ValueError raised inside the package is a bug, not a usage error: the
+# spectral solver's Hermitian check and the oracle's block-circulant check
+# both exit 3.
+@pytest.mark.parametrize("module,name,check,message", [
+    (spectral, "symmetric_eigenvalues", "lambda2",
+     "matrix is not finite and Hermitian (defect 1.00e+00)"),
+    (cli, "char_poly_oracle", "charpoly",
+     "adjacency matrix is not block circulant with 3 blocks"),
+], ids=["solver", "oracle"])
+def test_internal_value_error_exits_3(monkeypatch, capsys, fresh_memos,
+                                      module, name, check, message):
+    def broken(*args):
+        raise ValueError(message)
+
+    monkeypatch.setattr(module, name, broken)
+    code, out, err = run_cli("verify", "--m", "1", "--d", "4", "--checks", check,
+                             capsys=capsys)
+    assert (code, out, err) == (3, "", f"internal error: {message}\n")
+
+
 def test_lapack_failure_exit_code(monkeypatch, capsys, fresh_memos):
     def broken(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -586,8 +606,16 @@ def test_verify_rows_of_every_check(capsys, m, d):
 
 
 def test_verify_malformed_range(capsys):
-    assert run_cli("verify", "--m", "3..1", capsys=capsys)[0] == 2
-    assert run_cli("verify", "--m", "x..2", capsys=capsys)[0] == 2
+    # strict parsing: every malformed spec is refused as usage, with its reason
+    for spec, reason in [
+        ("x..2", "malformed range 'x..2' (use lo..hi or one integer)"),
+        ("5..", "malformed range '5..' (use lo..hi or one integer)"),
+        ("..5", "malformed range '..5' (use lo..hi or one integer)"),
+        ("1..2..3", "malformed range '1..2..3' (use lo..hi or one integer)"),
+        ("3..1", "empty range '3..1'"),
+        ("0", "m must be >= 1, got 0"),
+    ]:
+        assert run_cli("verify", "--m", spec, capsys=capsys) == (2, "", f"error: {reason}\n")
 
 
 def test_verify_unknown_check(capsys):

@@ -122,6 +122,7 @@ def test_sigma_values():
     assert sigma(build_extremal_graph(1, 4), 3) == 1
     assert sigma(build_extremal_graph(2, 6), 4) == 2
     assert sigma(complete_graph(5), 4) == 2
+    assert sigma(path_graph(4), 0) == 0
 
 
 @pytest.mark.parametrize("m,d", [(1, 4), (2, 6), (3, 8), (4, 10)])
@@ -237,8 +238,16 @@ def test_pack_refuses_the_empty_graph():
 
 
 def test_sigma_refuses_the_empty_graph():
-    with pytest.raises(ParameterDomainError, match="n=0"):
-        sigma(Graph.from_edges(0, []), 2)
+    # at every k_max, k_max = 0 included, at which the search runs no packing
+    for k_max in (0, 1, 2):
+        with pytest.raises(ParameterDomainError, match="n=0"):
+            sigma(Graph.from_edges(0, []), k_max)
+
+
+def test_sigma_refuses_a_negative_k_max():
+    for k_max in (-1, -2):
+        with pytest.raises(ParameterDomainError, match=f"k_max={k_max}"):
+            sigma(path_graph(4), k_max)
 
 
 def test_serialization():

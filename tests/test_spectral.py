@@ -13,13 +13,14 @@ from extremal_trees import (
     build_extremal_graph,
     eigenvalues_block_circulant,
     eigenvalues_dense,
-    hermitian_block,
+    hermitian_blocks,
     lambda2,
     lambda2_window,
     spectral,
     symmetric_eigenvalues,
 )
 from extremal_trees.charpoly import divisors, euler_phi
+from extremal_trees.cli import main
 
 from conftest import complete_graph
 
@@ -46,21 +47,21 @@ def test_solver_rejects_non_symmetric_real_input():
 
 
 def test_k5_spectrum():
-    values = eigenvalues_dense(complete_graph(5)).values
+    values = eigenvalues_dense(complete_graph(5))
     assert np.allclose(values, [4, -1, -1, -1, -1], atol=1e-10)
 
 
 @pytest.mark.parametrize("m,d", [(1, 4), (2, 6), (3, 8)])
 def test_trace_and_energy(m, d):
     g = build_extremal_graph(m, d)
-    values = np.array(eigenvalues_dense(g).values)
+    values = eigenvalues_dense(g)
     assert abs(values.sum()) < g.n * 1e-9
     assert abs((values**2).sum() - 2 * g.edge_count) < g.n * 1e-9
 
 
 def test_blocks_structure():
     blocks = blocks_of(1, 4)
-    assert len(blocks) == 3
+    assert blocks.shape == (3, 5, 5) and blocks.dtype == np.int64
     # cross-edge blocks: single unit entry, transposed pair
     assert blocks[1].sum() == 1 and blocks[1][1, 0] == 1
     assert np.array_equal(blocks[2], blocks[1].T)
@@ -68,7 +69,7 @@ def test_blocks_structure():
     b0 = blocks[0]
     assert b0[0, 1] == 0 and b0[1, 0] == 0
     assert b0.sum() == 5 * 4 - 2
-    total = sum(blocks)
+    total = blocks.sum(axis=0)
     assert np.all(total.sum(axis=1) == 4)
 
 
@@ -80,10 +81,11 @@ def test_assembled_blocks_reproduce_adjacency(m, d):
 
 def test_hermitian_blocks():
     m, d = 2, 6
-    for t in range(1, 2 * m + 2):
-        h = hermitian_block(m, d, t)
+    hs = hermitian_blocks(m, d)
+    assert hs.shape == (2 * m + 1, d + 1, d + 1) and hs.dtype == complex
+    for h in hs:
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
-    h1 = hermitian_block(m, d, 2 * m + 1)
+    h1 = hs[2 * m]
     assert np.max(np.abs(h1.imag)) < 1e-12
     assert np.allclose(h1.real.sum(axis=1), d)
 
@@ -95,8 +97,8 @@ def test_hermitian_rejects_non_hermitian():
 
 @pytest.mark.parametrize("m,d", [(1, 4), (2, 6), (3, 8)])
 def test_block_circulant_matches_dense(m, d):
-    dense = np.array(eigenvalues_dense(build_extremal_graph(m, d)).values)
-    blocks = np.array(eigenvalues_block_circulant(m, d).values)
+    dense = eigenvalues_dense(build_extremal_graph(m, d))
+    blocks = eigenvalues_block_circulant(m, d)
     assert len(blocks) == (2 * m + 1) * (d + 1)
     assert np.max(np.abs(dense - blocks)) < 1e-8
 
@@ -105,8 +107,8 @@ def test_block_circulant_matches_dense_full_sweep():
     from conftest import DESK_SWEEP
 
     for m, d in DESK_SWEEP:
-        dense = np.array(eigenvalues_dense(build_extremal_graph(m, d)).values)
-        blocks = np.array(eigenvalues_block_circulant(m, d).values)
+        dense = eigenvalues_dense(build_extremal_graph(m, d))
+        blocks = eigenvalues_block_circulant(m, d)
         assert np.max(np.abs(dense - blocks)) < 1e-8, (m, d)
 
 
@@ -130,21 +132,21 @@ def test_block_spectrum_equals_the_per_root_route_exactly():
     from conftest import DESK_SWEEP
 
     for m, d in [*DESK_SWEEP, (5, 43), (8, 20)]:
-        assert list(eigenvalues_block_circulant(m, d).values) == _per_root_block_spectrum(m, d), (m, d)
+        assert eigenvalues_block_circulant(m, d).tolist() == _per_root_block_spectrum(m, d), (m, d)
 
 
 def test_lambda2_window_beyond_desk_scale():
     # the block reduction keeps large cases cheap; (9,100) has a window only
     # ~4e-3 wide, a much sharper probe than the desk sweep
     for m, d in [(8, 18), (12, 30), (15, 40), (9, 100)]:
-        lam2 = eigenvalues_block_circulant(m, d).values[1]
+        lam2 = eigenvalues_block_circulant(m, d)[1]
         lo, hi = lambda2_window(m, d)
         assert lo - 1e-9 <= lam2 < hi + 1e-9, (m, d, lam2)
 
 
 def test_degree_eigenvalue_comes_from_unit_root_block():
     m, d = 2, 6
-    vals = symmetric_eigenvalues(hermitian_block(m, d, 2 * m + 1))
+    vals = symmetric_eigenvalues(hermitian_blocks(m, d)[2 * m])
     assert abs(vals[-1] - d) < 1e-9
 
 
@@ -157,7 +159,7 @@ def test_lambda2_in_window(m, d):
 
 
 def test_lambda1_simple():
-    values = np.array(eigenvalues_dense(build_extremal_graph(2, 6)).values)
+    values = eigenvalues_dense(build_extremal_graph(2, 6))
     assert abs(values[0] - 6) < 1e-9
     assert values[1] < 6 - 0.5  # multiplicity one, with plenty of margin
 
@@ -165,7 +167,7 @@ def test_lambda1_simple():
 def test_bulk_eigenvalues_within_interval():
     # every eigenvalue except lambda_1 and the bracket-factor roots lies in [-3, 1]
     for m, d in [(1, 4), (2, 6), (3, 8)]:
-        values = sorted(eigenvalues_dense(build_extremal_graph(m, d)).values)
+        values = sorted(eigenvalues_dense(build_extremal_graph(m, d)))
         k = 2 * m + 1
         factor_roots = []
         for n in divisors(k):
@@ -180,12 +182,53 @@ def test_bulk_eigenvalues_within_interval():
         assert all(-3 - 1e-8 <= v <= 1 + 1e-8 for v in remaining)
 
 
-def test_spectrum_serialization():
-    spectrum = eigenvalues_block_circulant(1, 4)
-    data = json.loads(spectrum.to_json(1, 4, solver="blocks"))
-    assert set(data) == {"m", "d", "solver", "values"}
+def test_spectrum_serialization(capsys):
+    assert main(["spectrum", "1", "4", "--method", "blocks"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert list(data) == ["m", "d", "solver", "values"]
     assert data["m"] == 1 and data["d"] == 4 and data["solver"] == "blocks"
+    assert data["values"] == eigenvalues_block_circulant(1, 4).tolist()
     assert len(data["values"]) == 15
+
+
+def test_solver_takes_a_stack_of_matrices():
+    stack = np.array([np.diag([3.0, -1.0, 2.0]), np.eye(3)])
+    assert np.array_equal(symmetric_eigenvalues(stack), [[-1.0, 2.0, 3.0], [1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="square"):
+        symmetric_eigenvalues(np.zeros((2, 3, 4)))
+    # one matrix of the stack that is not Hermitian rejects the whole stack
+    bad = np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
+    with pytest.raises(ValueError, match="Hermitian"):
+        symmetric_eigenvalues(bad)
+
+
+def test_block_spectrum_is_one_solve_of_one_stack(monkeypatch):
+    shapes, built = [], []
+    solve, blocks = spectral.symmetric_eigenvalues, spectral.blocks_of
+
+    def counted_solve(mat):
+        shapes.append(mat.shape)
+        return solve(mat)
+
+    def counted_blocks(m, d):
+        built.append((m, d))
+        return blocks(m, d)
+
+    monkeypatch.setattr(spectral, "symmetric_eigenvalues", counted_solve)
+    monkeypatch.setattr(spectral, "blocks_of", counted_blocks)
+    values = eigenvalues_block_circulant(2, 7)
+    assert shapes == [(5, 8, 8)]
+    assert built == [(2, 7)]
+    assert values.shape == (40,) and values.dtype == np.float64
+    assert np.all(np.diff(values) <= 0)
+
+
+@pytest.mark.parametrize("method", ["dense", "blocks"])
+def test_remembered_spectrum_is_read_only(method):
+    values = spectral.family_spectrum(1, 4, method)
+    with pytest.raises(ValueError):
+        values[0] = 0.0
+    assert spectral.family_spectrum(1, 4, method) is values
 
 
 def test_lambda2_rejects_bad_method():
