@@ -81,7 +81,6 @@ def blocks_of(m: int, d: int) -> np.ndarray:
 
 def assemble_block_circulant(blocks: np.ndarray) -> np.ndarray:
     """Block matrix whose (r, c) block is blocks[(c - r) mod len(blocks)]."""
-    blocks = np.asarray(blocks)
     k, size = len(blocks), blocks.shape[-1]
     index = (np.arange(k) - np.arange(k)[:, None]) % k  # index[r, c] = (c - r) mod k
     return blocks[index].swapaxes(1, 2).reshape(k * size, k * size)
