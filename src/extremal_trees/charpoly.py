@@ -29,14 +29,16 @@ prime (n <= ORACLE_SIZE_GUARD).
 the closed form exactly, modulo the oracle's first prime for k = 2m+1;
 ``verify_determinant_identities`` decides the determinant identities in
 integers on fixed cases, its determinants from the oracle's kernel.
+
+Only the oracle and the two identity suites use numpy, each function
+importing it in its own body, so the closed form runs without loading it.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import accumulate
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .chebyshev import chebyshev_T, chebyshev_U
 from .errors import (
@@ -48,6 +50,9 @@ from .errors import (
 from .graphs import Graph, check_family_params
 from .polynomials import Poly
 from .spectral import assemble_block_circulant
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ORACLE_SIZE_GUARD = 300
 
@@ -138,6 +143,8 @@ def char_poly_oracle(g: Graph, k: int = 1) -> Poly:
     remainder theorem, and checked against its residue modulo one further
     prime.  Refuses graphs above ORACLE_SIZE_GUARD.
     """
+    import numpy as np
+
     n = g.n
     if k < 1 or n % k:
         raise ValueError(f"{n} vertices do not split into {k} equal blocks")
@@ -259,6 +266,8 @@ def _char_poly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     residues is reduced modulo p before it enters a sum, so int64 never
     overflows for p < 2^31.
     """
+    import numpy as np
+
     batch, s = h.shape[0], h.shape[-1]
     p = np.asarray(p, dtype=np.int64)
     p1, p2 = p[:, None], p[:, None, None]
@@ -312,6 +321,8 @@ def _char_poly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _poly_mul_mod(f: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Row-wise products of ascending polynomials f[b] * g[b] modulo p[b]."""
+    import numpy as np
+
     p1 = p[:, None]
     out = np.zeros((f.shape[0], f.shape[1] + g.shape[1] - 1), dtype=np.int64)
     for j in range(g.shape[1]):
@@ -343,6 +354,8 @@ def verify_root_of_unity_identities(m: int) -> int:
     hold modulo p: one prime cannot report a false failure.  Returns p;
     raises CheckFailure naming the identity, t and x that fail.
     """
+    import numpy as np
+
     if m < 1:
         raise ParameterDomainError(f"need m >= 1, got m={m}")
     k = 2 * m + 1
@@ -387,6 +400,8 @@ def verify_root_of_unity_identities(m: int) -> int:
 
 def _evaluate_mod(f: Poly, z: np.ndarray, p: int) -> np.ndarray:
     """f(z) modulo p at each entry of z (entries in [0, p)), by Horner's rule."""
+    import numpy as np
+
     out = np.zeros_like(z)
     for c in reversed(f.coeffs):
         out = (out * z + c % p) % p
@@ -415,6 +430,8 @@ def verify_determinant_identities() -> int:
     they agree modulo p; the inverse is compared in int64.
     Returns p; raises CheckFailure naming the identity, n and case that fail.
     """
+    import numpy as np
+
     p = _oracle_primes(1, 1)[0]
     for n in range(2, 7):
         a_mat, u, v, a, b = _determinant_cases(n)
@@ -447,6 +464,8 @@ def _determinant_cases(n: int) -> tuple[np.ndarray, ...]:
     The entries run through k^2 mod 101 mod 7 - 3 over consecutive k; in the
     even cases the last row of A repeats its first, so that A is singular.
     """
+    import numpy as np
+
     width = n * n + 2 * n + 2
     k = np.arange(8 * width, dtype=np.int64).reshape(8, width) + 11 * n
     entries = k * k % 101 % 7 - 3
@@ -458,4 +477,6 @@ def _determinant_cases(n: int) -> tuple[np.ndarray, ...]:
 
 def _a_i_plus_b_j(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """The batch of n x n matrices a[c] I + b[c] J."""
+    import numpy as np
+
     return a[:, None, None] * np.eye(n, dtype=np.int64) + b[:, None, None]

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .charpoly import bracket_factor, divisors
 from .errors import CheckFailure, ParameterDomainError
 from .graphs import check_family_params
@@ -146,6 +144,8 @@ def fn_max_root(n: int, m: int, d: int) -> float:
     anything else is reported as a check failure since B_n divides the
     characteristic polynomial of a symmetric matrix.
     """
+    import numpy as np
+
     _check_factor_params(n, m, d)
     coeffs = bracket_factor(n, m, d).float_coeffs()[::-1]
     roots = np.roots(coeffs)

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator
-
-import numpy as np
+from itertools import chain
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import InvalidPartitionError, ParameterDomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -62,10 +64,14 @@ class Graph:
                     yield (u, v)
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense 0/1 adjacency matrix, materialized on demand."""
+        """Dense 0/1 adjacency matrix, materialized on demand by one scatter."""
+        import numpy as np
+
         a = np.zeros((self.n, self.n), dtype=np.int64)
-        for u, row in enumerate(self.adjacency):
-            a[u, list(row)] = 1
+        rows = np.repeat(np.arange(self.n), [len(row) for row in self.adjacency])
+        cols = np.fromiter(chain.from_iterable(self.adjacency), dtype=np.intp,
+                           count=rows.size)
+        a[rows, cols] = 1
         return a
 
 

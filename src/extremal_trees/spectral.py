@@ -16,17 +16,22 @@ symmetric or complex Hermitian input, one matrix or a stack of them, to
 LAPACK (``np.linalg.eigvalsh``); LAPACK's convergence test is fixed, so no
 route takes a tolerance.  The two multisets must agree, which the test suite
 asserts elementwise.
+
+Each function that needs numpy imports it in its own body, so importing this
+module does not load numpy.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CheckFailure, SolverConvergenceError
 from .graphs import Graph, build_extremal_graph, check_family_params
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BOUND_SLACK = 1e-9
 
@@ -40,6 +45,8 @@ def symmetric_eigenvalues(mat: np.ndarray) -> np.ndarray:
     input whose Hermitian defect over the last two axes exceeds 1e-9, or is
     not finite, is rejected instead of solved wrongly.
     """
+    import numpy as np
+
     a = np.asarray(mat)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError("matrix must be square")
@@ -67,6 +74,8 @@ def blocks_of(m: int, d: int) -> np.ndarray:
     block b_i has a single unit entry (the cross edge at clique offset i) and
     b_(2m+1-i) = b_i^T.
     """
+    import numpy as np
+
     check_family_params(m, d)
     size = d + 1
     blocks = np.zeros((2 * m + 1, size, size), dtype=np.int64)
@@ -81,6 +90,8 @@ def blocks_of(m: int, d: int) -> np.ndarray:
 
 def assemble_block_circulant(blocks: np.ndarray) -> np.ndarray:
     """Block matrix whose (r, c) block is blocks[(c - r) mod len(blocks)]."""
+    import numpy as np
+
     k, size = len(blocks), blocks.shape[-1]
     index = (np.arange(k) - np.arange(k)[:, None]) % k  # index[r, c] = (c - r) mod k
     return blocks[index].swapaxes(1, 2).reshape(k * size, k * size)
@@ -92,6 +103,8 @@ def hermitian_blocks(m: int, d: int) -> np.ndarray:
     Row t-1 holds H_t, zeta_t = exp(2*pi*i*t/(2m+1)) for t in [1, 2m+1];
     t = 2m+1 gives zeta = 1.
     """
+    import numpy as np
+
     blocks = blocks_of(m, d)
     k = len(blocks)
     zetas = [complex(math.cos(2 * math.pi * t / k), math.sin(2 * math.pi * t / k))
@@ -106,6 +119,8 @@ def hermitian_blocks(m: int, d: int) -> np.ndarray:
 def eigenvalues_block_circulant(m: int, d: int) -> np.ndarray:
     """Spectrum of G(m,d) as the union over roots of unity of the block spectra,
     descending; equal values keep the order of their roots."""
+    import numpy as np
+
     values = symmetric_eigenvalues(hermitian_blocks(m, d)).ravel()
     return values[np.argsort(-values, kind="stable")]
 

@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from extremal_trees import (
 from extremal_trees.cli import main
 
 from conftest import DESK_SWEEP
+
+PACKAGE = Path(cli.__file__).resolve().parent
 
 
 @pytest.fixture
@@ -634,3 +638,53 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# m=1 d=4 n=15")
+
+
+def run_fresh(code: str, *args: str):
+    """The JSON that ``python -c code args`` prints, in a fresh interpreter that
+    imports this package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# whether numpy is loaded after the import, then each command's exit code
+# and whether numpy is loaded after it
+MAIN_EACH = """
+import contextlib, io, json, sys
+import extremal_trees.cli as cli
+seen = [[None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([cli.main(argv), "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+NUMPY_FREE_COMMANDS = [
+    (["build", "1", "4"], 0),
+    (["pack", "2", "6"], 0),
+    (["pack", "1", "4", "--trees", "2"], 1),
+    (["charpoly", "8", "40", "--exact"], 0),
+    (["verify", "--m", "2..3", "--d", "auto", "--checks", "construction,rootbound,packing"], 0),
+]
+
+
+def test_exact_and_packing_commands_never_import_numpy():
+    # all in one interpreter, numpy checked after each; the closing spectrum
+    # must load it, which shows that the check reads the right name
+    commands = [argv for argv, _ in NUMPY_FREE_COMMANDS] + [["spectrum", "1", "4"]]
+    assert run_fresh(MAIN_EACH, json.dumps(commands)) == [
+        [None, False], *([code, False] for _, code in NUMPY_FREE_COMMANDS), [0, True]]
+
+
+def test_cli_import_loads_every_package_module():
+    # no command imports a package module of its own, so none is compiled
+    # inside a command, and a tracer installed after the import sees every layer
+    loaded = run_fresh("import json, sys; import extremal_trees.cli; print(json.dumps("
+                       "sorted(m for m in sys.modules if m.split('.')[0] == 'extremal_trees')))")
+    assert loaded == sorted(["extremal_trees", *(f"extremal_trees.{path.stem}"
+                                                 for path in PACKAGE.glob("*.py")
+                                                 if path.stem != "__init__")])

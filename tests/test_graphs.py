@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from extremal_trees import (
@@ -71,6 +72,26 @@ def test_adjacency_sorted_and_symmetric():
         assert u not in row
         for v in row:
             assert u in g.adjacency[v]
+
+
+def row_by_row_adjacency_matrix(g: Graph) -> np.ndarray:
+    """The reference: one row assignment per vertex."""
+    a = np.zeros((g.n, g.n), dtype=np.int64)
+    for u, row in enumerate(g.adjacency):
+        a[u, list(row)] = 1
+    return a
+
+
+@pytest.mark.parametrize("g", [
+    *(build_extremal_graph(m, d) for m, d in [*DESK_SWEEP, (5, 43)]),
+    Graph.from_edges(0, []),
+    Graph.from_edges(7, []),
+    Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (3, 4)]),  # a star, a tail, an isolated vertex
+], ids=lambda g: f"{g.params}-n{g.n}")
+def test_adjacency_matrix_matches_row_by_row(g):
+    a, expected = g.adjacency_matrix(), row_by_row_adjacency_matrix(g)
+    assert (a.dtype, a.shape) == (expected.dtype, expected.shape)
+    assert (a == expected).all()
 
 
 @pytest.mark.parametrize("m,d", [(1, 3), (0, 4), (2, 5), (3, 7)])
