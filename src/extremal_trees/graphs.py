@@ -8,13 +8,18 @@ with exactly one edge between any two of the modified cliques.
 Vertices are pairs (clique, slot) with 0 <= clique <= 2m and 0 <= slot <= d,
 linearized as clique*(d+1) + slot.  Under this order the adjacency matrix is
 block circulant, which the spectral module exploits directly.
+
+Each adjacency row is written sorted from this closed form, with no sets and
+no sort: the rest of the vertex's clique less its matching partner, and its
+one cross neighbour in front of the clique or after it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, filterfalse
+from operator import countOf
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import InvalidPartitionError, ParameterDomainError
@@ -107,29 +112,27 @@ def build_extremal_graph(m: int, d: int) -> Graph:
 
 
 # `verify` runs every check of one (m, d) pair before it moves to the next,
-# so remembering two pairs catches every rebuild.
+# so remembering two pairs catches every rebuild.  Slot j < 2m of clique i drops
+# its partner j ^ 1 and gains a cross neighbour, first when below i's clique.
 @lru_cache(maxsize=2)
 def _remembered_graph(m: int, d: int) -> Graph:
     k = 2 * m + 1
-    n = k * (d + 1)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    matching = {(2 * a - 2, 2 * a - 1) for a in range(1, m + 1)}
+    rows = []
     for i in range(k):
         base = i * (d + 1)
-        for j1 in range(d + 1):
-            for j2 in range(j1 + 1, d + 1):
-                if (j1, j2) in matching:
-                    continue
-                adj[base + j1].add(base + j2)
-                adj[base + j2].add(base + j1)
-    for i in range(k):
-        for j in range(m):
-            u = i * (d + 1) + 2 * j + 1
-            v = ((i + j + 1) % k) * (d + 1) + 2 * j
-            adj[u].add(v)
-            adj[v].add(u)
-    count = sum(len(s) for s in adj) // 2
-    return Graph(n, tuple(tuple(sorted(s)) for s in adj), count, (m, d))
+        clique = tuple(range(base, base + d + 1))
+        for j in range(d + 1):
+            if j >= 2 * m:
+                rows.append(clique[:j] + clique[j + 1:])
+                continue
+            t = j >> 1
+            if j & 1:
+                cross = ((i + t + 1) % k) * (d + 1) + 2 * t
+            else:
+                cross = ((i - t - 1) % k) * (d + 1) + 2 * t + 1
+            inside = clique[:j & ~1] + clique[(j | 1) + 1:]
+            rows.append((cross,) + inside if cross < base else inside + (cross,))
+    return Graph(k * (d + 1), tuple(rows), sum(map(len, rows)) // 2, (m, d))
 
 
 def clique_partition(g: Graph) -> Partition:
@@ -179,7 +182,9 @@ def crossing_edges(g: Graph, p: Partition) -> int:
     for idx, part in enumerate(p.parts):
         for v in part:
             part_of[v] = idx
-    return sum(1 for u, v in g.edges() if part_of[u] != part_of[v])
+    inside = sum(countOf(map(part_of.__getitem__, row), part_of[u])
+                 for u, row in enumerate(g.adjacency))
+    return (sum(map(len, g.adjacency)) - inside) // 2
 
 
 def is_connected(g: Graph) -> bool:
@@ -191,21 +196,16 @@ def degrees(g: Graph) -> list[int]:
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
+    """The components in order of their smallest vertex, each grown by frontiers."""
     comps = []
-    seen = bytearray(g.n)
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = 1
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in g.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    comp.append(v)
-                    stack.append(v)
+    seen: set[int] = set()
+    for s in filterfalse(seen.__contains__, range(g.n)):
+        comp, frontier = {s}, (s,)
+        while frontier:
+            frontier = set(chain.from_iterable(map(g.adjacency.__getitem__, frontier)))
+            frontier -= comp
+            comp |= frontier
+        seen |= comp
         comps.append(frozenset(comp))
     return comps
 

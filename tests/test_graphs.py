@@ -1,3 +1,7 @@
+import itertools
+import json
+import random
+
 import numpy as np
 import pytest
 
@@ -7,14 +11,62 @@ from extremal_trees import (
     ParameterDomainError,
     Partition,
     build_extremal_graph,
+    cli,
     clique_partition,
     crossing_edges,
     degrees,
     export,
     is_connected,
 )
+from extremal_trees.graphs import connected_components
 
 from conftest import DESK_SWEEP
+
+
+def reference_graph(m: int, d: int) -> Graph:
+    """G(m,d) from the paper's definition, edge by edge.
+
+    2m+1 copies of K_{d+1}, each without the matching {(2a-2, 2a-1) : 1 <= a <= m},
+    plus the circulant cross edges (i, 2j+1) ~ (i+j+1 mod 2m+1, 2j), 0 <= j < m.
+    """
+    k = 2 * m + 1
+    matching = {(2 * a - 2, 2 * a - 1) for a in range(1, m + 1)}
+    within = [
+        (i * (d + 1) + j1, i * (d + 1) + j2)
+        for i in range(k)
+        for j1, j2 in itertools.combinations(range(d + 1), 2)
+        if (j1, j2) not in matching
+    ]
+    cross = [
+        (i * (d + 1) + 2 * j + 1, ((i + j + 1) % k) * (d + 1) + 2 * j)
+        for i in range(k)
+        for j in range(m)
+    ]
+    return Graph.from_edges(k * (d + 1), within + cross, (m, d))
+
+
+@pytest.mark.parametrize("m,ds", [
+    *((m, range(2 * m + 2, 2 * m + 31)) for m in range(1, 9)),
+    (5, [43]),
+], ids=lambda x: str(x) if isinstance(x, int) else f"d{min(x)}-{max(x)}")
+def test_build_equals_definition(m, ds):
+    for d in ds:
+        assert build_extremal_graph(m, d) == reference_graph(m, d), (m, d)
+
+
+def test_construction_row_catches_a_dropped_cross_neighbour(monkeypatch, capsys):
+    # the negative control of the test above: vertex (0, 1) keeps its clique
+    # but loses its cross neighbour (1, 0), in its own row only
+    m, d = 1, 4
+    g = reference_graph(m, d)
+    rows = list(g.adjacency)
+    rows[1] = tuple(v for v in rows[1] if v != d + 1)
+    broken = Graph(g.n, tuple(rows), g.edge_count, g.params)
+    assert broken != build_extremal_graph(m, d)
+    monkeypatch.setattr(cli, "build_extremal_graph", lambda m, d: broken)
+    code = cli.main(["verify", "--m", str(m), "--d", str(d), "--checks", "construction"])
+    [row] = json.loads(capsys.readouterr().out)["results"]
+    assert (code, row["ok"], row["detail"]) == (1, False, "not regular")
 
 
 @pytest.mark.parametrize("m,d", [(1, 4), (2, 6), (3, 8)])
@@ -146,6 +198,66 @@ def test_invalid_partitions_rejected():
 
 def test_single_vertex_connected():
     assert is_connected(Graph.from_edges(1, []))
+
+
+def random_graph(seed: int) -> tuple[int, list[tuple[int, int]]]:
+    """A seeded random graph, sparse enough to leave isolated vertices and
+    several components, as its vertex count and edge list."""
+    rng = random.Random(seed)
+    n = rng.randrange(0, 30)
+    density = rng.choice([0.0, 0.03, 0.08, 0.2, 0.5])
+    return n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+
+
+def brute_force_components(n: int, edges: list[tuple[int, int]]) -> list[frozenset[int]]:
+    """The reference: each vertex's reach, grown until no edge leaves it."""
+    reach = [{v} for v in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for u, v in edges:
+            if reach[u] != reach[v]:
+                reach[u] = reach[v] = reach[u] | reach[v]
+                changed = True
+    return sorted({frozenset(r) for r in reach}, key=min)
+
+
+SEEDS = range(60)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_connected_components_match_brute_force(seed):
+    n, edges = random_graph(seed)
+    comps = connected_components(Graph.from_edges(n, edges))
+    assert comps == brute_force_components(n, edges)
+    # in order of their smallest vertex: pack_spanning_trees turns this list
+    # into its witness partition
+    assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+
+
+@pytest.mark.parametrize("n,edges,expected", [
+    (0, [], []),
+    (1, [], [{0}]),
+    (4, [], [{0}, {1}, {2}, {3}]),
+    (6, [(4, 5), (1, 3), (3, 5), (0, 2)], [{0, 2}, {1, 3, 4, 5}]),
+    (5, [(3, 4), (1, 2)], [{0}, {1, 2}, {3, 4}]),
+])
+def test_connected_components_small_cases(n, edges, expected):
+    assert connected_components(Graph.from_edges(n, edges)) == expected
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_crossing_edges_match_brute_force(seed):
+    n, edges = random_graph(seed)
+    g = Graph.from_edges(n, edges)
+    rng = random.Random(1000 + seed)
+    # t labels drawn at random, so a partition has at most t parts; the empty
+    # graph's one partition has none
+    for t in (1, 2, rng.randrange(1, n + 1), n) if n else (0,):
+        label = [rng.randrange(t) for _ in range(n)]
+        parts = tuple(frozenset(v for v in range(n) if label[v] == i) for i in range(t))
+        p = Partition(tuple(part for part in parts if part))
+        assert crossing_edges(g, p) == sum(label[u] != label[v] for u, v in edges)
 
 
 def test_degrees_g38():
