@@ -46,9 +46,9 @@ def reference_graph(m: int, d: int) -> Graph:
 
 
 @pytest.mark.parametrize("m,ds", [
-    *((m, range(2 * m + 2, 2 * m + 31)) for m in range(1, 9)),
-    (5, [43]),
-], ids=lambda x: str(x) if isinstance(x, int) else f"d{min(x)}-{max(x)}")
+    *(pytest.param(m, range(2 * m + 2, 2 * m + 31), id=f"m{m}") for m in range(1, 9)),
+    pytest.param(5, [43], id="m5-d43"),
+])
 def test_build_equals_definition(m, ds):
     for d in ds:
         assert build_extremal_graph(m, d) == reference_graph(m, d), (m, d)
