@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import extremal_trees
 from extremal_trees import (
+    CheckFailure,
     ConsistencyError,
     SolverConvergenceError,
     cli,
@@ -438,6 +440,62 @@ def test_verify_single_values(capsys):
     kinds = {r["check"] for r in data["results"]}
     assert kinds == {"packing", "rigidity"}
     assert all(r["ok"] for r in data["results"])
+
+
+def reencoded(out: str) -> str:
+    """The report as json's own ``indent=2`` writer prints it."""
+    return json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--checks", "rootbound", "--m", "2..12", "--d", "6..60"),
+    (),
+    ("--m", "2", "--d", "6..9", "--checks", "lambda2,spectra,pipeline,rigidity"),
+    ("--m", "1..4", "--d", "14..16", "--checks", "packing"),
+], ids=["rootbound", "default", "spectral", "packing"])
+def test_verify_json_is_the_indented_encoding(capsys, argv):
+    code, out, _ = run_cli("verify", *argv, capsys=capsys)
+    assert code == 0
+    assert out == reencoded(out)
+
+
+def test_verify_json_with_failed_and_skipped_rows_is_the_indented_encoding(
+        monkeypatch, capsys):
+    def refuted(m, d):
+        raise CheckFailure(f"quartic inequality refuted at ({m}, {d})")
+
+    monkeypatch.setattr(cli, "check_root_bound_inequality", refuted)
+    code, out, _ = run_cli("verify", "--m", "1..2", "--d", "auto",
+                           "--checks", "construction,rootbound", capsys=capsys)
+    assert code == 1
+    rows = json.loads(out)["results"]
+    assert [r["ok"] for r in rows if r["check"] == "rootbound"] == [None] * 7 + [False] * 7
+    assert rows[-1]["detail"] == "quartic inequality refuted at (2, 12)"
+    assert out == reencoded(out)
+
+
+# Row strings that look like the writer's own separators, an escaped NUL,
+# text outside ASCII, and the floats whose spelling is easy to get wrong.
+AWKWARD_ROW = {
+    "detail": '}, {"x": {"y": [1, 2]}}, "a": { \0 }\0{',
+    "note": "λ₂ < d − (2m+1)/(d+3) ≤ ∞",
+    '}\0{": {': ",",
+    "nan": float("nan"), "inf": float("inf"), "ninf": float("-inf"), "zero": -0.0,
+    "big": 10**40, "small": 5e-324, "none": None, "flag": False,
+}
+
+
+def test_verify_json_writer_on_awkward_rows(monkeypatch, capsys):
+    monkeypatch.setitem(cli.CHECKS, "rootbound",
+                        (lambda m, d: None, lambda m, d: [dict(ok=True, **AWKWARD_ROW)] * 2))
+    code, out, _ = run_cli("verify", "--m", "2", "--d", "6..7", "--checks", "rootbound",
+                           capsys=capsys)
+    assert code == 0
+    rows = [dict(check="rootbound", m=2, d=d, ok=True, skipped=False, **AWKWARD_ROW)
+            for d in (6, 7) for _ in range(2)]
+    expected = {"version": extremal_trees.__version__, "m": "2", "d": "6..7",
+                "checks": ["rootbound"], "results": rows, "all_ok": True}
+    assert out == json.dumps(expected, indent=2) + "\n"
 
 
 @pytest.fixture
