@@ -12,7 +12,9 @@ the counted modified-clique partition (``clique_certificate``), sigma >= m
 from m trees lifted from packings of one modified clique and of the clique
 quotient K_{2m+1} (``lift_packing``), verified on the whole graph.  Only when
 one of the two fails does it search sigma down from m+1, as ``pack`` always
-does.
+does.  Its JSON report has the bytes of ``json.dumps(indent=2)`` but its
+rows go through json's faster C encoder, which needs each row to be a flat
+dict of scalars; a row holding a list or dict is an internal error.
 
 Exit codes: 0 all requested work passed, 1 a verification check failed,
 2 a refused input (``ParameterDomainError``: a malformed or empty range,
@@ -341,6 +343,24 @@ def _run_check(check: str, m: int, d: int) -> list[dict]:
     return [_result(check, m, d, **row) for row in rows]
 
 
+def _indented_json(payload: dict) -> str:
+    """``json.dumps(payload, indent=2)`` for a payload whose top-level
+    "results" are flat, non-empty dicts of scalars, with the rows encoded in one call of
+    the C encoder, which json skips whenever ``indent`` is set."""
+    rows = payload["results"]
+    if any(issubclass(t, (list, tuple, dict))
+           for t in {type(v) for row in rows for v in row.values()}):
+        raise ConsistencyError("a verify row holds a list or dict, not only scalars")
+    # the encoder escapes NUL inside strings, so each NUL is a separator it
+    # wrote, between two items of a row or, after "}", between two rows
+    flat = json.dumps(rows, separators=("\0", ": "))
+    items = flat[2:-2].replace("}\0{", "\n    },\n    {\n      ").replace("\0", ",\n      ")
+    block = "[\n    {\n      " + items + "\n    }\n  ]" if rows else "[]"
+    # strings escape newlines too, so this key can only be the top-level one
+    text = json.dumps({**payload, "results": None}, indent=2)
+    return text.replace('\n  "results": null', '\n  "results": ' + block, 1)
+
+
 def cmd_verify(args) -> int:
     checks = args.checks.split(",") if args.checks != "all" else list(CHECK_NAMES)
     unknown = [c for c in checks if c not in CHECKS]
@@ -363,7 +383,7 @@ def cmd_verify(args) -> int:
             "results": results,
             "all_ok": all_ok,
         }
-        _write_output(json.dumps(payload, indent=2), args.out)
+        _write_output(_indented_json(payload), args.out)
     else:
         columns = ["check", "m", "d", "n", "ok", "root_bound", "max_root",
                    "quartic_ok", "window_ok", "skipped", "detail"]
@@ -376,7 +396,9 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="extremal-trees",
         description="Construct the extremal family G(m,d) and verify its "

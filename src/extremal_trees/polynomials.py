@@ -96,14 +96,16 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative polynomial power")
+        # square only while a higher bit of e is left to use the square
         result = Poly((1,))
         base = self
-        while e:
+        while True:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def shift_down(self) -> "Poly":
         """Exact division by x; requires zero constant term."""

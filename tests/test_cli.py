@@ -442,9 +442,17 @@ def test_verify_single_values(capsys):
     assert all(r["ok"] for r in data["results"])
 
 
-def reencoded(out: str) -> str:
-    """The report as json's own ``indent=2`` writer prints it."""
-    return json.dumps(json.loads(out), indent=2) + "\n"
+def assert_same_text(out: str, expected: str) -> None:
+    """out == expected, shown at the first difference: pytest's own diff of
+    two reports of a megabyte takes minutes."""
+    if out != expected:
+        at = len(os.path.commonprefix([out, expected]))
+        pytest.fail(f"differ at {at}: {out[at - 40:at + 40]!r} != {expected[at - 40:at + 40]!r}")
+
+
+def assert_indented(out: str) -> None:
+    """The report is the bytes json's own ``indent=2`` writer prints."""
+    assert_same_text(out, json.dumps(json.loads(out), indent=2) + "\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -456,7 +464,7 @@ def reencoded(out: str) -> str:
 def test_verify_json_is_the_indented_encoding(capsys, argv):
     code, out, _ = run_cli("verify", *argv, capsys=capsys)
     assert code == 0
-    assert out == reencoded(out)
+    assert_indented(out)
 
 
 def test_verify_json_with_failed_and_skipped_rows_is_the_indented_encoding(
@@ -471,7 +479,7 @@ def test_verify_json_with_failed_and_skipped_rows_is_the_indented_encoding(
     rows = json.loads(out)["results"]
     assert [r["ok"] for r in rows if r["check"] == "rootbound"] == [None] * 7 + [False] * 7
     assert rows[-1]["detail"] == "quartic inequality refuted at (2, 12)"
-    assert out == reencoded(out)
+    assert_indented(out)
 
 
 # Row strings that look like the writer's own separators, an escaped NUL,
@@ -495,7 +503,54 @@ def test_verify_json_writer_on_awkward_rows(monkeypatch, capsys):
             for d in (6, 7) for _ in range(2)]
     expected = {"version": extremal_trees.__version__, "m": "2", "d": "6..7",
                 "checks": ["rootbound"], "results": rows, "all_ok": True}
-    assert out == json.dumps(expected, indent=2) + "\n"
+    assert_same_text(out, json.dumps(expected, indent=2) + "\n")
+
+
+@pytest.mark.parametrize("value", [[1, 2], (), {"a": 1}], ids=["list", "tuple", "dict"])
+def test_verify_json_writer_refuses_a_row_that_is_not_flat(monkeypatch, capsys, value):
+    monkeypatch.setitem(cli.CHECKS, "rootbound",
+                        (lambda m, d: None, lambda m, d: [dict(ok=True, nested=value)]))
+    code, out, err = run_cli("verify", "--m", "2", "--d", "6", "--checks", "rootbound",
+                             capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err == "internal error: a verify row holds a list or dict, not only scalars\n"
+
+
+def test_one_parser_per_process_keeps_no_state_between_commands(
+        monkeypatch, capsys, tmp_path, sigma_calls):
+    assert cli.build_parser() is cli.build_parser()
+
+    code, out, _ = run_cli("pack", "1", "4", "--trees", "2", capsys=capsys)
+    assert code == 1 and "witness" in json.loads(out)
+    code, out, _ = run_cli("pack", "1", "4", capsys=capsys)
+    assert code == 0 and json.loads(out)["sigma"] == 1
+    assert [k_max for k_max, _ in sigma_calls] == [2]
+
+    target = tmp_path / "report.csv"
+    code, out, _ = run_cli("verify", "--m", "1", "--d", "4", "--checks", "construction",
+                           "--format", "csv", "--out", str(target), capsys=capsys)
+    assert (code, out) == (0, "") and target.read_text().startswith("check,m,d,")
+    code, out, _ = run_cli("verify", capsys=capsys)
+    data = json.loads(out)
+    assert code == 0 and (data["m"], data["d"]) == ("1..3", "auto")
+    assert data["checks"] == list(cli.CHECK_NAMES)
+    assert {r["m"] for r in data["results"]} == {1, 2, 3}
+
+    routes = []
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def route(*args):
+            routes.append(name)
+            return real(*args)
+        return route
+
+    for name in ("char_poly_exact", "char_poly_oracle"):
+        monkeypatch.setattr(cli, name, counted(name))
+    assert run_cli("charpoly", "1", "4", "--oracle", capsys=capsys)[0] == 0
+    assert run_cli("charpoly", "1", "4", capsys=capsys)[0] == 0
+    assert routes == ["char_poly_oracle", "char_poly_exact"]
 
 
 @pytest.fixture

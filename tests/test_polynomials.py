@@ -60,6 +60,28 @@ def test_json_roundtrip_exact():
     assert Poly([int(c) for c in data["coeffs"]]) == p
 
 
+def test_power_squares_only_for_the_bits_it_uses(monkeypatch):
+    # square-and-multiply: e.bit_length() - 1 squarings and one product into
+    # the result per set bit of e; a squaring past the top bit is thrown away
+    p = Poly((Fraction(-1, 2), 3, 0, 2))
+    repeated = [Poly((1,))]
+    for _ in range(40):
+        repeated.append(repeated[-1] * p)
+    products = []
+    real = Poly.__mul__
+
+    def counted(a, b):
+        products.append("square" if a is b else "result")
+        return real(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    for e in range(41):
+        products.clear()
+        assert p**e == repeated[e]
+        assert products.count("square") == max(e.bit_length() - 1, 0)
+        assert products.count("result") == bin(e).count("1")
+
+
 def test_negative_power_rejected():
     with pytest.raises(ValueError):
         Poly((0, 1)) ** -1
