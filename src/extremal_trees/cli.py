@@ -345,8 +345,8 @@ def _run_check(check: str, m: int, d: int) -> list[dict]:
 
 def _indented_json(payload: dict) -> str:
     """``json.dumps(payload, indent=2)`` for a payload whose top-level
-    "results" are flat, non-empty dicts of scalars, with the rows encoded in one call of
-    the C encoder, which json skips whenever ``indent`` is set."""
+    "results" are flat, non-empty dicts of scalars, with the rows encoded in
+    one call of the C encoder, which json skips whenever ``indent`` is set."""
     rows = payload["results"]
     if any(issubclass(t, (list, tuple, dict))
            for t in {type(v) for row in rows for v in row.values()}):
