@@ -48,11 +48,11 @@ from .packing import (
     ForestPacking,
     PartitionCertificate,
     clique_certificate,
-    lift_packing,
     pack_spanning_trees,
     partition_certificate,
     sigma,
     verify_nash_williams,
+    walecki_packing,
 )
 from .polynomials import Poly
 from .rigidity import check_spectral_rigidity_hypotheses, rigidity_certificate

@@ -7,14 +7,13 @@ run, which returns the check's rows.  Its ``charpoly`` check compares the
 closed form with the multi-modular oracle on the built graph's 2m+1
 circulant blocks; ``charpoly --oracle`` runs the same oracle on the whole
 adjacency matrix as one block.  Both refuse n above 300.  Its ``packing``
-check proves sigma = m without a search on the whole graph: sigma <= m from
-the counted modified-clique partition (``clique_certificate``), sigma >= m
-from m trees lifted from packings of one modified clique and of the clique
-quotient K_{2m+1} (``lift_packing``), verified on the whole graph.  Only when
-one of the two fails does it search sigma down from m+1, as ``pack`` always
-does.  Its JSON report has the bytes of ``json.dumps(indent=2)`` but its
-rows go through json's faster C encoder, which needs each row to be a flat
-dict of scalars; a row holding a list or dict is an internal error.
+check proves sigma = m without a search: sigma <= m from the counted
+modified-clique partition (``clique_certificate``), sigma >= m from m trees
+written in closed form from Walecki's Hamiltonian paths (``walecki_packing``)
+and verified on the whole graph; ``pack`` searches sigma down from m+1.  Its
+JSON report has the bytes of ``json.dumps(indent=2)`` but its rows go
+through json's faster C encoder, which needs each row to be a flat dict of
+scalars; a row holding a list or dict is an internal error.
 
 Exit codes: 0 all requested work passed, 1 a verification check failed,
 2 a refused input (``ParameterDomainError``: a malformed or empty range,
@@ -66,9 +65,9 @@ from .graphs import (
 from .packing import (
     ForestPacking,
     clique_certificate,
-    lift_packing,
     pack_spanning_trees,
     sigma,
+    walecki_packing,
 )
 from .rigidity import check_spectral_rigidity_hypotheses
 from .spectral import family_spectrum, lambda2, lambda2_window
@@ -276,18 +275,13 @@ def _check_pipeline(m: int, d: int) -> list[dict]:
 
 def _check_packing(m: int, d: int) -> list[dict]:
     # sigma <= m: the modified cliques cross in m(2m+1) edges, fewer than the
-    # (m+1)(2m) that m+1 trees need.  sigma >= m: the m trees lifted from one
-    # modified clique and the quotient K_{2m+1}, verified on the whole graph.
-    # Without both proofs the search from m+1 runs, so a failing row reports
-    # the sigma it found.
-    g = build_extremal_graph(m, d)
+    # (m+1)(2m) that m+1 trees need.  sigma >= m: Walecki's m trees, which
+    # raise ConsistencyError unless they verify on the whole graph.
     cert = clique_certificate(m, d)
-    if cert.refutes and lift_packing(g) is not None:
-        value = m
-    else:
-        value = sigma(g, m + 1)
-    return [dict(ok=value == m and cert.deficit == m,
-                 detail=f"sigma={value} certificate_deficit={cert.deficit}")]
+    walecki_packing(m, d)
+    return [dict(ok=cert.deficit == m,
+                 detail=f"sigma{'=' if cert.refutes else '>='}{m} "
+                        f"certificate_deficit={cert.deficit}")]
 
 
 def _check_rigidity(m: int, d: int) -> list[dict]:
@@ -324,7 +318,7 @@ CHECKS = {
     "charpoly": (_oracle_guard, _check_charpoly),
     "rootbound": (_rootbound_guard, _check_rootbound),
     "pipeline": (_eigen_guard, _check_pipeline),
-    "packing": (_packing_guard, _check_packing),
+    "packing": (_build_guard, _check_packing),
     "rigidity": (_rigidity_guard, _check_rigidity),
     "identities": (_identities_guard, _check_identities),
 }

@@ -21,25 +21,24 @@ constructively:
   the clumps as a blocking partition, verified against the partition
   condition before being returned.
 
-* ``lift_packing`` packs m trees of G(m,d) from two small packings found by
-  ``pack_spanning_trees``: one on H, the modified clique induced on clique 0
-  (d+1 vertices), and one on the clique quotient Q = K_{2m+1}, whose edge
-  between two cliques stands for their one cross edge.  Tree f is the 2m+1
-  copies of H's tree f, one per clique, plus the cross edges of Q's tree f.
-  Both pieces exist: K_{2m+1} has exactly m edge-disjoint spanning trees and
-  H meets the partition condition for m trees when d >= 2m+2 (Nash-Williams
-  1961, Tutte 1961).  The lifted packing is verified on the whole G(m,d).
+* ``walecki_packing`` writes m trees of G(m,d) from Walecki's decomposition
+  of K_n into floor(n/2) edge-disjoint Hamiltonian paths (Lucas 1892;
+  Alspach 2008): the zigzags i, i+1, i-1, i+2, ..., after vertex n-1 when n
+  is odd.  Tree f is path f inside each modified clique plus the cross edges
+  of path f of the clique quotient K_{2m+1}, whose edge between two cliques
+  stands for their one cross edge.  As d+1 >= 2m+3, path floor((d+1)/2) - 1
+  is spare; numbering the slots along it puts the removed matching on it,
+  so paths 0..m-1 avoid the matching.  The trees are verified on G(m,d).
 
 * ``sigma`` searches down from k_max, jumping from each failed k to the
   bound c // (t-1) < k of its witness (c crossing edges over t parts).  The
-  ``pack`` command runs it from m+1; ``verify``'s packing check runs it only
-  as a fallback, when the lift or the clique certificate fails.
+  ``pack`` command runs it from m+1; ``verify``'s packing check never does.
 
 * ``clique_certificate`` instantiates the partition upper bound for G(m,d):
   the modified cliques form a partition with m(2m+1) crossing edges, fewer
   than the (m+1)(2m) that m+1 trees would need, so sigma(G(m,d)) <= m.
   ``verify``'s packing check takes sigma <= m from it and sigma >= m from
-  the lifted m-packing, so no search on the whole graph runs there.
+  ``walecki_packing``, so no search runs there.
 
 Edges are processed lowest index first and the search order is fixed, so
 packings are reproducible.
@@ -322,41 +321,44 @@ def pack_spanning_trees(g: Graph, k: int) -> ForestPacking | PartitionCertificat
     return cert
 
 
-def lift_packing(g: Graph) -> ForestPacking | None:
-    """m edge-disjoint spanning trees of the family graph G(m,d), lifted from
-    packings of its modified clique H and its clique quotient K_{2m+1}.
+def _walecki_path(size: int, i: int) -> list[int]:
+    """Path i < size // 2 of Walecki's decomposition of K_size into Hamiltonian
+    paths: the zigzag i, i+1, i-1, i+2, ..., i+h on Z_2h (h = size // 2),
+    after vertex 2h when size is odd."""
+    h = size // 2
+    zigzag = [(i + (j + 1) // 2 if j % 2 else i - j // 2) % (2 * h) for j in range(2 * h)]
+    return [2 * h] * (size % 2) + zigzag
 
-    Both pieces are read off g and its clique partition.  Returns None when
-    either piece does not pack m trees; a returned packing has passed
-    ``_verify_packing`` on g itself.
+
+def walecki_packing(m: int, d: int) -> ForestPacking:
+    """m edge-disjoint spanning trees of G(m,d), written from Walecki's paths.
+
+    Tree f is clique path f in every modified clique plus the cross edges of
+    path f of the clique quotient K_{2m+1}.  The trees have passed
+    ``_verify_packing`` on ``build_extremal_graph(m, d)``.
     """
-    parts = [sorted(part) for part in clique_partition(g).parts]
-    m = g.params[0]
-    clique_of, slot_of = [0] * g.n, [0] * g.n
-    for i, part in enumerate(parts):
-        for a, v in enumerate(part):
-            clique_of[v], slot_of[v] = i, a
-    h_edges: list[tuple[int, int]] = []  # clique 0, in slots
-    cross: dict[tuple[int, int], tuple[int, int]] = {}  # clique pair -> its cross edge
-    for u, v in g.edges():
-        i, j = clique_of[u], clique_of[v]
-        if i != j:
-            cross[min(i, j), max(i, j)] = (u, v)
-        elif i == 0:
-            h_edges.append((slot_of[u], slot_of[v]))
-    h_trees = pack_spanning_trees(Graph.from_edges(len(parts[0]), h_edges), m)
-    if not isinstance(h_trees, ForestPacking):
-        return None
-    q_trees = pack_spanning_trees(Graph.from_edges(len(parts), cross), m)
-    if not isinstance(q_trees, ForestPacking):
-        return None
-    packing = ForestPacking(tuple(
-        frozenset(
-            [(part[a], part[b]) for part in parts for a, b in h_tree]
-            + [cross[pair] for pair in q_tree]
-        )
-        for h_tree, q_tree in zip(h_trees.trees, q_trees.trees)
-    ))
+    g = build_extremal_graph(m, d)
+    c, k = d + 1, 2 * m + 1
+    # c >= 2m+3, so path c//2 - 1 is spare: its j-th vertex becomes slot j,
+    # which puts each removed pair {2t, 2t+1} on it and none on paths 0..m-1
+    slot = [0] * c
+    for j, v in enumerate(_walecki_path(c, c // 2 - 1)):
+        slot[v] = j
+    trees = []
+    for f in range(m):
+        path = [slot[v] for v in _walecki_path(c, f)]
+        inside = [(min(x, y), max(x, y)) for x, y in zip(path, path[1:])]
+        tree = [(a * c + x, a * c + y) for a in range(k) for x, y in inside]
+        quotient = _walecki_path(k, f)
+        for a, b in zip(quotient, quotient[1:]):
+            if (b - a) % k > m:
+                a, b = b, a
+            # clique a's slot 2t+1 meets clique b = a+t+1's slot 2t
+            t = (b - a) % k - 1
+            u, v = a * c + 2 * t + 1, b * c + 2 * t
+            tree.append((min(u, v), max(u, v)))
+        trees.append(frozenset(tree))
+    packing = ForestPacking(tuple(trees))
     _verify_packing(g, packing)
     return packing
 

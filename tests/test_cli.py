@@ -202,7 +202,8 @@ def test_verify_builds_each_graph_and_spectrum_once(monkeypatch, capsys, built_g
 
 
 def test_skipped_checks_build_no_graph(capsys, built_graphs):
-    code, out, _ = run_cli("verify", "--m", "1", "--d", "100",
+    # |E| = 1,009,830 is above the build guard, which the packing check shares
+    code, out, _ = run_cli("verify", "--m", "1", "--d", "820",
                            "--checks", "charpoly,rootbound,packing,rigidity", capsys=capsys)
     assert code == 0
     assert all(r["skipped"] for r in json.loads(out)["results"])
@@ -576,8 +577,8 @@ def test_verify_packing_proves_sigma_without_a_search(capsys, pack_calls, sigma_
     code, rows = verify_packing(capsys, "3", "8")
     assert code == 0
     assert rows == [(3, 8, True, "sigma=3 certificate_deficit=3")]
-    # one modified clique (d+1 = 9 vertices) and the quotient K_7, never G(3,8)
-    assert pack_calls == [(9, 3), (7, 3)]
+    # Walecki's trees are written, not searched for
+    assert pack_calls == []
     assert sigma_calls == []
 
 
@@ -585,49 +586,34 @@ def test_verify_packing_lifts_every_desk_pair(capsys, pack_calls, sigma_calls):
     code, rows = verify_packing(capsys, "1..5", "auto")
     assert code == 0
     assert [(m, d) for m, d, _, _ in rows] == DESK_SWEEP
-    assert pack_calls == [call for m, d in DESK_SWEEP for call in ((d + 1, m), (2 * m + 1, m))]
+    assert pack_calls == []
     assert sigma_calls == []
 
 
-@pytest.mark.parametrize("piece_n", [9, 7], ids=["clique", "quotient"])
-def test_verify_packing_searches_when_a_piece_fails(monkeypatch, capsys, sigma_calls, piece_n):
-    real = packing.pack_spanning_trees
-
-    def failing_piece(g, k):
-        return packing.clique_certificate(3, 8) if g.n == piece_n else real(g, k)
-
-    monkeypatch.setattr(packing, "pack_spanning_trees", failing_piece)
-    code, rows = verify_packing(capsys, "3", "8")
-    assert sigma_calls == [(4, 3)]
-    assert code == 0
-    assert rows == [(3, 8, True, "sigma=3 certificate_deficit=3")]
-
-
-def test_verify_packing_searches_when_the_m_packing_fails(monkeypatch, capsys, sigma_calls):
-    # every packing of 3 or more trees "fails" with the clique partition, so
-    # the search must run and the row must carry the sigma it found, not m
-    real = packing.pack_spanning_trees
-
-    def no_m_packing(g, k):
-        return packing.clique_certificate(3, 8) if k >= 3 else real(g, k)
-
-    monkeypatch.setattr(packing, "pack_spanning_trees", no_m_packing)
-    monkeypatch.setattr(cli, "pack_spanning_trees", no_m_packing)
-    code, rows = verify_packing(capsys, "3", "8")
-    assert sigma_calls == [(4, 2)]
-    assert code == 1
-    assert rows == [(3, 8, False, "sigma=2 certificate_deficit=3")]
+def test_verify_packing_trees_that_fail_verification_are_an_internal_error(
+        monkeypatch, capsys, pack_calls, sigma_calls):
+    # with path 1 replaced by path 0, G(3,8)'s first two trees coincide
+    real = packing._walecki_path
+    monkeypatch.setattr(packing, "_walecki_path", lambda size, i: real(size, 0 if i == 1 else i))
+    code, out, err = run_cli("verify", "--m", "3", "--d", "8", "--checks", "packing",
+                             capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err == "internal error: trees share an edge\n"
+    assert pack_calls == []
+    assert sigma_calls == []
 
 
-def test_verify_packing_searches_when_the_certificate_does_not_refute(
-        monkeypatch, capsys, sigma_calls):
+def test_verify_packing_fails_when_the_certificate_does_not_refute(
+        monkeypatch, capsys, pack_calls, sigma_calls):
+    # the trees still show sigma >= 3, but nothing bounds sigma from above
     real = packing.clique_certificate
     monkeypatch.setattr(cli, "clique_certificate",
                         lambda m, d: dataclasses.replace(real(m, d), deficit=0))
     code, rows = verify_packing(capsys, "3", "8")
-    assert sigma_calls == [(4, 3)]
     assert code == 1
-    assert rows == [(3, 8, False, "sigma=3 certificate_deficit=0")]
+    assert rows == [(3, 8, False, "sigma>=3 certificate_deficit=0")]
+    assert pack_calls == []
+    assert sigma_calls == []
 
 
 def test_clique_crossings_counted_once_per_pair(monkeypatch, capsys, fresh_memos):
@@ -657,9 +643,9 @@ def test_verify_packing_sweep_rows(capsys):
                     for m in range(1, 5) for d in range(14, 23)]
 
 
-# Every row of `verify --checks all` on four pairs that reach all eight skip
-# branches: (check, n, ok, skipped, quartic_ok, window_ok, detail of a
-# skipped row).  "-" marks a field the row does not carry.
+# Every row of `verify --checks all` on four pairs that reach every skip
+# branch below the build guard: (check, n, ok, skipped, quartic_ok,
+# window_ok, detail of a skipped row).  "-" marks a field the row does not carry.
 VERIFY_ROWS = {
     (1, 4): [
         ("construction", "-", True, False, "-", "-", None),
@@ -690,7 +676,7 @@ VERIFY_ROWS = {
         ("charpoly", "-", None, True, "-", "-", "n=505 above oracle guard 300"),
         ("rootbound", "-", True, False, "-", "-", None),
         ("pipeline", 5, True, False, True, True, None),
-        ("packing", "-", None, True, "-", "-", "|E|=25250 above packing guard 10500"),
+        ("packing", "-", True, False, "-", "-", None),
         ("rigidity", "-", True, False, "-", "-", None),
         ("identities", "-", True, False, "-", "-", None),
     ],
@@ -701,7 +687,7 @@ VERIFY_ROWS = {
         ("charpoly", "-", None, True, "-", "-", "n=1005 above oracle guard 300"),
         ("rootbound", "-", True, False, "-", "-", None),
         ("pipeline", "-", None, True, "-", "-", "n=1005 above eigensolver guard 600"),
-        ("packing", "-", None, True, "-", "-", "|E|=100500 above packing guard 10500"),
+        ("packing", "-", True, False, "-", "-", None),
         ("rigidity", "-", None, True, "-", "-", "n=1005 above eigensolver guard 600"),
         ("identities", "-", True, False, "-", "-", None),
     ],

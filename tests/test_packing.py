@@ -2,7 +2,7 @@ import itertools
 import subprocess
 import sys
 import textwrap
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +21,12 @@ from extremal_trees import (
     clique_certificate,
     clique_partition,
     crossing_edges,
-    lift_packing,
     pack_spanning_trees,
     packing,
     partition_certificate,
     sigma,
     verify_nash_williams,
+    walecki_packing,
 )
 from extremal_trees.packing import _Forest
 
@@ -311,34 +311,58 @@ def test_verify_packing_rejects_a_non_tree_under_optimize():
                          for edge in ("(2,3)", "(2,1)", "(-1,0)")]
 
 
+@pytest.mark.parametrize("size", range(2, 10))
+def test_walecki_paths_decompose_the_complete_graph(size):
+    # floor(size/2) pairwise edge-disjoint Hamiltonian paths; at even size
+    # they cover every edge
+    paths = [packing._walecki_path(size, i) for i in range(size // 2)]
+    edges = [frozenset(e) for path in paths for e in zip(path, path[1:])]
+    assert all(sorted(path) == list(range(size)) for path in paths)
+    assert len(set(edges)) == len(edges) == (size // 2) * (size - 1)
+
+
+# Walecki's packing lifts clique path f to every modified clique and quotient
+# path f to its cross edges, so these tests keep the lift's names.  The cases
+# take d+1 odd, where the paths start at a hub, and even.
 @pytest.mark.parametrize("m,d", CROSS_CHECK_CASES + [(4, 22), (5, 13)])
 def test_lift_packing_packs_m_spanning_trees(m, d):
     g = build_extremal_graph(m, d)
-    lifted = lift_packing(g)
+    lifted = walecki_packing(m, d)
     check_packing_independently(g, lifted, m)
-    # every tree has d edges inside each clique, so its other 2m edges cross
+    c, matching = d + 1, {(2 * t, 2 * t + 1) for t in range(m)}
     for tree in lifted.trees:
-        inside = [sum(1 for u, v in tree if u in part and v in part)
-                  for part in clique_partition(g).parts]
-        assert inside == [d] * (2 * m + 1)
+        for a in range(2 * m + 1):
+            inside = {(u - a * c, v - a * c) for u, v in tree if u // c == v // c == a}
+            # d edges inside each clique, so the tree's other 2m edges cross;
+            # acyclic, on d+1 slots, none of degree above 2: a Hamiltonian path
+            assert len(inside) == d
+            assert max(Counter(x for edge in inside for x in edge).values()) <= 2
+            assert not inside & matching
+
+
+def test_lift_packing_fails_when_a_used_path_carries_a_matching_pair(monkeypatch):
+    # an identity slot map leaves Walecki's labels as they are, so clique
+    # path 0 (hub 6, then 0, 1, ...) keeps the removed pair (0,1)
+    real = packing._walecki_path
+    monkeypatch.setattr(packing, "_walecki_path",
+                        lambda size, i: list(range(size)) if (size, i) == (7, 2) else real(size, i))
+    assert (0, 1) in zip(real(7, 0), real(7, 0)[1:])
+    with pytest.raises(ConsistencyError, match="is not an edge"):
+        walecki_packing(2, 6)
 
 
 def test_lift_packing_needs_a_family_graph():
-    with pytest.raises(ValueError):
-        lift_packing(complete_graph(6))
+    for m, d in [(1, 3), (2, 5), (0, 4)]:
+        with pytest.raises(ParameterDomainError, match=f"m={m}, d={d}"):
+            walecki_packing(m, d)
 
 
 def test_lift_packing_verifies_the_lift_on_the_whole_graph(monkeypatch):
-    # a quotient packing whose two trees coincide lifts to trees that share edges
-    real = packing.pack_spanning_trees
-
-    def doubled(h, k):
-        result = real(h, k)
-        return ForestPacking((result.trees[0],) * k) if h.n == 5 else result
-
-    monkeypatch.setattr(packing, "pack_spanning_trees", doubled)
+    # quotient and clique path 1 replaced by path 0 make the two trees coincide
+    real = packing._walecki_path
+    monkeypatch.setattr(packing, "_walecki_path", lambda size, i: real(size, 0 if i == 1 else i))
     with pytest.raises(ConsistencyError, match="trees share an edge"):
-        lift_packing(build_extremal_graph(2, 6))
+        walecki_packing(2, 6)
 
 
 def set_partitions(n: int):
