@@ -30,6 +30,9 @@ the closed form exactly, modulo the oracle's first prime for k = 2m+1;
 ``verify_determinant_identities`` decides the determinant identities in
 integers on fixed cases, its determinants from the oracle's kernel.
 
+The parameter rules have one owner each: ``graphs.check_family_params`` the
+family domain, ``check_bracket_params`` the bracket factors' n | 2m+1.
+
 Only the oracle and the two identity suites use numpy, each function
 importing it in its own body, so the closed form runs without loading it.
 """
@@ -70,17 +73,20 @@ def euler_phi(k: int) -> int:
     return sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1)
 
 
+def check_bracket_params(n: int, m: int, d: int) -> None:
+    """Raise ParameterDomainError outside the family's domain or unless n divides 2m+1."""
+    check_family_params(m, d)
+    if n < 1 or (2 * m + 1) % n != 0:
+        raise ParameterDomainError(f"n={n} must be a positive divisor of 2m+1={2 * m + 1}")
+
+
 def bracket_factor(n: int, m: int, d: int) -> Poly:
     """The degree-n factor B_n(z) = (-2m+1)T_n + (2m-d)T_n/z + (2m+1)(z-1)U_{n-1}.
 
-    Defined for odd n dividing 2m+1 (T_n is odd, so T_n/z is a polynomial).
-    Leading coefficient is 2^n.
+    Defined for n dividing 2m+1 (such n is odd, T_n is odd, so T_n/z is a
+    polynomial).  Leading coefficient is 2^n.
     """
-    if n < 1 or n % 2 == 0:
-        raise ParameterDomainError(f"bracket factor needs odd n >= 1, got n={n}")
-    check_family_params(m, d)
-    if (2 * m + 1) % n != 0:
-        raise ParameterDomainError(f"n={n} must divide 2m+1={2 * m + 1}")
+    check_bracket_params(n, m, d)
     t_n = chebyshev_T(n)
     u_prev = chebyshev_U(n - 1)
     z = Poly.x()

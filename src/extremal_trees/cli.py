@@ -51,6 +51,7 @@ from .errors import (
 )
 from .graeffe import (
     check_root_bound_inequality,
+    quartic_guard,
     root_bound_radicand,
     verify_upper_bound_pipeline,
 )
@@ -135,25 +136,22 @@ def cmd_charpoly(args) -> int:
 
 def cmd_pack(args) -> int:
     _refuse_above(_packing_guard, args.m, args.d)
-    g = build_extremal_graph(args.m, args.d)
-    if args.trees is not None:
-        result = pack_spanning_trees(g, args.trees)
-        ok = isinstance(result, ForestPacking)
-        payload = {"m": args.m, "d": args.d, "k": args.trees, "packed": ok}
-        payload["packing" if ok else "witness"] = result.to_dict()
+    if args.trees is None:
+        value = sigma(build_extremal_graph(args.m, args.d), args.m + 1)
+        payload = {"m": args.m, "d": args.d, "sigma": value, "expected": args.m,
+                   "certificate": clique_certificate(args.m, args.d).to_dict()}
         _write_output(json.dumps(payload), args.out)
-        return 0 if ok else 1
-    value = sigma(g, args.m + 1)
-    cert = clique_certificate(args.m, args.d)
-    payload = {
-        "m": args.m,
-        "d": args.d,
-        "sigma": value,
-        "expected": args.m,
-        "certificate": cert.to_dict(),
-    }
+        return 0 if value == args.m else 1
+    # the search sets up all k forests before it places an edge
+    tree_edges = args.trees * ((2 * args.m + 1) * (args.d + 1) - 1)
+    if reason := _above("k(n-1)", tree_edges, "packing", PACKING_EDGE_GUARD):
+        raise SizeGuardError(reason)
+    result = pack_spanning_trees(build_extremal_graph(args.m, args.d), args.trees)
+    ok = isinstance(result, ForestPacking)
+    payload = {"m": args.m, "d": args.d, "k": args.trees, "packed": ok}
+    payload["packing" if ok else "witness"] = result.to_dict()
     _write_output(json.dumps(payload), args.out)
-    return 0 if value == args.m else 1
+    return 0 if ok else 1
 
 
 def cmd_rigidity(args) -> int:
@@ -193,10 +191,6 @@ def _eigen_guard(m: int, d: int) -> str | None:
 
 def _oracle_guard(m: int, d: int) -> str | None:
     return _above("n", (2 * m + 1) * (d + 1), "oracle", ORACLE_SIZE_GUARD)
-
-
-def _rootbound_guard(m: int, d: int) -> str | None:
-    return "quartic inequality applies for m >= 2" if m < 2 else None
 
 
 def _packing_guard(m: int, d: int) -> str | None:
@@ -316,7 +310,7 @@ CHECKS = {
     "lambda2": (_eigen_guard, _check_lambda2),
     "spectra": (_eigen_guard, _check_spectra),
     "charpoly": (_oracle_guard, _check_charpoly),
-    "rootbound": (_rootbound_guard, _check_rootbound),
+    "rootbound": (quartic_guard, _check_rootbound),
     "pipeline": (_eigen_guard, _check_pipeline),
     "packing": (_build_guard, _check_packing),
     "rigidity": (_rigidity_guard, _check_rigidity),
@@ -382,10 +376,9 @@ def cmd_verify(args) -> int:
         columns = ["check", "m", "d", "n", "ok", "root_bound", "max_root",
                    "quartic_ok", "window_ok", "skipped", "detail"]
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore")
+        writer = csv.DictWriter(buf, fieldnames=columns, restval="", extrasaction="ignore")
         writer.writeheader()
-        for r in results:
-            writer.writerow({c: r.get(c, "") for c in columns})
+        writer.writerows(results)
         _write_output(buf.getvalue(), args.out)
     return 0 if all_ok else 1
 
@@ -401,55 +394,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", help="construct G(m,d) and export it")
-    p.add_argument("m", type=int)
-    p.add_argument("d", type=int)
+    def command(name: str, help: str, func, *ints: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for arg in ints:
+            p.add_argument(arg, type=int)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("build", "construct G(m,d) and export it", cmd_build, "m", "d")
     p.add_argument("--format", choices=("edgelist", "dot"), default="edgelist")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("spectrum", help="adjacency spectrum of G(m,d)")
-    p.add_argument("m", type=int)
-    p.add_argument("d", type=int)
+    p = command("spectrum", "adjacency spectrum of G(m,d)", cmd_spectrum, "m", "d")
     p.add_argument("--method", choices=("dense", "blocks"), default="dense")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("charpoly", help="exact characteristic polynomial of G(m,d)")
-    p.add_argument("m", type=int)
-    p.add_argument("d", type=int)
+    p = command("charpoly", "exact characteristic polynomial of G(m,d)", cmd_charpoly, "m", "d")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true", default=True,
                        help="closed-form assembly (default)")
     group.add_argument("--oracle", action="store_true",
                        help="multi-modular Hessenberg oracle on the whole "
                             f"adjacency matrix (n <= {ORACLE_SIZE_GUARD})")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_charpoly)
 
-    p = sub.add_parser("pack", help="spanning tree packing of G(m,d)")
-    p.add_argument("m", type=int)
-    p.add_argument("d", type=int)
+    p = command("pack", "spanning tree packing of G(m,d)", cmd_pack, "m", "d")
     p.add_argument("--trees", type=int, default=None,
                    help="pack exactly this many trees (default: sigma, searched down from m+1)")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_pack)
 
-    p = sub.add_parser("rigidity", help="rigidity certificate and mu2 window for G(3r-1,d)")
-    p.add_argument("r", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_rigidity)
+    command("rigidity", "rigidity certificate and mu2 window for G(3r-1,d)", cmd_rigidity, "r", "d")
 
-    p = sub.add_parser("verify", help="run named verification checks over an (m,d) sweep")
+    p = command("verify", "run named verification checks over an (m,d) sweep", cmd_verify)
     p.add_argument("--m", default="1..3", help="range like 2..5 or a single value")
     p.add_argument("--d", default="auto",
                    help="range like 6..20, a single value, or 'auto' (2m+2..2m+8)")
     p.add_argument("--checks", default="all",
                    help="comma-separated subset of: " + ", ".join(CHECK_NAMES))
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
+
+    # every subcommand's last option
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 

@@ -12,6 +12,10 @@ have the closed form in ``factor_leading_coeffs``, giving the explicit bound
 (decided exactly by integer cross-multiplication) then places every bracket
 root, and hence lambda_2 = 2 z_0 - 1, strictly below d - (2m+1)/(d+3).
 
+Each parameter rule has one owner: ``graphs.check_family_params`` owns the
+family domain, ``charpoly.check_bracket_params`` n | 2m+1 and ``quartic_guard``
+m >= 2.  Graeffe adds only n != 1, as the bound needs degree at least 3.
+
 A float check raises CheckFailure at the comparison that fails, so a returned
 report holds only measured values, never a verdict flag.
 """
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charpoly import bracket_factor, divisors
+from .charpoly import bracket_factor, check_bracket_params, divisors
 from .errors import CheckFailure, ParameterDomainError
 from .graphs import check_family_params
 from .polynomials import Poly
@@ -78,11 +82,9 @@ def graeffe_bound(c: LeadingCoeffs) -> float:
 
 
 def _check_factor_params(n: int, m: int, d: int) -> None:
-    check_family_params(m, d)
-    if n % 2 == 0 or not 3 <= n <= 2 * m + 1 or (2 * m + 1) % n != 0:
-        raise ParameterDomainError(
-            f"n must be an odd divisor of 2m+1={2 * m + 1} with n >= 3, got n={n}"
-        )
+    check_bracket_params(n, m, d)
+    if n == 1:
+        raise ParameterDomainError("the Graeffe bound needs degree n >= 3, got n=1")
 
 
 def factor_leading_coeffs(n: int, m: int, d: int) -> LeadingCoeffs:
@@ -120,19 +122,23 @@ def largest_root_bound(n: int, m: int, d: int) -> float:
     return 0.5 * root_bound_radicand(n, m, d) ** 0.25
 
 
+def quartic_guard(m: int, d: int) -> str | None:
+    """Why the quartic inequality does not apply to a family pair, or None:
+    at m = 1 the bound fails by a hair, and a separate argument is used."""
+    check_family_params(m, d)
+    return "quartic inequality applies for m >= 2" if m < 2 else None
+
+
 def check_root_bound_inequality(m: int, d: int) -> bool:
     """Exact test of Q^(1/4) < d - (2m+1)/(d+3) + 1 with Q the n=2m+1 radicand.
 
     Compared as Q (d+3)^4 < ((d+1)(d+3) - (2m+1))^4, which is Q < RHS^4 with
     the positive denominator (d+3)^4 cleared, in integers, so the verdict
-    carries no floating-point uncertainty.  Defined for d >= 2m+2 >= 6 (m = 1
-    has the bound fail by a hair and is handled by a separate argument, so it
-    is outside this inequality's domain).
+    carries no floating-point uncertainty.  Defined where ``quartic_guard``
+    returns None: d >= 2m+2 >= 6.
     """
-    if m < 2 or d < 2 * m + 2:
-        raise ParameterDomainError(
-            f"inequality domain is d >= 2m+2 >= 6; got m={m}, d={d}"
-        )
+    if (reason := quartic_guard(m, d)) is not None:
+        raise ParameterDomainError(reason)
     q = root_bound_radicand(2 * m + 1, m, d)
     return q * (d + 3) ** 4 < ((d + 1) * (d + 3) - (2 * m + 1)) ** 4
 
@@ -183,9 +189,9 @@ def verify_upper_bound_pipeline(m: int, d: int) -> PipelineReport:
 
     For every divisor n != 1 of 2m+1: the largest bracket root must respect
     its Graeffe bound and map below the upper window edge under x = 2z - 1;
-    the bounds must be monotone in n; for m >= 2 the exact quartic inequality
-    must hold; and lambda_2 from the dense spectrum must equal the largest
-    root image.  Raises CheckFailure at the first violation.
+    the bounds must be monotone in n; unless ``quartic_guard`` objects, the
+    exact quartic inequality must hold; and lambda_2 from the dense spectrum
+    must equal the largest root image.  Raises CheckFailure at the first violation.
     """
     where = f"root-bound pipeline failed for (m,d)=({m},{d})"
     lam2_val = lambda2(m, d)  # raises if the window itself fails
@@ -201,7 +207,7 @@ def verify_upper_bound_pipeline(m: int, d: int) -> PipelineReport:
         if rows and bound < rows[-1].root_bound - BOUND_SLACK:
             raise CheckFailure(f"{where}: n={n} bound {bound} below {rows[-1].root_bound}")
         rows.append(FactorRow(n, z0, bound))
-    quartic_ok = check_root_bound_inequality(m, d) if m >= 2 else None
+    quartic_ok = None if quartic_guard(m, d) else check_root_bound_inequality(m, d)
     if quartic_ok is False:
         raise CheckFailure(f"{where}: the exact quartic inequality fails")
     gap = abs(lam2_val - max(2 * row.max_root - 1 for row in rows))

@@ -16,8 +16,9 @@ one cross neighbour in front of the clique or after it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, filterfalse
 from operator import countOf
 from typing import TYPE_CHECKING, Iterator
@@ -54,12 +55,10 @@ class Graph:
         count = sum(len(s) for s in adj) // 2
         return cls(n, tuple(tuple(sorted(s)) for s in adj), count, params)
 
-    @cached_property
-    def neighbor_sets(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(row) for row in self.adjacency)
-
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbor_sets[u]
+        row = self.adjacency[u]
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in ascending order."""

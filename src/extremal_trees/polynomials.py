@@ -47,9 +47,7 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return len(self.coeffs) == len(other.coeffs) and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)

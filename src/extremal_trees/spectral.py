@@ -149,6 +149,7 @@ def _remembered_spectrum(m: int, d: int, method: str) -> np.ndarray:
 
 def lambda2_window(m: int, d: int) -> tuple[float, float]:
     """The proven enclosure [d - (2m+1)/(d+1), d - (2m+1)/(d+3)) for lambda_2."""
+    check_family_params(m, d)
     return d - (2 * m + 1) / (d + 1), d - (2 * m + 1) / (d + 3)
 
 

@@ -373,6 +373,29 @@ def test_pack_refuses_pair_above_packing_guard(capsys, built_graphs, trees):
     assert built_graphs == []
 
 
+@pytest.mark.parametrize("trees,tree_edges", [("751", 10514), ("100000000", 1400000000)])
+def test_pack_refuses_tree_count_above_packing_guard(capsys, built_graphs, pack_calls,
+                                                     trees, tree_edges):
+    # the search sets up all k forests of n = 15 vertices before it places an
+    # edge, so k(n-1) is refused before the graph is built
+    code, out, err = run_cli("pack", "1", "4", "--trees", trees, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: k(n-1)={tree_edges} above packing guard 10500\n"
+    assert built_graphs == [] and pack_calls == []
+
+
+def test_pack_tree_count_at_packing_guard_is_searched(capsys):
+    # k(n-1) = 750 * 14 = 10500 is at the guard, not above it
+    code, out, _ = run_cli("pack", "1", "4", "--trees", "750", capsys=capsys)
+    assert code == 1 and json.loads(out)["packed"] is False
+
+
+@pytest.mark.parametrize("trees", ["0", "-1"])
+def test_pack_nonpositive_tree_count_reaches_the_library(capsys, trees):
+    code, out, err = run_cli("pack", "1", "4", "--trees", trees, capsys=capsys)
+    assert (code, out, err) == (2, "", f"error: need k >= 1, got k={trees}\n")
+
+
 def test_pack_explicit_k_success(capsys):
     code, out, _ = run_cli("pack", "2", "6", "--trees", "2", capsys=capsys)
     assert code == 0
@@ -787,3 +810,27 @@ def test_cli_import_loads_every_package_module():
     assert loaded == sorted(["extremal_trees", *(f"extremal_trees.{path.stem}"
                                                  for path in PACKAGE.glob("*.py")
                                                  if path.stem != "__init__")])
+
+
+USAGE = {
+    (): "usage: extremal-trees [-h] [--version]\n"
+        "                      {build,spectrum,charpoly,pack,rigidity,verify} ...\n",
+    ("build",): "usage: extremal-trees build [-h] [--format {edgelist,dot}] [--out OUT] m d\n",
+    ("spectrum",): "usage: extremal-trees spectrum [-h] [--method {dense,blocks}] [--out OUT] m d\n",
+    ("charpoly",): "usage: extremal-trees charpoly [-h] [--exact | --oracle] [--out OUT] m d\n",
+    ("pack",): "usage: extremal-trees pack [-h] [--trees TREES] [--out OUT] m d\n",
+    ("rigidity",): "usage: extremal-trees rigidity [-h] [--out OUT] r d\n",
+    ("verify",): "usage: extremal-trees verify [-h] [--m M] [--d D] [--checks CHECKS]\n"
+                 "                             [--format {json,csv}] [--out OUT]\n",
+}
+
+
+@pytest.mark.parametrize("command", USAGE, ids=lambda c: " ".join(c) or "program")
+def test_help_usage_lines(monkeypatch, capsys, command):
+    # the CLI surface: every subcommand keeps its positionals, its own
+    # options and --out last; argparse wraps at $COLUMNS, so it is pinned
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.partition("\n\n")[0] + "\n" == USAGE[command]

@@ -294,3 +294,14 @@ def test_export_requires_family_graph():
 def test_loops_rejected():
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 0)])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_has_edge_matches_edge_list(seed):
+    # has_edge bisects the sorted row, so it must see the first and last
+    # neighbour and answer False past either end of the row
+    n, edges = random_graph(seed)
+    g = Graph.from_edges(n, edges)
+    expected = set(edges) | {(v, u) for u, v in edges}
+    assert [g.has_edge(u, v) for u in range(n) for v in range(n)] == \
+        [(u, v) in expected for u in range(n) for v in range(n)]
