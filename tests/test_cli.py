@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -319,6 +320,24 @@ def test_verify_rootbound_reports_non_monotone_radicands(monkeypatch, capsys):
     assert code == 1
     [row] = json.loads(out)["results"]
     assert (row["ok"], row["detail"]) == (False, "monotone=False exact=True")
+
+
+# SHA-256 of the stdout of two rootbound sweeps, recorded at version 0.1.0.
+# The JSON report carries __version__, so a version bump re-records its
+# digest; the CSV report carries no version.
+ROOTBOUND_DIGESTS = [
+    (("--m", "2..50", "--d", "6..200"),
+     "3af648d889f61d40f5a680b16c48ce9978b0a88c6da1ad6d00f00b050afa3994"),
+    (("--m", "1..6", "--d", "4..30", "--format", "csv"),
+     "84d56859db831b709eaca559a19c112cf3ee6906535ec610086e747b5d96ae7a"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", ROOTBOUND_DIGESTS, ids=["json", "csv"])
+def test_verify_rootbound_report_pinned(capsys, argv, digest):
+    code, out, err = run_cli("verify", "--checks", "rootbound", *argv, capsys=capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_construction_skips_pair_above_build_guard(monkeypatch, capsys):
