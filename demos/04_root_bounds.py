@@ -22,7 +22,7 @@ from extremal_trees import (
 from extremal_trees.charpoly import divisors
 
 m, d = 4, 10
-print(f"G({m},{d}); divisors of 2m+1 = {2 * m + 1}: {divisors(2 * m + 1)[1:]}")
+print(f"G({m},{d}); divisors of 2m+1 = {2 * m + 1}: {list(divisors(2 * m + 1)[1:])}")
 for n in divisors(2 * m + 1)[1:]:
     c = factor_leading_coeffs(n, m, d)
     z0 = fn_max_root(n, m, d)

@@ -40,6 +40,7 @@ importing it in its own body, so the closed form runs without loading it.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
@@ -64,9 +65,11 @@ ORACLE_SIZE_GUARD = 300
 _ORACLE_PRIMES: dict[int, list[int]] = {}
 
 
-def divisors(k: int) -> list[int]:
+@cache
+def divisors(k: int) -> tuple[int, ...]:
+    """The positive divisors of k, ascending, computed once per k."""
     small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
-    return small + [k // d for d in reversed(small) if d * d != k]
+    return (*small, *(k // d for d in reversed(small) if d * d != k))
 
 
 def euler_phi(k: int) -> int:

@@ -38,7 +38,6 @@ from .charpoly import (
     ORACLE_SIZE_GUARD,
     char_poly_exact,
     char_poly_oracle,
-    divisors,
     verify_determinant_identities,
     verify_root_of_unity_identities,
 )
@@ -52,7 +51,7 @@ from .errors import (
 from .graeffe import (
     check_root_bound_inequality,
     quartic_guard,
-    root_bound_radicand,
+    root_bound_radicands,
     verify_upper_bound_pipeline,
 )
 from .graphs import (
@@ -249,9 +248,11 @@ def _check_charpoly(m: int, d: int) -> list[dict]:
 
 
 def _check_rootbound(m: int, d: int) -> list[dict]:
-    # each bound is its radicand's fourth root, so the integers decide the order
-    radicands = [root_bound_radicand(n, m, d) for n in divisors(2 * m + 1) if n != 1]
-    monotone = all(q2 >= q1 for q1, q2 in zip(radicands, radicands[1:]))
+    # each bound is its radicand's fourth root, so the integers decide the
+    # order: the bounds never fall as n rises when the radicands, listed by
+    # ascending n, are already sorted (equal neighbours allowed)
+    radicands = root_bound_radicands(m, d)
+    monotone = list(radicands) == sorted(radicands)
     exact_ok = check_root_bound_inequality(m, d)
     return [dict(ok=monotone and exact_ok, detail=f"monotone={monotone} exact={exact_ok}")]
 

@@ -15,6 +15,9 @@ root, and hence lambda_2 = 2 z_0 - 1, strictly below d - (2m+1)/(d+3).
 Each parameter rule has one owner: ``graphs.check_family_params`` owns the
 family domain, ``charpoly.check_bracket_params`` n | 2m+1 and ``quartic_guard``
 m >= 2.  Graeffe adds only n != 1, as the bound needs degree at least 3.
+``root_bound_radicand`` gives the integer radicand of one factor B_n, and
+``root_bound_radicands`` those of a pair's every factor n != 1, ascending in
+n, after a single family check; both evaluate the one radicand polynomial.
 
 A float check raises CheckFailure at the comparison that fails, so a returned
 report holds only measured values, never a verdict flag.
@@ -99,19 +102,25 @@ def factor_leading_coeffs(n: int, m: int, d: int) -> LeadingCoeffs:
     )
 
 
+def _radicand(n: int, m: int, d: int) -> int:
+    # d^4 + 4d^3 - (8m-2)d^2 + 4d + 8m^2 - 8m + 6n - 5, by Horner's rule in d
+    return (((d + 4) * d - (8 * m - 2)) * d + 4) * d + 8 * m * m - 8 * m + 6 * n - 5
+
+
 def root_bound_radicand(n: int, m: int, d: int) -> int:
     """Integer Q with largest_root_bound = Q^(1/4) / 2."""
     _check_factor_params(n, m, d)
-    return (
-        d**4
-        + 4 * d**3
-        - (8 * m - 2) * d**2
-        + 4 * d
-        + 8 * m * m
-        - 8 * m
-        + 6 * n
-        - 5
-    )
+    return _radicand(n, m, d)
+
+
+def root_bound_radicands(m: int, d: int) -> tuple[int, ...]:
+    """The radicands Q_n of every divisor n != 1 of 2m+1, ascending in n.
+
+    One family check covers the whole pair: every such n is a divisor of
+    2m+1 other than 1, which is all ``root_bound_radicand`` adds.
+    """
+    check_family_params(m, d)
+    return tuple(_radicand(n, m, d) for n in divisors(2 * m + 1)[1:])
 
 
 def largest_root_bound(n: int, m: int, d: int) -> float:

@@ -43,15 +43,23 @@ from conftest import complete_graph, path_graph
 
 
 def test_divisor_helpers():
-    assert divisors(9) == [1, 3, 9]
-    assert divisors(7) == [1, 7]
+    assert divisors(9) == (1, 3, 9)
+    assert divisors(7) == (1, 7)
     assert euler_phi(9) == 6
     assert euler_phi(1) == 1
 
 
 def test_divisors_match_trial_division():
     for k in range(1, 2001):
-        assert divisors(k) == [d for d in range(1, k + 1) if k % d == 0], k
+        assert divisors(k) == tuple(d for d in range(1, k + 1) if k % d == 0), k
+
+
+def test_divisors_are_remembered():
+    divisors.cache_clear()
+    for k in range(1, 1001):
+        first = divisors(k)
+        assert first == tuple(d for d in range(1, k + 1) if k % d == 0), k
+        assert divisors(k) is first
 
 
 @settings(deadline=None, derandomize=True)

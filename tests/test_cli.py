@@ -314,12 +314,23 @@ def test_verify_rootbound_decided_in_integers(capsys, d):
 
 
 def test_verify_rootbound_reports_non_monotone_radicands(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "root_bound_radicand", lambda n, m, d: -n)
+    # descending radicands for n = 3, 9 at m = 4
+    monkeypatch.setattr(cli, "root_bound_radicands", lambda m, d: (-3, -9))
     code, out, _ = run_cli("verify", "--checks", "rootbound", "--m", "4", "--d", "10",
                            capsys=capsys)
     assert code == 1
     [row] = json.loads(out)["results"]
     assert (row["ok"], row["detail"]) == (False, "monotone=False exact=True")
+
+
+def test_verify_rootbound_equal_radicands_are_monotone(monkeypatch, capsys):
+    # equal neighbours give equal bounds, which never fall as n rises
+    monkeypatch.setattr(cli, "root_bound_radicands", lambda m, d: (7, 7))
+    code, out, _ = run_cli("verify", "--checks", "rootbound", "--m", "4", "--d", "10",
+                           capsys=capsys)
+    assert code == 0
+    [row] = json.loads(out)["results"]
+    assert (row["ok"], row["detail"]) == (True, "monotone=True exact=True")
 
 
 # SHA-256 of the stdout of two rootbound sweeps, recorded at version 0.1.0.

@@ -20,7 +20,7 @@ from extremal_trees import (
 )
 from extremal_trees import graeffe
 from extremal_trees.charpoly import divisors
-from extremal_trees.graeffe import LeadingCoeffs, root_bound_radicand
+from extremal_trees.graeffe import LeadingCoeffs, root_bound_radicand, root_bound_radicands
 from extremal_trees.spectral import lambda2_window
 
 
@@ -123,6 +123,17 @@ def test_top_divisor_radicand_closed_form():
         assert largest_root_bound(2 * m + 1, m, d) == pytest.approx(
             0.5 * expected**0.25, abs=1e-12
         )
+
+
+@pytest.mark.parametrize("m", range(1, 61))
+def test_pair_radicands_are_the_factor_radicands(m):
+    for d in (2 * m + 2, 2 * m + 3, 200, 10**9):
+        ns = divisors(2 * m + 1)[1:]
+        expected = [root_bound_radicand(n, m, d) for n in ns]
+        assert list(root_bound_radicands(m, d)) == expected, d
+        # Q_n / 16 is the fourth-power sum of B_n's closed-form coefficients
+        assert expected == [16 * graeffe_radicand(factor_leading_coeffs(n, m, d))
+                            for n in ns], d
 
 
 def test_quartic_inequality_values():

@@ -51,7 +51,8 @@ def test_walk_finds_the_domain_functions():
     # of their own or checked none at all
     found = {p.id for leading, _, _ in CASES for p in public_functions(leading)}
     assert {"spectral.lambda2_window", "graeffe.check_root_bound_inequality",
-            "graeffe.quartic_guard", "graeffe.factor_leading_coeffs",
+            "graeffe.quartic_guard", "graeffe.root_bound_radicands",
+            "graeffe.factor_leading_coeffs",
             "charpoly.bracket_factor", "charpoly.check_bracket_params",
             "rigidity.check_spectral_rigidity_hypotheses",
             "packing.walecki_packing"} <= found
