@@ -252,7 +252,7 @@ def _check_rootbound(m: int, d: int) -> list[dict]:
     # order: the bounds never fall as n rises when the radicands, listed by
     # ascending n, are already sorted (equal neighbours allowed)
     radicands = root_bound_radicands(m, d)
-    monotone = list(radicands) == sorted(radicands)
+    monotone = radicands == sorted(radicands)
     exact_ok = check_root_bound_inequality(m, d)
     return [dict(ok=monotone and exact_ok, detail=f"monotone={monotone} exact={exact_ok}")]
 

@@ -113,14 +113,14 @@ def root_bound_radicand(n: int, m: int, d: int) -> int:
     return _radicand(n, m, d)
 
 
-def root_bound_radicands(m: int, d: int) -> tuple[int, ...]:
+def root_bound_radicands(m: int, d: int) -> list[int]:
     """The radicands Q_n of every divisor n != 1 of 2m+1, ascending in n.
 
     One family check covers the whole pair: every such n is a divisor of
     2m+1 other than 1, which is all ``root_bound_radicand`` adds.
     """
     check_family_params(m, d)
-    return tuple(_radicand(n, m, d) for n in divisors(2 * m + 1)[1:])
+    return [_radicand(n, m, d) for n in divisors(2 * m + 1)[1:]]
 
 
 def largest_root_bound(n: int, m: int, d: int) -> float:

@@ -315,7 +315,7 @@ def test_verify_rootbound_decided_in_integers(capsys, d):
 
 def test_verify_rootbound_reports_non_monotone_radicands(monkeypatch, capsys):
     # descending radicands for n = 3, 9 at m = 4
-    monkeypatch.setattr(cli, "root_bound_radicands", lambda m, d: (-3, -9))
+    monkeypatch.setattr(cli, "root_bound_radicands", lambda m, d: [-3, -9])
     code, out, _ = run_cli("verify", "--checks", "rootbound", "--m", "4", "--d", "10",
                            capsys=capsys)
     assert code == 1
@@ -325,7 +325,7 @@ def test_verify_rootbound_reports_non_monotone_radicands(monkeypatch, capsys):
 
 def test_verify_rootbound_equal_radicands_are_monotone(monkeypatch, capsys):
     # equal neighbours give equal bounds, which never fall as n rises
-    monkeypatch.setattr(cli, "root_bound_radicands", lambda m, d: (7, 7))
+    monkeypatch.setattr(cli, "root_bound_radicands", lambda m, d: [7, 7])
     code, out, _ = run_cli("verify", "--checks", "rootbound", "--m", "4", "--d", "10",
                            capsys=capsys)
     assert code == 0

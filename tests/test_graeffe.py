@@ -130,7 +130,7 @@ def test_pair_radicands_are_the_factor_radicands(m):
     for d in (2 * m + 2, 2 * m + 3, 200, 10**9):
         ns = divisors(2 * m + 1)[1:]
         expected = [root_bound_radicand(n, m, d) for n in ns]
-        assert list(root_bound_radicands(m, d)) == expected, d
+        assert root_bound_radicands(m, d) == expected, d
         # Q_n / 16 is the fourth-power sum of B_n's closed-form coefficients
         assert expected == [16 * graeffe_radicand(factor_leading_coeffs(n, m, d))
                             for n in ns], d
