@@ -52,14 +52,7 @@ def test_divisor_helpers():
 def test_divisors_match_trial_division():
     for k in range(1, 2001):
         assert divisors(k) == tuple(d for d in range(1, k + 1) if k % d == 0), k
-
-
-def test_divisors_are_remembered():
-    divisors.cache_clear()
-    for k in range(1, 1001):
-        first = divisors(k)
-        assert first == tuple(d for d in range(1, k + 1) if k % d == 0), k
-        assert divisors(k) is first
+        assert divisors(k) is divisors(k), k
 
 
 @settings(deadline=None, derandomize=True)

@@ -125,15 +125,15 @@ def test_top_divisor_radicand_closed_form():
         )
 
 
-@pytest.mark.parametrize("m", range(1, 61))
-def test_pair_radicands_are_the_factor_radicands(m):
-    for d in (2 * m + 2, 2 * m + 3, 200, 10**9):
+def test_pair_radicands_are_the_factor_radicands():
+    for m in range(1, 61):
         ns = divisors(2 * m + 1)[1:]
-        expected = [root_bound_radicand(n, m, d) for n in ns]
-        assert root_bound_radicands(m, d) == expected, d
-        # Q_n / 16 is the fourth-power sum of B_n's closed-form coefficients
-        assert expected == [16 * graeffe_radicand(factor_leading_coeffs(n, m, d))
-                            for n in ns], d
+        for d in (2 * m + 2, 2 * m + 3, 200, 10**9):
+            expected = [root_bound_radicand(n, m, d) for n in ns]
+            assert root_bound_radicands(m, d) == expected, (m, d)
+            # Q_n / 16 is the fourth-power sum of B_n's closed-form coefficients
+            assert expected == [16 * graeffe_radicand(factor_leading_coeffs(n, m, d))
+                                for n in ns], (m, d)
 
 
 def test_quartic_inequality_values():
