@@ -16,14 +16,15 @@ and raises ConsistencyError.  The shift's n passes are each one prefix sum
 
 The multi-modular oracle ``char_poly_oracle(g, k=1)`` provides the
 independent cross-check; it does not read the Chebyshev algebra.  It reads k
-blocks off the adjacency matrix of a block-circulant graph (any graph is one
-block; G(m,d) splits into k = 2m+1), checks that they assemble to it, and
-modulo each prime p = 1 (mod k) below 2^31 reduces the k blocks of size n/k
-into which the matrix splits over F_p by Hessenberg reduction (one batched
-kernel for all blocks and primes).  It lifts the product of their
-characteristic polynomials by the Chinese remainder theorem past the
-Hadamard bound on its coefficients and checks the lift modulo one further
-prime (n <= ORACLE_SIZE_GUARD).
+blocks off the symmetric adjacency matrix of a block-circulant graph (any
+graph is one block; G(m,d) splits into k = 2m+1), checks that they assemble
+to it, and modulo each prime p = 1 (mod k) below 2^31 reduces by Hessenberg
+reduction the blocks H_t of size n/k into which the matrix splits over F_p
+(one batched kernel for all blocks and primes); symmetry makes
+H_(k-t) = H_t^T, so only t = 0..k//2 are reduced.  It lifts the product of
+the block polynomials by the Chinese remainder theorem past the Hadamard
+bound on its coefficients and checks the lift modulo one further prime
+(n <= ORACLE_SIZE_GUARD).
 
 ``verify_root_of_unity_identities`` decides the Chebyshev identities behind
 the closed form exactly, modulo the oracle's first prime for k = 2m+1;
@@ -140,13 +141,16 @@ def _taylor_shift_1(coeffs: list[int]) -> list[int]:
 def char_poly_oracle(g: Graph, k: int = 1) -> Poly:
     """Characteristic polynomial of a graph, exact, multi-modularly.
 
-    The adjacency matrix must be k x k blocks of size s = n/k whose (r, c)
-    block is b_((c-r) mod k), where b_i = a[:s, i*s:(i+1)*s]; anything else
-    raises ValueError.  Modulo a prime p = 1 (mod k) with zeta of order k,
-    the matrix is similar to the block-diagonal matrix of the k blocks
-    H_t = sum_i zeta^(ti) b_i (Davis, Circulant Matrices, 1979), so its
-    characteristic polynomial mod p is the product of theirs; with k = 1
-    the one block is the whole matrix.  The polynomial is computed modulo
+    The adjacency matrix must be symmetric and k x k blocks of size s = n/k
+    whose (r, c) block is b_((c-r) mod k), where b_i = a[:s, i*s:(i+1)*s];
+    anything else raises ValueError.  Modulo a prime p = 1 (mod k) with zeta
+    of order k, the matrix is similar to the block-diagonal matrix of the k
+    blocks H_t = sum_i zeta^(ti) b_i (Davis, Circulant Matrices, 1979), so
+    its characteristic polynomial mod p is the product of theirs; with k = 1
+    the one block is the whole matrix.  Symmetry gives b_(k-i) = b_i^T, so
+    H_(k-t) = H_t^T has the characteristic polynomial of H_t: only
+    t = 0..k//2 are reduced, and the product is chi(H_0) chi(H_t)^2 over
+    0 < t < k/2, times chi(H_(k/2)) for even k.  It is computed modulo
     enough primes that their product exceeds twice the Hadamard bound on its
     coefficients (``_coefficient_bound``), lifted by the symmetric Chinese
     remainder theorem, and checked against its residue modulo one further
@@ -161,6 +165,8 @@ def char_poly_oracle(g: Graph, k: int = 1) -> Poly:
         raise SizeGuardError(f"oracle limited to {ORACLE_SIZE_GUARD} vertices (got {n})")
     s = n // k
     a = g.adjacency_matrix()
+    if not np.array_equal(a, a.T):
+        raise ValueError("adjacency matrix is not symmetric")
     blocks = a[:s].reshape(s, k, s).swapaxes(0, 1)
     if not np.array_equal(a, assemble_block_circulant(blocks)):
         raise ValueError(f"adjacency matrix is not block circulant with {k} blocks")
@@ -169,18 +175,24 @@ def char_poly_oracle(g: Graph, k: int = 1) -> Poly:
     # the symmetric lift is exact, and one further prime to check it
     lift = _primes_for(_coefficient_bound(n, max(map(len, g.adjacency), default=0)), k)
     primes = _oracle_primes(k, len(lift) + 1)
-    # twiddle[j, t, i] = zeta_j^(t*i) modulo primes[j]; entries of b_i are
-    # 0 or 1, so each sum over i stays below k * 2^31
-    exponents = np.outer(np.arange(k), np.arange(k)) % k
+    # twiddle[j, t, i] = zeta_j^(t*i) modulo primes[j] for t = 0..k//2;
+    # entries of b_i are 0 or 1, so each sum over i stays below k * 2^31
+    half = k // 2
+    exponents = np.outer(np.arange(half + 1), np.arange(k)) % k
     zetas = [_root_of_unity(k, p) for p in primes]
     twiddle = np.array([[pow(zeta, e, p) for e in range(k)]
                         for zeta, p in zip(zetas, primes)], dtype=np.int64)[:, exponents]
-    h = (twiddle @ flat).reshape(len(primes) * k, s, s)
-    polys = _char_poly_mod(h, np.repeat(primes, k)).reshape(len(primes), k, s + 1)
+    h = (twiddle @ flat).reshape(len(primes) * (half + 1), s, s)
+    polys = _char_poly_mod(h, np.repeat(primes, half + 1)).reshape(len(primes), half + 1, s + 1)
     moduli = np.array(primes)
     product = polys[:, 0]
-    for t in range(1, k):
-        product = _poly_mul_mod(product, polys[:, t], moduli)
+    if k > 2:
+        paired = polys[:, 1]
+        for t in range(2, (k + 1) // 2):
+            paired = _poly_mul_mod(paired, polys[:, t], moduli)
+        product = _poly_mul_mod(product, _poly_mul_mod(paired, paired, moduli), moduli)
+    if k % 2 == 0:
+        product = _poly_mul_mod(product, polys[:, half], moduli)
     *rows, check = product.tolist()
 
     modulus = math.prod(lift)
@@ -329,15 +341,21 @@ def _char_poly_mod(h: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _poly_mul_mod(f: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Row-wise products of ascending polynomials f[b] * g[b] modulo p[b]."""
+    """Row-wise products of ascending polynomials f[b] * g[b] modulo p[b].
+
+    The table of reduced coefficient products, shorter factor (length b) down
+    the rows, padded to rows of a+b and read back in rows of a+b-1, has row j
+    shifted right by j, so its column sums are the product: P*b*(a+b) memory.
+    """
     import numpy as np
 
-    p1 = p[:, None]
-    out = np.zeros((f.shape[0], f.shape[1] + g.shape[1] - 1), dtype=np.int64)
-    for j in range(g.shape[1]):
-        window = out[:, j:j + f.shape[1]]
-        window[:] = (window + f * g[:, j, None] % p1) % p1
-    return out
+    if g.shape[1] > f.shape[1]:
+        f, g = g, f
+    batch, a, b = f.shape[0], f.shape[1], g.shape[1]
+    table = np.zeros((batch, b, a + b), dtype=np.int64)
+    table[:, :, :a] = g[:, :, None] * f[:, None, :] % p[:, None, None]
+    skew = table.reshape(batch, -1)[:, :b * (a + b - 1)].reshape(batch, b, a + b - 1)
+    return skew.sum(axis=1) % p[:, None]
 
 
 def verify_root_of_unity_identities(m: int) -> int:

@@ -31,7 +31,7 @@ import csv
 import io
 import json
 import sys
-from functools import cache, lru_cache
+from functools import cache
 
 from . import __version__
 from .charpoly import (
@@ -287,9 +287,10 @@ def _check_rigidity(m: int, d: int) -> list[dict]:
 
 
 # Neither identity suite reads d, and the determinant suite reads no m, so a
-# sweep (pairs in order of m) computes the first once per m and the second
-# once per process.
-@lru_cache(maxsize=1)
+# process computes the first once per m, whatever order its pairs come in,
+# and the second once; the identities guard admits m <= IDENTITIES_M_GUARD,
+# so the first memo holds at most that many ints.
+@cache
 def _root_of_unity_report(m: int) -> int:
     return verify_root_of_unity_identities(m)
 

@@ -43,16 +43,18 @@ def symmetric_eigenvalues(mat: np.ndarray) -> np.ndarray:
     has shape (..., s), one ascending row per matrix.  LAPACK
     (``np.linalg.eigvalsh``) solves it.  eigvalsh reads one triangle only, so
     input whose Hermitian defect over the last two axes exceeds 1e-9, or is
-    not finite, is rejected instead of solved wrongly.
+    not finite, is rejected instead of solved wrongly; integer or bool input
+    that equals its transpose has defect 0 and skips the float test.
     """
     import numpy as np
 
     a = np.asarray(mat)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError("matrix must be square")
-    herm_defect = float(np.max(np.abs(a - a.conj().swapaxes(-2, -1)), initial=0.0))
-    if not herm_defect <= 1e-9:
-        raise ValueError(f"matrix is not finite and Hermitian (defect {herm_defect:.2e})")
+    if not (a.dtype.kind in "biu" and np.array_equal(a, a.swapaxes(-2, -1))):
+        herm_defect = float(np.max(np.abs(a - a.conj().swapaxes(-2, -1)), initial=0.0))
+        if not herm_defect <= 1e-9:
+            raise ValueError(f"matrix is not finite and Hermitian (defect {herm_defect:.2e})")
     try:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
@@ -110,9 +112,12 @@ def hermitian_blocks(m: int, d: int) -> np.ndarray:
     zetas = [complex(math.cos(2 * math.pi * t / k), math.sin(2 * math.pi * t / k))
              for t in range(1, k + 1)]
     powers = np.array([[zeta**i for i in range(k)] for zeta in zetas])
+    # b_0 weighted by zeta^0 = 1, plus zeta^i at the one unit entry of each
+    # other b_i; those entries are zero in b_0 and in every other block
     h = np.zeros(blocks.shape, dtype=complex)
-    for i, b in enumerate(blocks):
-        h += powers[:, i, None, None] * b
+    h[:] = blocks[0]
+    i, rows, cols = np.nonzero(blocks[1:])
+    h[:, rows, cols] = powers[:, i + 1]
     return h
 
 

@@ -32,6 +32,7 @@ from extremal_trees.charpoly import (
     _determinant_cases,
     _is_prime,
     _oracle_primes,
+    _poly_mul_mod,
     _primes_for,
     _root_of_unity,
     _taylor_shift_1,
@@ -365,6 +366,53 @@ def test_block_oracle_refuses_non_block_circulant():
         char_poly_oracle(g, 4)  # 15 vertices
     with pytest.raises(SizeGuardError):
         char_poly_oracle(build_extremal_graph(1, 100), 3)  # 303 vertices
+
+
+def test_block_oracle_refuses_a_one_way_row():
+    # H_(k-t) = H_t^T only for a symmetric matrix: the directed 3-cycle is
+    # circulant in 3 blocks, and C_4 with the one-way entry 0 -> 2 is one block
+    cycle3 = Graph(3, ((1,), (2,), (0,)), 3)
+    one_way = Graph(4, ((1, 2, 3), (0, 2), (1, 3), (0, 2)), 4)
+    for g, k in [(cycle3, 3), (cycle3, 1), (one_way, 1)]:
+        with pytest.raises(ValueError, match="^adjacency matrix is not symmetric$"):
+            char_poly_oracle(g, k)
+
+
+@pytest.mark.parametrize("g,k,blocks", [
+    pytest.param(build_extremal_graph(2, 6), 5, 3, id="G(2,6)"),
+    pytest.param(Graph.from_edges(12, [(i, (i + 1) % 12) for i in range(12)]), 4, 3, id="C_12"),
+    pytest.param(complete_graph(12), 6, 4, id="K_12"),
+    pytest.param(build_extremal_graph(1, 4), 1, 1, id="G(1,4)"),
+])
+def test_block_oracle_reduces_half_the_blocks(monkeypatch, g, k, blocks):
+    # t and k - t give transposed blocks, so each prime reduces t = 0..k//2
+    shapes = []
+    real = charpoly._char_poly_mod
+
+    def recorded(h, p):
+        shapes.append((h.shape, p.shape))
+        return real(h, p)
+
+    monkeypatch.setattr(charpoly, "_char_poly_mod", recorded)
+    assert char_poly_oracle(g, k) == reference_char_poly(g)
+    # the lift's primes and the check prime, each with k//2 + 1 blocks
+    primes = len(_primes_for(_coefficient_bound(g.n, max(map(len, g.adjacency))), k)) + 1
+    batch = primes * blocks
+    assert shapes == [((batch, g.n // k, g.n // k), (batch,))]
+
+
+def test_poly_mul_mod_matches_schoolbook_at_the_largest_residues():
+    # every residue p - 1, so each coefficient product is as large as it gets
+    primes = _oracle_primes(1, 3)
+    moduli = np.array(primes)
+    for a in range(1, 13):
+        for b in range(1, 13):
+            f = (moduli - 1)[:, None].repeat(a, axis=1)
+            g = (moduli - 1)[:, None].repeat(b, axis=1)
+            expected = [[sum((p - 1) ** 2 for i in range(a) if 0 <= j - i < b) % p
+                         for j in range(a + b - 1)] for p in primes]
+            assert _poly_mul_mod(f, g, moduli).tolist() == expected, (a, b)
+            assert _poly_mul_mod(g, f, moduli).tolist() == expected, (b, a)
 
 
 @pytest.mark.parametrize("m,d", [(1, 4), (2, 6)])

@@ -263,6 +263,28 @@ def test_identity_suites_computed_once_per_m_and_per_process(monkeypatch, capsys
                for r in json.loads(out)["results"])
 
 
+def test_root_of_unity_suite_once_per_m_in_any_order(monkeypatch, capsys):
+    # the benchmark issues one pair per command in shuffled order, so the
+    # memo must keep every m, not only the last
+    calls = []
+
+    def counted_roots(m):
+        calls.append(m)
+        return roots(m)
+
+    roots = cli.verify_root_of_unity_identities
+    monkeypatch.setattr(cli, "verify_root_of_unity_identities", counted_roots)
+    cli._root_of_unity_report.cache_clear()
+    try:
+        for m, d in [(1, 4), (2, 6), (1, 5)]:
+            code, _, _ = run_cli("verify", "--m", str(m), "--d", str(d),
+                                 "--checks", "identities", capsys=capsys)
+            assert code == 0
+    finally:
+        cli._root_of_unity_report.cache_clear()
+    assert calls == [1, 2]
+
+
 def test_identities_skipped_above_guard(monkeypatch, capsys):
     def refuse(m):
         raise AssertionError(f"root-of-unity identities ran at m={m}")

@@ -46,6 +46,21 @@ def test_solver_rejects_non_symmetric_real_input():
         symmetric_eigenvalues(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
+def test_solver_decides_integer_symmetry_exactly():
+    # integer input skips the float defect when it is exactly symmetric, and
+    # reports the same defect as before when it is not
+    a = np.array([[0, 1], [1, 0]])
+    assert np.array_equal(symmetric_eigenvalues(a), symmetric_eigenvalues(a.astype(float)))
+    for bad in (np.array([[0, 1], [0, 0]]), np.array([a, [[0, 2], [1, 0]]])):
+        with pytest.raises(ValueError, match=r"^matrix is not finite and Hermitian "
+                                             r"\(defect 1\.00e\+00\)$"):
+            symmetric_eigenvalues(bad)
+    # float input keeps the defect test, so a symmetric inf is still refused
+    # (inf - inf is the nan that refuses it)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="Hermitian"):
+        symmetric_eigenvalues(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
 def test_k5_spectrum():
     values = eigenvalues_dense(complete_graph(5))
     assert np.allclose(values, [4, -1, -1, -1, -1], atol=1e-10)
