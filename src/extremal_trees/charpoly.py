@@ -13,18 +13,23 @@ integer polynomial y^e 2^deg q(y/2), then an exact division by 2^deg) and
 must come out integral and monic; anything else is an implementation bug
 and raises ConsistencyError.  The shift's n passes are each one prefix sum
 (``itertools.accumulate``) over the reversed coefficient list.
+``char_poly_exact_factored`` returns (e, the rest) and leaves the prefactor
+out of the shift.
 
 The multi-modular oracle ``char_poly_oracle(g, k=1)`` provides the
-independent cross-check; it does not read the Chebyshev algebra.  It reads k
-blocks off the symmetric adjacency matrix of a block-circulant graph (any
-graph is one block; G(m,d) splits into k = 2m+1), checks that they assemble
-to it, and modulo each prime p = 1 (mod k) below 2^31 reduces by Hessenberg
-reduction the blocks H_t of size n/k into which the matrix splits over F_p
-(one batched kernel for all blocks and primes); symmetry makes
-H_(k-t) = H_t^T, so only t = 0..k//2 are reduced.  It lifts the product of
-the block polynomials by the Chinese remainder theorem past the Hadamard
-bound on its coefficients and checks the lift modulo one further prime
-(n <= ORACLE_SIZE_GUARD).
+independent cross-check; it does not read the Chebyshev algebra.  From the
+adjacency lists it divides out the closed twins (equal rows of A + I, within
+one of the k blocks; any graph is one block, G(m,d) splits into k = 2m+1),
+chi(A) = (x+1)^(n-q) chi(B) for the quotient B on the q classes, which for
+G(m,d) has q = (2m+1)^2 whatever d is.  It checks that B is symmetric in its
+classes and block circulant, and modulo each prime p = 1 (mod k) below 2^31
+reduces by Hessenberg reduction the blocks H_t of size q/k into which B
+splits over F_p (one batched kernel for all blocks and primes); symmetry
+pairs H_(k-t) with H_t, so only t = 0..k//2 are reduced.  It lifts the
+product of the block polynomials by the Chinese remainder theorem past the
+Hadamard bound on its coefficients and checks the lift modulo one further
+prime (q <= ORACLE_SIZE_GUARD).  ``char_poly_oracle_factored`` returns
+(n - q, chi(B)), which ``verify`` compares with the factored closed form.
 
 ``verify_root_of_unity_identities`` decides the Chebyshev identities behind
 the closed form exactly, modulo the oracle's first prime for k = 2m+1;
@@ -41,8 +46,9 @@ importing it in its own body, so the closed form runs without loading it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING
 
 from .chebyshev import chebyshev_T, chebyshev_U
@@ -103,6 +109,17 @@ def bracket_factor(n: int, m: int, d: int) -> Poly:
 
 def char_poly_exact(m: int, d: int) -> Poly:
     """Closed-form characteristic polynomial of G(m,d), exact and monic in x."""
+    return _closed_form(m, d, (d - 2 * m) * (2 * m + 1))
+
+
+def char_poly_exact_factored(m: int, d: int) -> tuple[int, Poly]:
+    """(e, r) with char_poly_exact(m, d) = (x+1)^e r, e = (d-2m)(2m+1): the
+    closed form with the prefactor left out of its Taylor shift."""
+    return (d - 2 * m) * (2 * m + 1), _closed_form(m, d, 0)
+
+
+def _closed_form(m: int, d: int, e: int) -> Poly:
+    """(x+1)^e times the product over the divisors n of 2m+1, exact and monic."""
     check_family_params(m, d)
     k = 2 * m + 1
     q = Poly((1,))
@@ -110,19 +127,18 @@ def char_poly_exact(m: int, d: int) -> Poly:
         g = k // n
         factor = (2 * chebyshev_T(n)) ** (g - 1) * bracket_factor(n, m, d)
         q = q * factor ** euler_phi(n)
-    # substitute z = (x+1)/2 in integers: y^e 2^deg q(y/2), with e the
-    # exponent of the (x+1) prefactor, has the integer coefficients
-    # q_j 2^(deg-j) shifted up by e, and its Taylor shift y = x+1 is
-    # 2^deg p(x), which must divide exactly by 2^deg
+    # substitute z = (x+1)/2 in integers: y^e 2^deg q(y/2) has the integer
+    # coefficients q_j 2^(deg-j) shifted up by e, and its Taylor shift
+    # y = x+1 is 2^deg (x+1)^e q((x+1)/2), which must divide exactly by 2^deg
     deg = q.degree
-    scaled = [0] * ((d - 2 * m) * k) + [c << (deg - j) for j, c in enumerate(q.coeffs)]
+    scaled = [0] * e + [c << (deg - j) for j, c in enumerate(q.coeffs)]
     shifted = _taylor_shift_1(scaled)
     if any(c & ((1 << deg) - 1) for c in shifted):
         raise ConsistencyError("characteristic polynomial has a non-integer coefficient")
     p = Poly([c >> deg for c in shifted])
-    if p.degree != k * (d + 1) or p.leading != 1:
+    if p.degree != k * k + e or p.leading != 1:
         raise ConsistencyError(
-            f"expected monic of degree {k * (d + 1)}, got degree {p.degree}, "
+            f"expected monic of degree {k * k + e}, got degree {p.degree}, "
             f"leading {p.leading}"
         )
     return p
@@ -139,51 +155,87 @@ def _taylor_shift_1(coeffs: list[int]) -> list[int]:
 
 
 def char_poly_oracle(g: Graph, k: int = 1) -> Poly:
-    """Characteristic polynomial of a graph, exact, multi-modularly.
+    """Characteristic polynomial of a graph, exact, multi-modularly: the
+    (x+1)^e r of ``char_poly_oracle_factored`` expanded."""
+    e, reduced = char_poly_oracle_factored(g, k)
+    return reduced * Poly((1, 1)) ** e
 
-    The adjacency matrix must be symmetric and k x k blocks of size s = n/k
-    whose (r, c) block is b_((c-r) mod k), where b_i = a[:s, i*s:(i+1)*s];
-    anything else raises ValueError.  Modulo a prime p = 1 (mod k) with zeta
-    of order k, the matrix is similar to the block-diagonal matrix of the k
-    blocks H_t = sum_i zeta^(ti) b_i (Davis, Circulant Matrices, 1979), so
-    its characteristic polynomial mod p is the product of theirs; with k = 1
-    the one block is the whole matrix.  Symmetry gives b_(k-i) = b_i^T, so
-    H_(k-t) = H_t^T has the characteristic polynomial of H_t: only
-    t = 0..k//2 are reduced, and the product is chi(H_0) chi(H_t)^2 over
-    0 < t < k/2, times chi(H_(k/2)) for even k.  It is computed modulo
-    enough primes that their product exceeds twice the Hadamard bound on its
-    coefficients (``_coefficient_bound``), lifted by the symmetric Chinese
-    remainder theorem, and checked against its residue modulo one further
-    prime.  Refuses graphs above ORACLE_SIZE_GUARD.
+
+def char_poly_oracle_factored(g: Graph, k: int = 1) -> tuple[int, Poly]:
+    """(e, r) with chi(A) = (x+1)^e r for the adjacency matrix A, exact.
+
+    Closed twins (equal rows of A + I) are classed by their row, read from
+    the adjacency lists, and their block v // (n/k).  A class of c twins
+    carries c - 1 eigenvalues -1, and on the class-constant vectors A acts as
+    B = S W - I, S the 0/1 class adjacency (S_ii = 1) and W the diagonal of
+    class sizes (Godsil & Royle, Algebraic Graph Theory, ch. 9): e = n - q
+    for q classes and r = chi(B); without twins B = A.  A is symmetric
+    exactly when S is and each class row is a union of whole classes (a size
+    count), and B must be block circulant: S in k blocks s_i of size q/k, W
+    the same in every block; anything else raises ValueError.
+
+    Modulo a prime p = 1 (mod k) with zeta of order k, B is similar to the
+    block-diagonal matrix of the H_t = (sum_i zeta^(ti) s_i) W_0 - I (Davis,
+    Circulant Matrices, 1979), so chi(B) mod p is the product of theirs.
+    s_(k-i) = s_i^T makes H_(k-t) = Sigma_t^T W_0 - I similar to the
+    transpose of H_t: only t = 0..k//2 are reduced, and the product is
+    chi(H_0) chi(H_t)^2 over 0 < t < k/2, times chi(H_(k/2)) for even k.  It
+    is lifted by the symmetric Chinese remainder theorem from enough primes
+    to exceed twice the Hadamard bound (``_coefficient_bound``) of the
+    symmetric W^(1/2) S W^(1/2) - I, similar to B, and checked modulo one
+    further prime.  Refuses q above ORACLE_SIZE_GUARD.
     """
     import numpy as np
 
     n = g.n
     if k < 1 or n % k:
         raise ValueError(f"{n} vertices do not split into {k} equal blocks")
-    if n > ORACLE_SIZE_GUARD:
-        raise SizeGuardError(f"oracle limited to {ORACLE_SIZE_GUARD} vertices (got {n})")
     s = n // k
-    a = g.adjacency_matrix()
-    if not np.array_equal(a, a.T):
+    classes: dict[tuple, int] = {}
+    class_of = []
+    for v, row in enumerate(g.adjacency):
+        i = bisect_left(row, v)
+        class_of.append(classes.setdefault((v // s, row[:i] + (v,) + row[i:]), len(classes)))
+    class_of = np.array(class_of, dtype=np.intp)
+    q = len(classes)
+    if q > ORACLE_SIZE_GUARD:
+        raise SizeGuardError(f"oracle limited to {ORACLE_SIZE_GUARD} twin classes (got {q})")
+    rows = [row for _, row in classes]
+    lengths = np.array([len(row) for row in rows], dtype=np.int64)
+    sizes = np.bincount(class_of, minlength=q)
+    adjacent = np.zeros((q, q), dtype=np.int64)
+    adjacent[np.repeat(np.arange(q), lengths),
+             class_of[np.fromiter(chain.from_iterable(rows), dtype=np.intp,
+                                  count=int(lengths.sum()))]] = 1
+    if not (np.array_equal(adjacent, adjacent.T)
+            and np.array_equal(adjacent @ sizes, lengths)):
         raise ValueError("adjacency matrix is not symmetric")
-    blocks = a[:s].reshape(s, k, s).swapaxes(0, 1)
-    if not np.array_equal(a, assemble_block_circulant(blocks)):
+    # with q % k classes left over, the k blocks fall short of S
+    size = q // k
+    blocks = adjacent[:size, :k * size].reshape(size, k, size).swapaxes(0, 1)
+    if not (np.array_equal(adjacent, assemble_block_circulant(blocks))
+            and np.array_equal(sizes, np.tile(sizes[:size], k))):
         raise ValueError(f"adjacency matrix is not block circulant with {k} blocks")
-    flat = blocks.reshape(k, s * s)
+    flat = blocks.reshape(k, size * size)
+    # squared row norms of W^(1/2) S W^(1/2) - I: c_i c_j off the diagonal
+    # where S_ij = 1, (c_i - 1)^2 on it; without twins, the degrees
+    norms = sizes * (adjacent @ sizes - sizes) + (sizes - 1) ** 2
     # the fewest primes = 1 (mod k) whose product exceeds twice the bound, so
     # the symmetric lift is exact, and one further prime to check it
-    lift = _primes_for(_coefficient_bound(n, max(map(len, g.adjacency), default=0)), k)
+    lift = _primes_for(_coefficient_bound(q, max(norms.tolist(), default=0)), k)
     primes = _oracle_primes(k, len(lift) + 1)
     # twiddle[j, t, i] = zeta_j^(t*i) modulo primes[j] for t = 0..k//2;
-    # entries of b_i are 0 or 1, so each sum over i stays below k * 2^31
+    # entries of s_i are 0 or 1, so each sum over i stays below k * 2^31
     half = k // 2
     exponents = np.outer(np.arange(half + 1), np.arange(k)) % k
     zetas = [_root_of_unity(k, p) for p in primes]
     twiddle = np.array([[pow(zeta, e, p) for e in range(k)]
                         for zeta, p in zip(zetas, primes)], dtype=np.int64)[:, exponents]
-    h = (twiddle @ flat).reshape(len(primes) * (half + 1), s, s)
-    polys = _char_poly_mod(h, np.repeat(primes, half + 1)).reshape(len(primes), half + 1, s + 1)
+    moduli = np.repeat(primes, half + 1)
+    # the columns of each Sigma_t scaled by W_0, then minus I
+    h = (twiddle @ flat).reshape(len(moduli), size, size) % moduli[:, None, None] * sizes[:size]
+    h[:, np.arange(size), np.arange(size)] -= 1
+    polys = _char_poly_mod(h, moduli).reshape(len(primes), half + 1, size + 1)
     moduli = np.array(primes)
     product = polys[:, 0]
     if k > 2:
@@ -207,7 +259,7 @@ def char_poly_oracle(g: Graph, k: int = 1) -> Poly:
             f"lifted characteristic polynomial disagrees with its residue "
             f"modulo the check prime {primes[-1]}"
         )
-    return Poly(coeffs)
+    return n - q, Poly(coeffs)
 
 
 def _coefficient_bound(n: int, max_degree: int) -> int:

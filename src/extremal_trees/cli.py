@@ -4,9 +4,12 @@ polynomials, packing and rigidity certificates, and verification sweeps.
 ``verify`` runs named checks from one table: for each check a guard, which
 decides from (m, d) alone whether the pair is out of the check's reach, and a
 run, which returns the check's rows.  Its ``charpoly`` check compares the
-closed form with the multi-modular oracle on the built graph's 2m+1
-circulant blocks; ``charpoly --oracle`` runs the same oracle on the whole
-adjacency matrix as one block.  Both refuse n above 300.  Its ``packing``
+closed form with the multi-modular oracle in factored form, (x+1)^e times
+the rest: the oracle divides the closed twins out of the built graph and
+splits the quotient into its 2m+1 circulant blocks; ``charpoly --oracle``
+runs the same oracle with the quotient as one block and prints the expanded
+polynomial.  Both refuse q = (2m+1)^2 twin classes above 300, so every
+m >= 9, and pairs above the build guard.  Its ``packing``
 check proves sigma = m without a search: sigma <= m from the counted
 modified-clique partition (``clique_certificate``), sigma >= m from m trees
 written in closed form from Walecki's Hamiltonian paths (``walecki_packing``)
@@ -37,7 +40,9 @@ from . import __version__
 from .charpoly import (
     ORACLE_SIZE_GUARD,
     char_poly_exact,
+    char_poly_exact_factored,
     char_poly_oracle,
+    char_poly_oracle_factored,
     verify_determinant_identities,
     verify_root_of_unity_identities,
 )
@@ -49,8 +54,8 @@ from .errors import (
     SolverConvergenceError,
 )
 from .graeffe import (
-    check_root_bound_inequality,
     quartic_guard,
+    root_bound_inequality_holds,
     root_bound_radicands,
     verify_upper_bound_pipeline,
 )
@@ -189,7 +194,8 @@ def _eigen_guard(m: int, d: int) -> str | None:
 
 
 def _oracle_guard(m: int, d: int) -> str | None:
-    return _above("n", (2 * m + 1) * (d + 1), "oracle", ORACLE_SIZE_GUARD)
+    # G(m,d) has (2m+1)^2 classes of closed twins whatever d is
+    return _above("q", (2 * m + 1) ** 2, "oracle", ORACLE_SIZE_GUARD) or _build_guard(m, d)
 
 
 def _packing_guard(m: int, d: int) -> str | None:
@@ -243,17 +249,20 @@ def _check_spectra(m: int, d: int) -> list[dict]:
 
 
 def _check_charpoly(m: int, d: int) -> list[dict]:
-    same = char_poly_exact(m, d) == char_poly_oracle(build_extremal_graph(m, d), 2 * m + 1)
+    # (e, reduced) on both sides, e counted on the graph by the oracle
+    same = char_poly_exact_factored(m, d) == char_poly_oracle_factored(
+        build_extremal_graph(m, d), 2 * m + 1)
     return [dict(ok=same, detail="coefficientwise equal" if same else "MISMATCH")]
 
 
 def _check_rootbound(m: int, d: int) -> list[dict]:
     # each bound is its radicand's fourth root, so the integers decide the
     # order: the bounds never fall as n rises when the radicands, listed by
-    # ascending n, are already sorted (equal neighbours allowed)
+    # ascending n, are already sorted (equal neighbours allowed); the last is
+    # that of n = 2m+1, the one the quartic inequality reads
     radicands = root_bound_radicands(m, d)
     monotone = radicands == sorted(radicands)
-    exact_ok = check_root_bound_inequality(m, d)
+    exact_ok = root_bound_inequality_holds(radicands[-1], m, d)
     return [dict(ok=monotone and exact_ok, detail=f"monotone={monotone} exact={exact_ok}")]
 
 
@@ -414,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--exact", action="store_true", default=True,
                        help="closed-form assembly (default)")
     group.add_argument("--oracle", action="store_true",
-                       help="multi-modular Hessenberg oracle on the whole "
-                            f"adjacency matrix (n <= {ORACLE_SIZE_GUARD})")
+                       help="multi-modular Hessenberg oracle on the closed-twin "
+                            f"quotient as one block ((2m+1)^2 <= {ORACLE_SIZE_GUARD})")
 
     p = command("pack", "spanning tree packing of G(m,d)", cmd_pack, "m", "d")
     p.add_argument("--trees", type=int, default=None,

@@ -18,6 +18,8 @@ m >= 2.  Graeffe adds only n != 1, as the bound needs degree at least 3.
 ``root_bound_radicand`` gives the integer radicand of one factor B_n, and
 ``root_bound_radicands`` those of a pair's every factor n != 1, ascending in
 n, after a single family check; both evaluate the one radicand polynomial.
+``root_bound_inequality_holds`` decides the quartic inequality from a
+radicand already in hand, with no check of its own.
 
 A float check raises CheckFailure at the comparison that fails, so a returned
 report holds only measured values, never a verdict flag.
@@ -148,7 +150,12 @@ def check_root_bound_inequality(m: int, d: int) -> bool:
     """
     if (reason := quartic_guard(m, d)) is not None:
         raise ParameterDomainError(reason)
-    q = root_bound_radicand(2 * m + 1, m, d)
+    return root_bound_inequality_holds(root_bound_radicand(2 * m + 1, m, d), m, d)
+
+
+def root_bound_inequality_holds(q: int, m: int, d: int) -> bool:
+    """The verdict of ``check_root_bound_inequality`` from the n = 2m+1
+    radicand q of a pair that the caller has already checked."""
     return q * (d + 3) ** 4 < ((d + 1) * (d + 3) - (2 * m + 1)) ** 4
 
 

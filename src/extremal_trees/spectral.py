@@ -52,7 +52,9 @@ def symmetric_eigenvalues(mat: np.ndarray) -> np.ndarray:
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError("matrix must be square")
     if not (a.dtype.kind in "biu" and np.array_equal(a, a.swapaxes(-2, -1))):
-        herm_defect = float(np.max(np.abs(a - a.conj().swapaxes(-2, -1)), initial=0.0))
+        # finiteness first, so an inf never computes inf - inf
+        herm_defect = (float(np.max(np.abs(a - a.conj().swapaxes(-2, -1)), initial=0.0))
+                       if np.isfinite(a).all() else math.nan)
         if not herm_defect <= 1e-9:
             raise ValueError(f"matrix is not finite and Hermitian (defect {herm_defect:.2e})")
     try:

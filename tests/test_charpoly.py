@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from extremal_trees import (
     verify_determinant_identities,
     verify_root_of_unity_identities,
 )
-from extremal_trees import charpoly
+from extremal_trees import charpoly, cli
 from extremal_trees.charpoly import (
     ORACLE_SIZE_GUARD,
     _char_poly_mod,
@@ -36,6 +37,8 @@ from extremal_trees.charpoly import (
     _primes_for,
     _root_of_unity,
     _taylor_shift_1,
+    char_poly_exact_factored,
+    char_poly_oracle_factored,
     divisors,
     euler_phi,
 )
@@ -114,8 +117,13 @@ def test_oracle_known_spectra():
 
 
 def test_oracle_size_guard():
-    with pytest.raises(SizeGuardError):
-        char_poly_oracle(build_extremal_graph(1, 100))  # 303 vertices
+    # the guard counts twin classes: q = 19^2 = 361 for G(9,20), and the path
+    # P_301 has no twins, so q = n = 301; G(1,100), n = 303, has q = 9
+    for g in (build_extremal_graph(9, 20), path_graph(301)):
+        with pytest.raises(SizeGuardError, match=f"^oracle limited to 300 twin classes "
+                                                 f"\\(got {301 if g.params is None else 361}\\)$"):
+            char_poly_oracle(g)
+    assert char_poly_oracle(build_extremal_graph(1, 100)) == char_poly_exact(1, 100)
 
 
 def _bareiss_det(rows) -> int:
@@ -296,21 +304,33 @@ def test_oracle_prime_table_covers_size_guard():
     assert tuple(_oracle_primes(1, len(primes) + 1)) == OLD_ORACLE_PRIMES
 
 
-def _one_prime_lift(bound, k=1):
-    return _oracle_primes(k, 1)
+def _one_prime_lift(monkeypatch):
+    """Lift on one prime from here on; returns the lift lengths the bound asked for."""
+    needed = []
+    real = charpoly._primes_for
+
+    def one_prime(bound, k=1):
+        needed.append(len(real(bound, k)))
+        return _oracle_primes(k, 1)
+
+    monkeypatch.setattr(charpoly, "_primes_for", one_prime)
+    return needed
 
 
+# The twin quotient of G(3,8) has coefficients of 49 bits, so one prime near
+# 2^31 cannot hold them; its bound asks for four.
 def test_oracle_check_prime_catches_short_lift(monkeypatch):
-    # G(2,6) has coefficients of 33 bits, so one prime near 2^31 cannot hold them
-    monkeypatch.setattr(charpoly, "_primes_for", _one_prime_lift)
+    needed = _one_prime_lift(monkeypatch)
     with pytest.raises(ConsistencyError):
-        char_poly_oracle(build_extremal_graph(2, 6))
+        char_poly_oracle(build_extremal_graph(3, 8))
+    assert needed == [4]
 
 
 def test_block_oracle_check_prime_catches_short_lift(monkeypatch):
-    monkeypatch.setattr(charpoly, "_primes_for", _one_prime_lift)
+    needed = _one_prime_lift(monkeypatch)
     with pytest.raises(ConsistencyError):
-        char_poly_oracle(build_extremal_graph(2, 6), 5)
+        char_poly_oracle(build_extremal_graph(3, 8), 7)
+    assert needed == [4]
 
 
 # The 18 pairs of the default verify sweep with n <= 84.
@@ -364,8 +384,16 @@ def test_block_oracle_refuses_non_block_circulant():
         char_poly_oracle(Graph.from_edges(g.n, edges), 3)
     with pytest.raises(ValueError, match="equal blocks"):
         char_poly_oracle(g, 4)  # 15 vertices
+    # twins 0 and 1 make one class in block 0, block 1 has two: q = 3, k = 2
+    with pytest.raises(ValueError, match="^adjacency matrix is not block circulant with 2 blocks$"):
+        char_poly_oracle(Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), 2)
+    # classes {0,1}, {2} | {3}, {4,5}: S is block circulant, W is not
+    twins_moved = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3),
+                                       (3, 4), (3, 5), (4, 5)])
+    with pytest.raises(ValueError, match="^adjacency matrix is not block circulant with 2 blocks$"):
+        char_poly_oracle(twins_moved, 2)
     with pytest.raises(SizeGuardError):
-        char_poly_oracle(build_extremal_graph(1, 100), 3)  # 303 vertices
+        char_poly_oracle(build_extremal_graph(9, 20), 19)  # 361 twin classes
 
 
 def test_block_oracle_refuses_a_one_way_row():
@@ -373,19 +401,27 @@ def test_block_oracle_refuses_a_one_way_row():
     # circulant in 3 blocks, and C_4 with the one-way entry 0 -> 2 is one block
     cycle3 = Graph(3, ((1,), (2,), (0,)), 3)
     one_way = Graph(4, ((1, 2, 3), (0, 2), (1, 3), (0, 2)), 4)
-    for g, k in [(cycle3, 3), (cycle3, 1), (one_way, 1)]:
+    # the twins 0 and 1 both see 2, which sees 0 only: the class adjacency
+    # is symmetric, but the row of 2 holds half a class
+    half_class = Graph(3, ((1, 2), (0, 2), (0,)), 2)
+    for g, k in [(cycle3, 3), (cycle3, 1), (one_way, 1), (half_class, 1)]:
         with pytest.raises(ValueError, match="^adjacency matrix is not symmetric$"):
             char_poly_oracle(g, k)
 
 
-@pytest.mark.parametrize("g,k,blocks", [
-    pytest.param(build_extremal_graph(2, 6), 5, 3, id="G(2,6)"),
-    pytest.param(Graph.from_edges(12, [(i, (i + 1) % 12) for i in range(12)]), 4, 3, id="C_12"),
-    pytest.param(complete_graph(12), 6, 4, id="K_12"),
-    pytest.param(build_extremal_graph(1, 4), 1, 1, id="G(1,4)"),
+# (k, primes with the check prime, blocks k//2 + 1, block size q/k): the
+# twin quotient of G(2,6) has q = 25 classes, C_12 has no twins, K_12 in 6
+# blocks has one class of 2 per block, and G(1,4) as one block has q = 9.
+@pytest.mark.parametrize("g,k,primes,blocks,size", [
+    pytest.param(build_extremal_graph(2, 6), 5, 3, 3, 5, id="G(2,6)"),
+    pytest.param(Graph.from_edges(12, [(i, (i + 1) % 12) for i in range(12)]), 4, 2, 3, 3,
+                 id="C_12"),
+    pytest.param(complete_graph(12), 6, 2, 4, 1, id="K_12"),
+    pytest.param(build_extremal_graph(1, 4), 1, 2, 1, 9, id="G(1,4)"),
 ])
-def test_block_oracle_reduces_half_the_blocks(monkeypatch, g, k, blocks):
+def test_block_oracle_reduces_half_the_blocks(monkeypatch, g, k, primes, blocks, size):
     # t and k - t give transposed blocks, so each prime reduces t = 0..k//2
+    # of the quotient's blocks
     shapes = []
     real = charpoly._char_poly_mod
 
@@ -395,10 +431,109 @@ def test_block_oracle_reduces_half_the_blocks(monkeypatch, g, k, blocks):
 
     monkeypatch.setattr(charpoly, "_char_poly_mod", recorded)
     assert char_poly_oracle(g, k) == reference_char_poly(g)
-    # the lift's primes and the check prime, each with k//2 + 1 blocks
-    primes = len(_primes_for(_coefficient_bound(g.n, max(map(len, g.adjacency))), k)) + 1
     batch = primes * blocks
-    assert shapes == [((batch, g.n // k, g.n // k), (batch,))]
+    assert shapes == [((batch, size, size), (batch,))]
+
+
+def planted_twin_graph(seed: int) -> tuple[Graph, list[list[int]]]:
+    """A random graph on r <= 6 vertices, each blown up into a clique of 1..4
+    closed twins joined to every twin of its neighbours, labels shuffled;
+    returns the graph and its planted classes."""
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, 7))
+    sizes = rng.integers(1, 5, r)
+    labels = rng.permutation(int(sizes.sum())).tolist()
+    bounds = np.cumsum(sizes).tolist()
+    classes = [labels[end - c:end] for c, end in zip(sizes.tolist(), bounds)]
+    base = [(i, j) for i in range(r) for j in range(i + 1, r) if rng.random() < 0.5]
+    edges = [(u, v) for members in classes for u in members for v in members if u < v]
+    edges += [(u, v) for i, j in base for u in classes[i] for v in classes[j]]
+    return Graph.from_edges(len(labels), edges), classes
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_oracle_divides_out_planted_twins(seed):
+    g, classes = planted_twin_graph(seed)
+    e, reduced = char_poly_oracle_factored(g)
+    # planted classes may merge into larger ones, never split
+    assert e >= g.n - len(classes)
+    assert reduced * Poly((1, 1)) ** e == char_poly_oracle(g) == reference_char_poly(g)
+
+
+# seed 11 plants a single vertex, every other seed a class of 2 or more
+@pytest.mark.parametrize("seed", range(11))
+def test_oracle_splits_a_class_that_loses_an_edge(seed):
+    # u and v of a planted class stop being twins without their edge, so the
+    # quotient has more classes and still gives the reference polynomial
+    g, classes = planted_twin_graph(seed)
+    members = max(classes, key=len)
+    assert len(members) >= 2
+    cut = tuple(sorted(members[:2]))
+    split = Graph.from_edges(g.n, [edge for edge in g.edges() if edge != cut])
+    assert char_poly_oracle_factored(split)[0] < char_poly_oracle_factored(g)[0]
+    assert char_poly_oracle(split) == reference_char_poly(split)
+
+
+def test_oracle_reads_adjacency_lists_only(monkeypatch):
+    def dense(self):
+        raise AssertionError("the oracle built the dense adjacency matrix")
+
+    monkeypatch.setattr(Graph, "adjacency_matrix", dense)
+    for m, d in [(1, 4), (2, 9)]:
+        g = build_extremal_graph(m, d)
+        for k in (1, 2 * m + 1):
+            assert char_poly_oracle_factored(g, k) == char_poly_exact_factored(m, d)
+            assert char_poly_oracle(g, k) == char_poly_exact(m, d)
+
+
+def petersen_graph() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+@pytest.mark.parametrize("g,k", [
+    pytest.param(Graph.from_edges(12, [(i, (i + 1) % 12) for i in range(12)]), 4, id="C_12"),
+    pytest.param(petersen_graph(), 1, id="Petersen"),
+    pytest.param(path_graph(7), 1, id="P_7"),
+    pytest.param(Graph.from_edges(7, [(0, 2), (1, 2), (4, 5), (5, 6)]), 1, id="P_3+P_3+K_1"),
+])
+def test_bound_without_twins_is_the_degree_bound(monkeypatch, g, k):
+    assert len({tuple(sorted((v, *row))) for v, row in enumerate(g.adjacency)}) == g.n
+    calls = []
+    real = charpoly._coefficient_bound
+
+    def recorded(n, max_norm):
+        calls.append((n, max_norm))
+        return real(n, max_norm)
+
+    monkeypatch.setattr(charpoly, "_coefficient_bound", recorded)
+    assert char_poly_oracle(g, k) == reference_char_poly(g)
+    assert calls == [(g.n, max(map(len, g.adjacency)))]
+
+
+@pytest.mark.parametrize("m,d", [(1, 4), (2, 13), (3, 20), (5, 12)])
+def test_factored_closed_form_expands_to_the_closed_form(m, d):
+    e, reduced = char_poly_exact_factored(m, d)
+    assert e == (d - 2 * m) * (2 * m + 1) and reduced.degree == (2 * m + 1) ** 2
+    assert reduced * Poly((1, 1)) ** e == char_poly_exact(m, d)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_verify_fails_on_a_moved_prefactor_exponent(monkeypatch, capsys, shift):
+    # the oracle counts e = n - q on the graph, so a closed form whose
+    # prefactor is off by one fails the check with the same reduced part
+    real = cli.char_poly_exact_factored
+
+    def moved(m, d):
+        e, reduced = real(m, d)
+        return e + shift, reduced
+
+    monkeypatch.setattr(cli, "char_poly_exact_factored", moved)
+    code = cli.main(["verify", "--m", "2", "--d", "7", "--checks", "charpoly"])
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert code == 1
+    assert [(r["ok"], r["detail"]) for r in rows] == [(False, "MISMATCH")]
 
 
 def test_poly_mul_mod_matches_schoolbook_at_the_largest_residues():

@@ -120,11 +120,18 @@ def test_charpoly_oracle_above_old_guard_equals_exact(capsys):
 
 
 def test_charpoly_oracle_size_guard(capsys, built_graphs):
-    code, out, err = run_cli("charpoly", "1", "100", "--oracle", capsys=capsys)
+    # the guard counts the (2m+1)^2 twin classes, so it refuses every m >= 9
+    code, out, err = run_cli("charpoly", "9", "20", "--oracle", capsys=capsys)
     assert code == 2
     assert out == ""
-    assert err == "error: n=303 above oracle guard 300\n"
+    assert err == "error: q=361 above oracle guard 300\n"
     assert built_graphs == []
+
+
+def test_oracle_guard_reads_q_then_the_build_guard():
+    assert cli._oracle_guard(8, 40) is None and cli._oracle_guard(1, 800) is None
+    assert cli._oracle_guard(9, 20) == "q=361 above oracle guard 300"
+    assert cli._oracle_guard(8, 1000) == cli._build_guard(8, 1000) is not None
 
 
 @pytest.mark.parametrize("method", ["dense", "blocks"])
@@ -154,7 +161,7 @@ def test_internal_error_exit_code(monkeypatch, capsys, error):
 @pytest.mark.parametrize("module,name,check,message", [
     (spectral, "symmetric_eigenvalues", "lambda2",
      "matrix is not finite and Hermitian (defect 1.00e+00)"),
-    (cli, "char_poly_oracle", "charpoly",
+    (cli, "char_poly_oracle_factored", "charpoly",
      "adjacency matrix is not block circulant with 3 blocks"),
 ], ids=["solver", "oracle"])
 def test_internal_value_error_exits_3(monkeypatch, capsys, fresh_memos,
@@ -545,10 +552,10 @@ def test_verify_json_is_the_indented_encoding(capsys, argv):
 
 def test_verify_json_with_failed_and_skipped_rows_is_the_indented_encoding(
         monkeypatch, capsys):
-    def refuted(m, d):
+    def refuted(q, m, d):
         raise CheckFailure(f"quartic inequality refuted at ({m}, {d})")
 
-    monkeypatch.setattr(cli, "check_root_bound_inequality", refuted)
+    monkeypatch.setattr(cli, "root_bound_inequality_holds", refuted)
     code, out, _ = run_cli("verify", "--m", "1..2", "--d", "auto",
                            "--checks", "construction,rootbound", capsys=capsys)
     assert code == 1
@@ -718,7 +725,7 @@ def test_verify_packing_sweep_rows(capsys):
                     for m in range(1, 5) for d in range(14, 23)]
 
 
-# Every row of `verify --checks all` on four pairs that reach every skip
+# Every row of `verify --checks all` on five pairs that reach every skip
 # branch below the build guard: (check, n, ok, skipped, quartic_ok,
 # window_ok, detail of a skipped row).  "-" marks a field the row does not carry.
 VERIFY_ROWS = {
@@ -748,7 +755,7 @@ VERIFY_ROWS = {
         ("construction", "-", True, False, "-", "-", None),
         ("lambda2", "-", True, False, "-", "-", None),
         ("spectra", "-", True, False, "-", "-", None),
-        ("charpoly", "-", None, True, "-", "-", "n=505 above oracle guard 300"),
+        ("charpoly", "-", True, False, "-", "-", None),
         ("rootbound", "-", True, False, "-", "-", None),
         ("pipeline", 5, True, False, True, True, None),
         ("packing", "-", True, False, "-", "-", None),
@@ -759,11 +766,22 @@ VERIFY_ROWS = {
         ("construction", "-", True, False, "-", "-", None),
         ("lambda2", "-", None, True, "-", "-", "n=1005 above eigensolver guard 600"),
         ("spectra", "-", None, True, "-", "-", "n=1005 above eigensolver guard 600"),
-        ("charpoly", "-", None, True, "-", "-", "n=1005 above oracle guard 300"),
+        ("charpoly", "-", True, False, "-", "-", None),
         ("rootbound", "-", True, False, "-", "-", None),
         ("pipeline", "-", None, True, "-", "-", "n=1005 above eigensolver guard 600"),
         ("packing", "-", True, False, "-", "-", None),
         ("rigidity", "-", None, True, "-", "-", "n=1005 above eigensolver guard 600"),
+        ("identities", "-", True, False, "-", "-", None),
+    ],
+    (9, 20): [
+        ("construction", "-", True, False, "-", "-", None),
+        ("lambda2", "-", True, False, "-", "-", None),
+        ("spectra", "-", True, False, "-", "-", None),
+        ("charpoly", "-", None, True, "-", "-", "q=361 above oracle guard 300"),
+        ("rootbound", "-", True, False, "-", "-", None),
+        ("pipeline", 19, True, False, True, True, None),
+        ("packing", "-", True, False, "-", "-", None),
+        ("rigidity", "-", None, True, "-", "-", "family parameter m is not of the form 3r-1"),
         ("identities", "-", True, False, "-", "-", None),
     ],
 }

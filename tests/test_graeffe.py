@@ -20,7 +20,12 @@ from extremal_trees import (
 )
 from extremal_trees import graeffe
 from extremal_trees.charpoly import divisors
-from extremal_trees.graeffe import LeadingCoeffs, root_bound_radicand, root_bound_radicands
+from extremal_trees.graeffe import (
+    LeadingCoeffs,
+    root_bound_inequality_holds,
+    root_bound_radicand,
+    root_bound_radicands,
+)
 from extremal_trees.spectral import lambda2_window
 
 
@@ -161,12 +166,14 @@ def test_quartic_inequality_matches_rational_reference():
 
 
 @pytest.mark.parametrize("m,d", [(2, 6), (7, 40), (50, 10**9)])
-def test_quartic_inequality_flips_at_the_rational_threshold(monkeypatch, m, d):
-    # every family pair passes with room to spare, so move Q across RHS^4
+def test_quartic_inequality_flips_at_the_rational_threshold(m, d):
+    # every family pair passes with room to spare, so move Q across RHS^4;
+    # the checked verdict is the unchecked one at the pair's own radicand
     rhs4 = _rational_rhs4(m, d)
     for q in (math.floor(rhs4) - 1, math.floor(rhs4), math.ceil(rhs4), math.ceil(rhs4) + 1):
-        monkeypatch.setattr(graeffe, "root_bound_radicand", lambda n, m, d, q=q: q)
-        assert check_root_bound_inequality(m, d) == (q < rhs4), q
+        assert root_bound_inequality_holds(q, m, d) == (q < rhs4), q
+    q = root_bound_radicands(m, d)[-1]
+    assert check_root_bound_inequality(m, d) == root_bound_inequality_holds(q, m, d) is True
 
 
 def test_fn_max_root_is_a_root():

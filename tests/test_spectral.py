@@ -55,9 +55,9 @@ def test_solver_decides_integer_symmetry_exactly():
         with pytest.raises(ValueError, match=r"^matrix is not finite and Hermitian "
                                              r"\(defect 1\.00e\+00\)$"):
             symmetric_eigenvalues(bad)
-    # float input keeps the defect test, so a symmetric inf is still refused
-    # (inf - inf is the nan that refuses it)
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="Hermitian"):
+    # float input is tested for finiteness before the defect, so a symmetric
+    # inf is refused without computing inf - inf
+    with pytest.raises(ValueError, match=r"^matrix is not finite and Hermitian \(defect nan\)$"):
         symmetric_eigenvalues(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
