@@ -231,11 +231,12 @@ def char_poly_oracle_factored(g: Graph, k: int = 1) -> tuple[int, Poly]:
     zetas = [_root_of_unity(k, p) for p in primes]
     twiddle = np.array([[pow(zeta, e, p) for e in range(k)]
                         for zeta, p in zip(zetas, primes)], dtype=np.int64)[:, exponents]
-    moduli = np.repeat(primes, half + 1)
+    block_primes = np.repeat(primes, half + 1)
     # the columns of each Sigma_t scaled by W_0, then minus I
-    h = (twiddle @ flat).reshape(len(moduli), size, size) % moduli[:, None, None] * sizes[:size]
+    h = (twiddle @ flat).reshape(len(block_primes), size, size)
+    h = h % block_primes[:, None, None] * sizes[:size]
     h[:, np.arange(size), np.arange(size)] -= 1
-    polys = _char_poly_mod(h, moduli).reshape(len(primes), half + 1, size + 1)
+    polys = _char_poly_mod(h, block_primes).reshape(len(primes), half + 1, size + 1)
     moduli = np.array(primes)
     product = polys[:, 0]
     if k > 2:
