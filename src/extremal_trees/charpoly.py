@@ -319,6 +319,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@cache
 def _root_of_unity(k: int, p: int) -> int:
     """The first g^((p-1)/k) of exact multiplicative order k modulo the prime p."""
     factors = [q for q in divisors(k) if _is_prime(q)]

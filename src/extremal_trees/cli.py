@@ -7,7 +7,7 @@ run, which returns the check's rows.  Its ``charpoly`` check compares the
 closed form with the multi-modular oracle in factored form, (x+1)^e times
 the rest: the oracle divides the closed twins out of the built graph and
 splits the quotient into its 2m+1 circulant blocks; ``charpoly --oracle``
-runs the same oracle with the quotient as one block and prints the expanded
+runs the same oracle, with the same 2m+1 blocks, and prints the expanded
 polynomial.  Both refuse q = (2m+1)^2 twin classes above 300, so every
 m >= 9, and pairs above the build guard.  Its ``packing``
 check proves sigma = m without a search: sigma <= m from the counted
@@ -131,7 +131,7 @@ def cmd_spectrum(args) -> int:
 def cmd_charpoly(args) -> int:
     if args.oracle:
         _refuse_above(_oracle_guard, args.m, args.d)
-        poly = char_poly_oracle(build_extremal_graph(args.m, args.d))
+        poly = char_poly_oracle(build_extremal_graph(args.m, args.d), 2 * args.m + 1)
     else:
         poly = char_poly_exact(args.m, args.d)
     _write_output(json.dumps(poly.to_json_dict()), args.out)
@@ -423,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--exact", action="store_true", default=True,
                        help="closed-form assembly (default)")
     group.add_argument("--oracle", action="store_true",
-                       help="multi-modular Hessenberg oracle on the closed-twin "
-                            f"quotient as one block ((2m+1)^2 <= {ORACLE_SIZE_GUARD})")
+                       help="verify's multi-modular Hessenberg oracle on the 2m+1 "
+                            f"blocks of the closed-twin quotient ((2m+1)^2 <= {ORACLE_SIZE_GUARD})")
 
     p = command("pack", "spanning tree packing of G(m,d)", cmd_pack, "m", "d")
     p.add_argument("--trees", type=int, default=None,

@@ -15,11 +15,10 @@ root, and hence lambda_2 = 2 z_0 - 1, strictly below d - (2m+1)/(d+3).
 Each parameter rule has one owner: ``graphs.check_family_params`` owns the
 family domain, ``charpoly.check_bracket_params`` n | 2m+1 and ``quartic_guard``
 m >= 2.  Graeffe adds only n != 1, as the bound needs degree at least 3.
-``root_bound_radicand`` gives the integer radicand of one factor B_n, and
-``root_bound_radicands`` those of a pair's every factor n != 1, ascending in
-n, after a single family check; both evaluate the one radicand polynomial.
-``root_bound_inequality_holds`` decides the quartic inequality from a
-radicand already in hand, with no check of its own.
+``root_bound_radicands`` gives the integer radicands Q_n of a pair's every
+factor n != 1, ascending in n, after one family check; their order and
+``root_bound_inequality_holds`` on the last decide both root-bound facts in
+integers, in the pipeline and in ``verify``'s rootbound row alike.
 
 A float check raises CheckFailure at the comparison that fails, so a returned
 report holds only measured values, never a verdict flag.
@@ -109,17 +108,11 @@ def _radicand(n: int, m: int, d: int) -> int:
     return (((d + 4) * d - (8 * m - 2)) * d + 4) * d + 8 * m * m - 8 * m + 6 * n - 5
 
 
-def root_bound_radicand(n: int, m: int, d: int) -> int:
-    """Integer Q with largest_root_bound = Q^(1/4) / 2."""
-    _check_factor_params(n, m, d)
-    return _radicand(n, m, d)
-
-
 def root_bound_radicands(m: int, d: int) -> list[int]:
     """The radicands Q_n of every divisor n != 1 of 2m+1, ascending in n.
 
     One family check covers the whole pair: every such n is a divisor of
-    2m+1 other than 1, which is all ``root_bound_radicand`` adds.
+    2m+1 other than 1, which is all ``largest_root_bound`` adds to it.
     """
     check_family_params(m, d)
     return [_radicand(n, m, d) for n in divisors(2 * m + 1)[1:]]
@@ -130,7 +123,8 @@ def largest_root_bound(n: int, m: int, d: int) -> float:
 
     Increasing in n, so n = 2m+1 dominates the whole divisor family.
     """
-    return 0.5 * root_bound_radicand(n, m, d) ** 0.25
+    _check_factor_params(n, m, d)
+    return 0.5 * _radicand(n, m, d) ** 0.25
 
 
 def quartic_guard(m: int, d: int) -> str | None:
@@ -150,7 +144,7 @@ def check_root_bound_inequality(m: int, d: int) -> bool:
     """
     if (reason := quartic_guard(m, d)) is not None:
         raise ParameterDomainError(reason)
-    return root_bound_inequality_holds(root_bound_radicand(2 * m + 1, m, d), m, d)
+    return root_bound_inequality_holds(_radicand(2 * m + 1, m, d), m, d)
 
 
 def root_bound_inequality_holds(q: int, m: int, d: int) -> bool:
@@ -203,27 +197,30 @@ class PipelineReport:
 def verify_upper_bound_pipeline(m: int, d: int) -> PipelineReport:
     """Run the whole root-bound pipeline for G(m,d) and cross-check lambda_2.
 
-    For every divisor n != 1 of 2m+1: the largest bracket root must respect
-    its Graeffe bound and map below the upper window edge under x = 2z - 1;
-    the bounds must be monotone in n; unless ``quartic_guard`` objects, the
-    exact quartic inequality must hold; and lambda_2 from the dense spectrum
-    must equal the largest root image.  Raises CheckFailure at the first violation.
+    The radicands Q_n, read once, decide in integers what ``verify``'s
+    rootbound row decides: they ascend in n (equal neighbours allowed), and
+    unless ``quartic_guard`` objects the quartic inequality holds at the last.
+    Each largest bracket root must respect its bound Q_n^(1/4) / 2 and map
+    below the upper window edge under x = 2z - 1, and lambda_2 from the dense
+    spectrum must equal the largest root image.  Raises CheckFailure at the
+    first violation.
     """
     where = f"root-bound pipeline failed for (m,d)=({m},{d})"
     lam2_val = lambda2(m, d)  # raises if the window itself fails
     window = lambda2_window(m, d)
+    radicands = root_bound_radicands(m, d)
+    if radicands != sorted(radicands):
+        raise CheckFailure(f"{where}: radicands {radicands} fall as n rises")
     rows: list[FactorRow] = []
-    for n in divisors(2 * m + 1)[1:]:
+    for n, q in zip(divisors(2 * m + 1)[1:], radicands):
         z0 = fn_max_root(n, m, d)
-        bound = largest_root_bound(n, m, d)
+        bound = 0.5 * q**0.25
         if not z0 <= bound + BOUND_SLACK:
             raise CheckFailure(f"{where}: n={n} root {z0} above its bound {bound}")
         if not 2 * z0 - 1 < window[1] + BOUND_SLACK:
             raise CheckFailure(f"{where}: n={n} image {2 * z0 - 1} not below {window[1]}")
-        if rows and bound < rows[-1].root_bound - BOUND_SLACK:
-            raise CheckFailure(f"{where}: n={n} bound {bound} below {rows[-1].root_bound}")
         rows.append(FactorRow(n, z0, bound))
-    quartic_ok = None if quartic_guard(m, d) else check_root_bound_inequality(m, d)
+    quartic_ok = None if quartic_guard(m, d) else root_bound_inequality_holds(radicands[-1], m, d)
     if quartic_ok is False:
         raise CheckFailure(f"{where}: the exact quartic inequality fails")
     gap = abs(lam2_val - max(2 * row.max_root - 1 for row in rows))

@@ -128,6 +128,26 @@ def test_charpoly_oracle_size_guard(capsys, built_graphs):
     assert built_graphs == []
 
 
+def test_charpoly_oracle_splits_the_verify_blocks(monkeypatch, capsys):
+    # charpoly --oracle runs the oracle on the 2m+1 blocks that verify certifies
+    ks = []
+    real = cli.char_poly_oracle
+    monkeypatch.setattr(cli, "char_poly_oracle", lambda g, k=1: ks.append(k) or real(g, k))
+    for m, d in [(1, 4), (2, 7), (3, 8)]:
+        assert run_cli("charpoly", str(m), str(d), "--oracle", capsys=capsys)[0] == 0
+    assert ks == [3, 5, 7]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_charpoly_oracle_prints_the_exact_bytes(m, capsys):
+    d = 2 * m + 4
+    code, exact_out, _ = run_cli("charpoly", str(m), str(d), "--exact", capsys=capsys)
+    assert code == 0
+    code, oracle_out, _ = run_cli("charpoly", str(m), str(d), "--oracle", capsys=capsys)
+    assert code == 0
+    assert oracle_out == exact_out
+
+
 def test_oracle_guard_reads_q_then_the_build_guard():
     assert cli._oracle_guard(8, 40) is None and cli._oracle_guard(1, 800) is None
     assert cli._oracle_guard(9, 20) == "q=361 above oracle guard 300"

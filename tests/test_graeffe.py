@@ -23,7 +23,6 @@ from extremal_trees.charpoly import divisors
 from extremal_trees.graeffe import (
     LeadingCoeffs,
     root_bound_inequality_holds,
-    root_bound_radicand,
     root_bound_radicands,
 )
 from extremal_trees.spectral import lambda2_window
@@ -124,7 +123,7 @@ def test_top_divisor_radicand_closed_form():
         expected = (
             d**4 + 4 * d**3 - (8 * m - 2) * d**2 + 4 * d + 8 * m**2 + 4 * m + 1
         )
-        assert root_bound_radicand(2 * m + 1, m, d) == expected
+        assert root_bound_radicands(m, d)[-1] == expected
         assert largest_root_bound(2 * m + 1, m, d) == pytest.approx(
             0.5 * expected**0.25, abs=1e-12
         )
@@ -134,11 +133,13 @@ def test_pair_radicands_are_the_factor_radicands():
     for m in range(1, 61):
         ns = divisors(2 * m + 1)[1:]
         for d in (2 * m + 2, 2 * m + 3, 200, 10**9):
-            expected = [root_bound_radicand(n, m, d) for n in ns]
-            assert root_bound_radicands(m, d) == expected, (m, d)
+            radicands = root_bound_radicands(m, d)
             # Q_n / 16 is the fourth-power sum of B_n's closed-form coefficients
-            assert expected == [16 * graeffe_radicand(factor_leading_coeffs(n, m, d))
-                                for n in ns], (m, d)
+            assert radicands == [16 * graeffe_radicand(factor_leading_coeffs(n, m, d))
+                                 for n in ns], (m, d)
+            # and each factor's bound is its own radicand's fourth root
+            assert [largest_root_bound(n, m, d) for n in ns] == [
+                0.5 * q**0.25 for q in radicands], (m, d)
 
 
 def test_quartic_inequality_values():
@@ -161,7 +162,7 @@ def test_quartic_inequality_matches_rational_reference():
     pairs = [(m, d) for m in range(2, 51) for d in range(2 * m + 2, 201)]
     pairs += [(m, d) for m in range(2, 51) for d in (10**4, 10**6, 10**9)]
     for m, d in pairs:
-        q = root_bound_radicand(2 * m + 1, m, d)
+        q = root_bound_radicands(m, d)[-1]
         assert check_root_bound_inequality(m, d) == (q < _rational_rhs4(m, d)), (m, d)
 
 
@@ -206,8 +207,10 @@ def test_factor_params_validated():
         largest_root_bound(7, 2, 6)  # 7 does not divide 5
 
 
-# The pipeline's accept set, one comparison at a time: each test moves one
-# measured value across its slack S = BOUND_SLACK and leaves the rest real.
+# The pipeline's accept set, one comparison at a time: each float test moves
+# one measured value across its slack S = BOUND_SLACK and leaves the rest
+# real; the order of the bounds and the quartic inequality are decided in
+# integers, from the pair's radicands, with no slack.
 S = 1e-9
 FAILED_2_6 = r"root-bound pipeline failed for \(m,d\)=\(2,6\)"
 
@@ -219,10 +222,12 @@ def test_pipeline_rejects_a_root_above_its_bound(monkeypatch):
         verify_upper_bound_pipeline(2, 6)
 
 
-@pytest.mark.parametrize("below,accepted", [(S / 2, True), (2 * S, False)])
-def test_pipeline_root_bound_slack(monkeypatch, below, accepted):
-    z0 = fn_max_root(5, 2, 6)
-    monkeypatch.setattr(graeffe, "largest_root_bound", lambda n, m, d: z0 - below)
+@pytest.mark.parametrize("above,accepted", [(S / 2, True), (2 * S, False)])
+def test_pipeline_root_bound_slack(monkeypatch, above, accepted):
+    # a root just above its bound, with a lambda_2 that agrees with it
+    z0 = largest_root_bound(5, 2, 6) + above
+    monkeypatch.setattr(graeffe, "fn_max_root", lambda n, m, d: z0)
+    monkeypatch.setattr(graeffe, "lambda2", lambda m, d: 2 * z0 - 1)
     if accepted:
         verify_upper_bound_pipeline(2, 6)
     else:
@@ -233,10 +238,13 @@ def test_pipeline_root_bound_slack(monkeypatch, below, accepted):
 @pytest.mark.parametrize("over,accepted", [(S / 2, True), (2 * S, False)])
 def test_pipeline_image_edge_slack(monkeypatch, over, accepted):
     # a root whose image x = 2z - 1 sits just past the upper window edge,
-    # with a bound above it and a lambda_2 that agrees with it
+    # with a bound of 10 above it and a lambda_2 that agrees with it; the
+    # quartic inequality would put that bound's image below the edge too,
+    # so it is held true here
     image = lambda2_window(2, 6)[1] + over
     monkeypatch.setattr(graeffe, "fn_max_root", lambda n, m, d: (image + 1) / 2)
-    monkeypatch.setattr(graeffe, "largest_root_bound", lambda n, m, d: 10.0)
+    monkeypatch.setattr(graeffe, "root_bound_radicands", lambda m, d: [20**4])
+    monkeypatch.setattr(graeffe, "root_bound_inequality_holds", lambda q, m, d: True)
     monkeypatch.setattr(graeffe, "lambda2", lambda m, d: image)
     if accepted:
         verify_upper_bound_pipeline(2, 6)
@@ -245,13 +253,13 @@ def test_pipeline_image_edge_slack(monkeypatch, over, accepted):
             verify_upper_bound_pipeline(2, 6)
 
 
-@pytest.mark.parametrize("drop,accepted", [(S / 2, True), (2 * S, False)])
-def test_pipeline_bounds_monotone_slack(monkeypatch, drop, accepted):
+@pytest.mark.parametrize("drop,accepted", [(0, True), (1, False)])
+def test_pipeline_bounds_order_is_exact(monkeypatch, drop, accepted):
     # G(2,6) has the one factor n = 5, so the order of the bounds needs a
-    # pair with two: 2m+1 = 9 has the factors n = 3, 9
-    top = largest_root_bound(9, 4, 10)
-    monkeypatch.setattr(graeffe, "largest_root_bound",
-                        lambda n, m, d: top + drop if n == 3 else top)
+    # pair with two: 2m+1 = 9 has the factors n = 3, 9; equal radicands pass,
+    # and a radicand of n = 9 one below that of n = 3 fails, with no slack
+    q = root_bound_radicands(4, 10)[-1]
+    monkeypatch.setattr(graeffe, "root_bound_radicands", lambda m, d: [q, q - drop])
     if accepted:
         verify_upper_bound_pipeline(4, 10)
     else:
@@ -261,9 +269,24 @@ def test_pipeline_bounds_monotone_slack(monkeypatch, drop, accepted):
 
 
 def test_pipeline_rejects_a_failed_quartic_inequality(monkeypatch):
-    monkeypatch.setattr(graeffe, "check_root_bound_inequality", lambda m, d: False)
+    monkeypatch.setattr(graeffe, "root_bound_inequality_holds", lambda q, m, d: False)
     with pytest.raises(CheckFailure, match=FAILED_2_6):
         verify_upper_bound_pipeline(2, 6)
+
+
+def test_pipeline_reads_the_radicands_once(monkeypatch):
+    # one root_bound_radicands call decides order and quartic, and neither
+    # per-factor route runs: the bounds come from the radicands in hand
+    calls = []
+    real = graeffe.root_bound_radicands
+    monkeypatch.setattr(graeffe, "root_bound_radicands",
+                        lambda m, d: calls.append((m, d)) or real(m, d))
+    for name in ("largest_root_bound", "check_root_bound_inequality"):
+        monkeypatch.setattr(graeffe, name, lambda *args, name=name: pytest.fail(name))
+    report = verify_upper_bound_pipeline(4, 10)
+    assert calls == [(4, 10)]
+    assert [row.root_bound for row in report.rows] == [
+        largest_root_bound(n, 4, 10) for n in (3, 9)]
 
 
 @pytest.mark.parametrize("off,accepted", [(5e-7, True), (2e-6, False)])
