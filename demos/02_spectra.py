@@ -3,8 +3,9 @@
 The vertex order makes the adjacency matrix block circulant, so its spectrum
 is the union, over the (2m+1)-th roots of unity zeta, of the spectra of the
 small Hermitian blocks H_zeta = sum_k zeta^k b_k.  The demo compares that
-reduction against a plain dense eigensolve and places lambda_2 inside its
-proven two-sided window
+reduction against the dense route, which solves the closed-twin quotient of
+the graph (q = (2m+1)^2 classes of equal rows of A + I, whatever d is), and
+places lambda_2 inside its proven two-sided window
 
     d - (2m+1)/(d+1) <= lambda_2 < d - (2m+1)/(d+3).
 """

@@ -17,12 +17,14 @@ and raises ConsistencyError.  The shift's n passes are each one prefix sum
 out of the shift.
 
 The multi-modular oracle ``char_poly_oracle(g, k=1)`` provides the
-independent cross-check; it does not read the Chebyshev algebra.  From the
-adjacency lists it divides out the closed twins (equal rows of A + I, within
-one of the k blocks; any graph is one block, G(m,d) splits into k = 2m+1),
-chi(A) = (x+1)^(n-q) chi(B) for the quotient B on the q classes, which for
-G(m,d) has q = (2m+1)^2 whatever d is.  It checks that B is symmetric in its
-classes and block circulant, and modulo each prime p = 1 (mod k) below 2^31
+independent cross-check; it does not read the Chebyshev algebra.  It divides
+out the closed twins (equal rows of A + I, within one of the k blocks; any
+graph is one block, G(m,d) splits into k = 2m+1) that
+``graphs.closed_twin_quotient`` classes from the adjacency lists, the helper
+the dense spectrum solves on too: chi(A) = (x+1)^(n-q) chi(B) for the
+quotient B on the q classes, which for G(m,d) has q = (2m+1)^2 whatever d
+is.  The helper checks that A is symmetric; the oracle checks that B is
+block circulant, and modulo each prime p = 1 (mod k) below 2^31
 reduces by Hessenberg reduction the blocks H_t of size q/k into which B
 splits over F_p (one batched kernel for all blocks and primes); symmetry
 pairs H_(k-t) with H_t, so only t = 0..k//2 are reduced.  It lifts the
@@ -46,9 +48,8 @@ importing it in its own body, so the closed form runs without loading it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from functools import cache
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .chebyshev import chebyshev_T, chebyshev_U
@@ -58,7 +59,7 @@ from .errors import (
     ParameterDomainError,
     SizeGuardError,
 )
-from .graphs import Graph, check_family_params
+from .graphs import Graph, check_family_params, closed_twin_quotient
 from .polynomials import Poly
 from .spectral import assemble_block_circulant
 
@@ -164,15 +165,15 @@ def char_poly_oracle(g: Graph, k: int = 1) -> Poly:
 def char_poly_oracle_factored(g: Graph, k: int = 1) -> tuple[int, Poly]:
     """(e, r) with chi(A) = (x+1)^e r for the adjacency matrix A, exact.
 
-    Closed twins (equal rows of A + I) are classed by their row, read from
-    the adjacency lists, and their block v // (n/k).  A class of c twins
-    carries c - 1 eigenvalues -1, and on the class-constant vectors A acts as
-    B = S W - I, S the 0/1 class adjacency (S_ii = 1) and W the diagonal of
-    class sizes (Godsil & Royle, Algebraic Graph Theory, ch. 9): e = n - q
-    for q classes and r = chi(B); without twins B = A.  A is symmetric
-    exactly when S is and each class row is a union of whole classes (a size
-    count), and B must be block circulant: S in k blocks s_i of size q/k, W
-    the same in every block; anything else raises ValueError.
+    ``graphs.closed_twin_quotient(g, k)`` classes the closed twins (equal
+    rows of A + I) by their row and their block v // (n/k), and refuses an
+    asymmetric A.  A class of c twins carries c - 1 eigenvalues -1, and on
+    the class-constant vectors A acts as B = S W - I, S the 0/1 class
+    adjacency (S_ii = 1) and W the diagonal of class sizes: e = n - q for q
+    classes and r = chi(B); without twins B = A.  B must be block circulant:
+    S in k blocks s_i of size q/k, W the same in every block; anything else
+    raises ValueError.  q above ORACLE_SIZE_GUARD is refused before the
+    q x q matrix S is allocated.
 
     Modulo a prime p = 1 (mod k) with zeta of order k, B is similar to the
     block-diagonal matrix of the H_t = (sum_i zeta^(ti) s_i) W_0 - I (Davis,
@@ -183,33 +184,16 @@ def char_poly_oracle_factored(g: Graph, k: int = 1) -> tuple[int, Poly]:
     is lifted by the symmetric Chinese remainder theorem from enough primes
     to exceed twice the Hadamard bound (``_coefficient_bound``) of the
     symmetric W^(1/2) S W^(1/2) - I, similar to B, and checked modulo one
-    further prime.  Refuses q above ORACLE_SIZE_GUARD.
+    further prime.
     """
     import numpy as np
 
-    n = g.n
-    if k < 1 or n % k:
-        raise ValueError(f"{n} vertices do not split into {k} equal blocks")
-    s = n // k
-    classes: dict[tuple, int] = {}
-    class_of = []
-    for v, row in enumerate(g.adjacency):
-        i = bisect_left(row, v)
-        class_of.append(classes.setdefault((v // s, row[:i] + (v,) + row[i:]), len(classes)))
-    class_of = np.array(class_of, dtype=np.intp)
-    q = len(classes)
+    sizes, rows, cols = closed_twin_quotient(g, k)
+    q = len(sizes)
     if q > ORACLE_SIZE_GUARD:
         raise SizeGuardError(f"oracle limited to {ORACLE_SIZE_GUARD} twin classes (got {q})")
-    rows = [row for _, row in classes]
-    lengths = np.array([len(row) for row in rows], dtype=np.int64)
-    sizes = np.bincount(class_of, minlength=q)
     adjacent = np.zeros((q, q), dtype=np.int64)
-    adjacent[np.repeat(np.arange(q), lengths),
-             class_of[np.fromiter(chain.from_iterable(rows), dtype=np.intp,
-                                  count=int(lengths.sum()))]] = 1
-    if not (np.array_equal(adjacent, adjacent.T)
-            and np.array_equal(adjacent @ sizes, lengths)):
-        raise ValueError("adjacency matrix is not symmetric")
+    adjacent[rows, cols] = 1
     # with q % k classes left over, the k blocks fall short of S
     size = q // k
     blocks = adjacent[:size, :k * size].reshape(size, k, size).swapaxes(0, 1)
@@ -260,7 +244,7 @@ def char_poly_oracle_factored(g: Graph, k: int = 1) -> tuple[int, Poly]:
             f"lifted characteristic polynomial disagrees with its residue "
             f"modulo the check prime {primes[-1]}"
         )
-    return n - q, Poly(coeffs)
+    return g.n - q, Poly(coeffs)
 
 
 def _coefficient_bound(n: int, max_degree: int) -> int:

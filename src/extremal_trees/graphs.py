@@ -134,6 +134,47 @@ def _remembered_graph(m: int, d: int) -> Graph:
     return Graph(k * (d + 1), tuple(rows), sum(map(len, rows)) // 2, (m, d))
 
 
+def closed_twin_quotient(g: Graph, k: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed-twin quotient of g: (sizes, rows, cols), read from the adjacency lists.
+
+    Vertices are classed by their row of A + I and their block v // (n/k)
+    (any graph is one block; G(m,d) splits into k = 2m+1 and has
+    q = (2m+1)^2 classes whatever d is).  sizes[i] is the size of class i,
+    classes numbered in order of their first vertex, and (rows[j], cols[j])
+    are the unit entries of the 0/1 class adjacency S (S_ii = 1), in
+    row-major order.  With P the n x q class indicator and W = diag(sizes),
+    A + I = P S P^T, so on the class-constant vectors A acts as S W - I and
+    a class of c twins carries c - 1 eigenvalues -1 (Godsil & Royle,
+    Algebraic Graph Theory, ch. 9).  A is symmetric exactly when S is and
+    each class row is a union of whole classes: a row meets every class it
+    touches in all of its members.  Anything else raises ValueError.  No
+    q x q matrix is allocated, so a caller can refuse q first.
+    """
+    import numpy as np
+
+    n = g.n
+    if k < 1 or n % k:
+        raise ValueError(f"{n} vertices do not split into {k} equal blocks")
+    s = n // k
+    classes: dict[tuple, int] = {}
+    class_of = []
+    for v, row in enumerate(g.adjacency):
+        i = bisect_left(row, v)
+        class_of.append(classes.setdefault((v // s, row[:i] + (v,) + row[i:]), len(classes)))
+    q = len(classes)
+    class_of = np.array(class_of, dtype=np.intp)
+    members = [row for _, row in classes]
+    rows = np.repeat(np.arange(q), [len(row) for row in members])
+    cols = class_of[np.fromiter(chain.from_iterable(members), dtype=np.intp, count=rows.size)]
+    # each class a row touches must be met once per member
+    keys, met = np.unique(rows * q + cols, return_counts=True)
+    rows, cols = np.divmod(keys, q)
+    sizes = np.bincount(class_of, minlength=q)
+    if not (np.array_equal(keys, np.sort(cols * q + rows)) and np.array_equal(met, sizes[cols])):
+        raise ValueError("adjacency matrix is not symmetric")
+    return sizes, rows, cols
+
+
 def clique_partition(g: Graph) -> Partition:
     """The partition {H_0, ..., H_2m} of a family graph into its modified cliques."""
     if g.params is None:

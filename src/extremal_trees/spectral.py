@@ -3,7 +3,11 @@
 Two independent routes to the spectrum of G(m,d), each a float64 array
 sorted descending:
 
-* ``eigenvalues_dense`` solves the n x n adjacency matrix.
+* ``eigenvalues_dense`` solves the q x q closed-twin quotient W^(1/2) S W^(1/2)
+  of ``graphs.closed_twin_quotient`` (S the 0/1 class adjacency, W the
+  class sizes) and adds the n - q eigenvalues -1 of the twins.  G(m,d) has
+  q = (2m+1)^2 classes whatever d is; a graph without twins has q = n.  The
+  quotient reads no roots of unity and no circulant structure.
 
 * ``eigenvalues_block_circulant`` exploits the block-circulant structure:
   the 2m+1 blocks b_i are built once, and for every (2m+1)-th root of unity
@@ -28,7 +32,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import CheckFailure, SolverConvergenceError
-from .graphs import Graph, build_extremal_graph, check_family_params
+from .graphs import Graph, build_extremal_graph, check_family_params, closed_twin_quotient
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,8 +70,18 @@ def symmetric_eigenvalues(mat: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues_dense(g: Graph) -> np.ndarray:
-    """Spectrum of the adjacency matrix by the dense symmetric solver, descending."""
-    return symmetric_eigenvalues(g.adjacency_matrix())[::-1]
+    """Spectrum of the adjacency matrix, descending, by one dense solve of the
+    q x q closed-twin quotient W^(1/2) S W^(1/2), less 1, with n - q further
+    eigenvalues -1.  Its entry sqrt(c_i) sqrt(c_j) where S_ij = 1 is symmetric
+    to the last bit; an asymmetric A raises ValueError."""
+    import numpy as np
+
+    sizes, rows, cols = closed_twin_quotient(g)
+    root = np.sqrt(sizes)
+    quotient = np.zeros((len(sizes), len(sizes)))
+    quotient[rows, cols] = root[rows] * root[cols]
+    values = symmetric_eigenvalues(quotient) - 1.0
+    return np.sort(np.concatenate([values, np.full(g.n - len(sizes), -1.0)]))[::-1]
 
 
 def blocks_of(m: int, d: int) -> np.ndarray:

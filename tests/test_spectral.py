@@ -6,6 +6,7 @@ import pytest
 
 from extremal_trees import (
     CheckFailure,
+    Graph,
     ParameterDomainError,
     assemble_block_circulant,
     blocks_of,
@@ -21,8 +22,10 @@ from extremal_trees import (
 )
 from extremal_trees.charpoly import divisors, euler_phi
 from extremal_trees.cli import main
+from extremal_trees.graphs import closed_twin_quotient
 
-from conftest import complete_graph
+from conftest import DESK_SWEEP, complete_graph
+from test_charpoly import planted_twin_graph
 
 
 def test_solver_handles_degenerate_spectra():
@@ -59,6 +62,49 @@ def test_solver_decides_integer_symmetry_exactly():
     # inf is refused without computing inf - inf
     with pytest.raises(ValueError, match=r"^matrix is not finite and Hermitian \(defect nan\)$"):
         symmetric_eigenvalues(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def full_matrix_spectrum(g: Graph) -> np.ndarray:
+    """The n x n route: LAPACK on the whole adjacency matrix, descending."""
+    return np.linalg.eigvalsh(g.adjacency_matrix())[::-1]
+
+
+@pytest.mark.parametrize("g,q", [
+    *[pytest.param(build_extremal_graph(m, d), (2 * m + 1) ** 2, id=f"G({m},{d})")
+      for m, d in [*DESK_SWEEP, (5, 43)]],
+    pytest.param(complete_graph(5), 1, id="K_5"),
+    pytest.param(Graph.from_edges(6, []), 6, id="edgeless"),
+    pytest.param(Graph.from_edges(0, []), 0, id="empty"),
+])
+def test_quotient_route_matches_the_full_matrix(g, q):
+    assert len(closed_twin_quotient(g)[0]) == q
+    values = eigenvalues_dense(g)
+    assert values.shape == (g.n,) and values.dtype == np.float64
+    assert np.max(np.abs(values - full_matrix_spectrum(g)), initial=0.0) < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_quotient_route_matches_the_full_matrix_on_planted_twins(seed):
+    g, classes = planted_twin_graph(seed)
+    # planted classes may merge into larger ones, never split
+    assert len(closed_twin_quotient(g)[0]) <= len(classes)
+    assert np.max(np.abs(eigenvalues_dense(g) - full_matrix_spectrum(g))) < 1e-10
+
+
+def test_quotient_route_reads_adjacency_lists_only(monkeypatch):
+    def dense(self):
+        raise AssertionError("the dense route built the n x n adjacency matrix")
+
+    expected = eigenvalues_dense(build_extremal_graph(2, 7))
+    monkeypatch.setattr(Graph, "adjacency_matrix", dense)
+    assert np.array_equal(eigenvalues_dense(build_extremal_graph(2, 7)), expected)
+
+
+def test_quotient_route_refuses_asymmetric_adjacency_lists():
+    # a one-way edge, and twins 0 and 1 whose neighbour 2 sees only 0
+    for g in (Graph(2, ((1,), ()), 1), Graph(3, ((1, 2), (0, 2), (0,)), 2)):
+        with pytest.raises(ValueError, match="^adjacency matrix is not symmetric$"):
+            eigenvalues_dense(g)
 
 
 def test_k5_spectrum():
@@ -119,8 +165,6 @@ def test_block_circulant_matches_dense(m, d):
 
 
 def test_block_circulant_matches_dense_full_sweep():
-    from conftest import DESK_SWEEP
-
     for m, d in DESK_SWEEP:
         dense = eigenvalues_dense(build_extremal_graph(m, d))
         blocks = eigenvalues_block_circulant(m, d)
@@ -144,8 +188,6 @@ def _per_root_block_spectrum(m, d):
 
 
 def test_block_spectrum_equals_the_per_root_route_exactly():
-    from conftest import DESK_SWEEP
-
     for m, d in [*DESK_SWEEP, (5, 43), (8, 20)]:
         assert eigenvalues_block_circulant(m, d).tolist() == _per_root_block_spectrum(m, d), (m, d)
 
@@ -197,13 +239,18 @@ def test_bulk_eigenvalues_within_interval():
         assert all(-3 - 1e-8 <= v <= 1 + 1e-8 for v in remaining)
 
 
-def test_spectrum_serialization(capsys):
-    assert main(["spectrum", "1", "4", "--method", "blocks"]) == 0
+@pytest.mark.parametrize("method,flags", [("dense", ()), ("blocks", ("--method", "blocks"))],
+                         ids=["dense", "blocks"])
+def test_spectrum_serialization(capsys, method, flags):
+    # dense is the default method
+    assert main(["spectrum", "2", "6", *flags]) == 0
     data = json.loads(capsys.readouterr().out)
     assert list(data) == ["m", "d", "solver", "values"]
-    assert data["m"] == 1 and data["d"] == 4 and data["solver"] == "blocks"
-    assert data["values"] == eigenvalues_block_circulant(1, 4).tolist()
-    assert len(data["values"]) == 15
+    assert data["m"] == 2 and data["d"] == 6 and data["solver"] == method
+    values = np.array(data["values"])
+    assert values.tolist() == spectral.family_spectrum(2, 6, method).tolist()
+    assert len(values) == 35 and np.all(np.diff(values) <= 0)
+    assert np.max(np.abs(values - full_matrix_spectrum(build_extremal_graph(2, 6)))) < 1e-10
 
 
 def test_solver_takes_a_stack_of_matrices():
