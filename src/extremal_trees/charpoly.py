@@ -247,16 +247,16 @@ def char_poly_oracle_factored(g: Graph, k: int = 1) -> tuple[int, Poly]:
     return g.n - q, Poly(coeffs)
 
 
-def _coefficient_bound(n: int, max_degree: int) -> int:
-    """Integer B >= |c_k| for every coefficient of an n-vertex graph's charpoly.
+def _coefficient_bound(n: int, max_norm2: int) -> int:
+    """Integer B >= |c_k| for every coefficient of the charpoly of a real n x n
+    matrix M whose rows have squared Euclidean norm at most max_norm2.
 
-    c_k is a signed sum of the C(n,k) principal k x k minors of the 0/1
-    adjacency matrix; each row of a minor has Euclidean norm at most
-    sqrt(max_degree), so Hadamard's inequality bounds each minor by
-    max_degree^(k/2).
+    c_k is a signed sum of the C(n,k) principal k x k minors of M; each row of
+    a minor is part of a row of M, so Hadamard's inequality bounds each minor
+    by max_norm2^(k/2).  A 0/1 adjacency matrix has max_norm2 = max degree.
     """
     return max(
-        math.comb(n, k) * (math.isqrt(max_degree**k) + 1)
+        math.comb(n, k) * (math.isqrt(max_norm2**k) + 1)
         for k in range(n + 1)
     )
 

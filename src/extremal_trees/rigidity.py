@@ -16,8 +16,8 @@ same time mu_2 = d - lambda_2 sits in ((6r-1)/(d+3), (6r-1)/(d+1)], i.e. just
 below the threshold mu_2 > (6r-1)/(d+1) that would guarantee r such
 subgraphs: the threshold cannot be lowered to (6r-1)/(d+3) or beyond.
 
-The block-circulant spectral route is used for mu_2 (it agrees with the dense
-route to 1e-8; the test suite asserts that equivalence separately).
+mu_2 = d - ``spectral.lambda2``, the dense-route lambda_2 that every verdict
+reads, so no block spectrum is built here.
 
 A float check raises CheckFailure at the comparison that fails, so a returned
 report holds only measured values, never a verdict flag.
@@ -92,7 +92,7 @@ def check_spectral_rigidity_hypotheses(r: int, d: int) -> HypothesesReport:
     partition certificate.
     """
     check_family_params(3 * r - 1, d)
-    mu2 = d - lambda2(3 * r - 1, d, method="blocks")  # raises outside the lambda_2 window
+    mu2 = d - lambda2(3 * r - 1, d)  # raises outside the lambda_2 window
     relaxed, threshold = (6 * r - 1) / (d + 3), (6 * r - 1) / (d + 1)
     if not relaxed + BOUND_SLACK < mu2 <= threshold + BOUND_SLACK:
         raise CheckFailure(

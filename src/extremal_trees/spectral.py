@@ -18,8 +18,8 @@ sorted descending:
 Every eigensolve is one call of ``symmetric_eigenvalues``, which hands real
 symmetric or complex Hermitian input, one matrix or a stack of them, to
 LAPACK (``np.linalg.eigvalsh``); LAPACK's convergence test is fixed, so no
-route takes a tolerance.  The two multisets must agree, which the test suite
-asserts elementwise.
+route takes a tolerance.  Verdicts read the dense route, and the two
+multisets must agree (``verify``'s ``spectra`` check asserts it elementwise).
 
 Each function that needs numpy imports it in its own body, so importing this
 module does not load numpy.
@@ -47,20 +47,19 @@ def symmetric_eigenvalues(mat: np.ndarray) -> np.ndarray:
     has shape (..., s), one ascending row per matrix.  LAPACK
     (``np.linalg.eigvalsh``) solves it.  eigvalsh reads one triangle only, so
     input whose Hermitian defect over the last two axes exceeds 1e-9, or is
-    not finite, is rejected instead of solved wrongly; integer or bool input
-    that equals its transpose has defect 0 and skips the float test.
+    not finite, is rejected instead of solved wrongly; every dtype takes that
+    one test, and on integer input the defect is exact.
     """
     import numpy as np
 
     a = np.asarray(mat)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError("matrix must be square")
-    if not (a.dtype.kind in "biu" and np.array_equal(a, a.swapaxes(-2, -1))):
-        # finiteness first, so an inf never computes inf - inf
-        herm_defect = (float(np.max(np.abs(a - a.conj().swapaxes(-2, -1)), initial=0.0))
-                       if np.isfinite(a).all() else math.nan)
-        if not herm_defect <= 1e-9:
-            raise ValueError(f"matrix is not finite and Hermitian (defect {herm_defect:.2e})")
+    # finiteness first, so an inf never computes inf - inf
+    herm_defect = (float(np.max(np.abs(a - a.conj().swapaxes(-2, -1)), initial=0.0))
+                   if np.isfinite(a).all() else math.nan)
+    if not herm_defect <= 1e-9:
+        raise ValueError(f"matrix is not finite and Hermitian (defect {herm_defect:.2e})")
     try:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
@@ -150,8 +149,8 @@ def family_spectrum(m: int, d: int, method: str = "dense") -> np.ndarray:
     """Spectrum of G(m,d) by one route: 'dense' or 'blocks'.
 
     Remembered per (m, d, method), so the checks of one ``verify`` pair
-    share one read-only spectrum per route.  The two routes never share a
-    result.
+    share one read-only spectrum per route; the routes share no result.
+    Verdicts read 'dense'; 'blocks' is solved only to be compared or shown.
     """
     if method not in ("dense", "blocks"):
         raise ValueError(f"unknown method {method!r} (use 'dense' or 'blocks')")
@@ -174,14 +173,14 @@ def lambda2_window(m: int, d: int) -> tuple[float, float]:
     return d - (2 * m + 1) / (d + 1), d - (2 * m + 1) / (d + 3)
 
 
-def lambda2(m: int, d: int, method: str = "dense") -> float:
+def lambda2(m: int, d: int) -> float:
     """Second-largest adjacency eigenvalue of G(m,d), checked against its window.
 
-    Raises CheckFailure if the computed value escapes the two-sided bound by
-    more than BOUND_SLACK (that would falsify the bound being verified, so
-    it is treated as a failure, not a return value).
+    Every verdict reads this value, from the dense route.  Raises CheckFailure
+    if it escapes the window by more than BOUND_SLACK: that would falsify the
+    bound being verified, so it is a failure, not a return value.
     """
-    lam1, lam2_ = family_spectrum(m, d, method)[:2]
+    lam1, lam2_ = family_spectrum(m, d, "dense")[:2]
     if abs(lam1 - d) > 1e-8:
         raise CheckFailure(f"largest eigenvalue {lam1} != degree {d}")
     lo, hi = lambda2_window(m, d)

@@ -230,6 +230,24 @@ def test_verify_builds_each_graph_and_spectrum_once(monkeypatch, capsys, built_g
     assert block_spectra == [(2, 7)]
 
 
+@pytest.mark.parametrize("argv", [("verify", "--m", "2", "--d", "6", "--checks", "rigidity"),
+                                  ("rigidity", "1", "8")], ids=["verify", "rigidity"])
+def test_rigidity_builds_no_block_stack(monkeypatch, capsys, fresh_memos, argv):
+    # mu_2 is read from the dense route, so only spectra and spectrum --method
+    # blocks build the Hermitian block stack
+    stacks = []
+
+    def counted_stack(m, d):
+        stacks.append((m, d))
+        return stack(m, d)
+
+    stack = spectral.hermitian_blocks
+    monkeypatch.setattr(spectral, "hermitian_blocks", counted_stack)
+    code, out, _ = run_cli(*argv, capsys=capsys)
+    assert code == 0 and json.loads(out)
+    assert stacks == []
+
+
 def test_skipped_checks_build_no_graph(capsys, built_graphs):
     # |E| = 1,009,830 is above the build guard, which the packing check shares
     code, out, _ = run_cli("verify", "--m", "1", "--d", "820",

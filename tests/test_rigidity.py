@@ -8,11 +8,10 @@ from extremal_trees import (
     check_spectral_rigidity_hypotheses,
     clique_partition,
     crossing_edges,
-    lambda2,
     partition_certificate,
     rigidity_certificate,
 )
-from extremal_trees import rigidity
+from extremal_trees import rigidity, spectral
 
 from conftest import complete_graph
 
@@ -77,8 +76,8 @@ def test_mu2_window(r, d):
 
 @pytest.mark.parametrize("r,d", [(1, 6), (2, 12)])
 def test_mu2_lambda2_sum_to_degree(r, d):
-    m = 3 * r - 1
-    lam2 = lambda2(m, d, method="blocks")
+    # mu_2 comes from the dense route; the block route must agree with it
+    lam2 = spectral.family_spectrum(3 * r - 1, d, "blocks")[1]
     assert abs(check_spectral_rigidity_hypotheses(r, d).mu2 + lam2 - d) < 1e-10
 
 
@@ -112,7 +111,7 @@ RELAXED, THRESHOLD = 5 / 9, 5 / 7  # (6r-1)/(d+3) and (6r-1)/(d+1) at (r,d) = (1
     ],
 )
 def test_mu2_accept_set(monkeypatch, mu2, accepted):
-    monkeypatch.setattr(rigidity, "lambda2", lambda m, d, method: d - mu2)
+    monkeypatch.setattr(rigidity, "lambda2", lambda m, d: d - mu2)
     if accepted:
         assert check_spectral_rigidity_hypotheses(1, 6).mu2 == pytest.approx(mu2, abs=1e-14)
     else:

@@ -50,8 +50,8 @@ def test_solver_rejects_non_symmetric_real_input():
 
 
 def test_solver_decides_integer_symmetry_exactly():
-    # integer input skips the float defect when it is exactly symmetric, and
-    # reports the same defect as before when it is not
+    # integer input takes the same defect test as float input, and its
+    # defect is an exact integer: 0 when symmetric, 1 here when not
     a = np.array([[0, 1], [1, 0]])
     assert np.array_equal(symmetric_eigenvalues(a), symmetric_eigenvalues(a.astype(float)))
     for bad in (np.array([[0, 1], [0, 0]]), np.array([a, [[0, 2], [1, 0]]])):
@@ -212,7 +212,7 @@ def test_lambda2_in_window(m, d):
     lo, hi = lambda2_window(m, d)
     val = lambda2(m, d)
     assert lo - 1e-9 <= val < hi + 1e-9
-    assert abs(lambda2(m, d, method="blocks") - val) < 1e-8
+    assert abs(spectral.family_spectrum(m, d, "blocks")[1] - val) < 1e-8
 
 
 def test_lambda1_simple():
@@ -293,9 +293,9 @@ def test_remembered_spectrum_is_read_only(method):
     assert spectral.family_spectrum(1, 4, method) is values
 
 
-def test_lambda2_rejects_bad_method():
+def test_family_spectrum_rejects_bad_method():
     with pytest.raises(ValueError):
-        lambda2(1, 4, method="sparse")
+        spectral.family_spectrum(1, 4, "sparse")
 
 
 def test_window_violation_raises():
