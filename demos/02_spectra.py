@@ -1,8 +1,10 @@
 """Two independent routes to the spectrum of G(m,d).
 
 The vertex order makes the adjacency matrix block circulant, so its spectrum
-is the union, over the (2m+1)-th roots of unity zeta, of the spectra of the
-small Hermitian blocks H_zeta = sum_k zeta^k b_k.  The demo compares that
+is the union, over the (2m+1)-th roots of unity zeta_t, of the spectra of the
+small Hermitian blocks H_t = sum_k zeta_t^k b_k.  Since b_(2m+1-k) = b_k^T,
+H_(2m+1-t) is the conjugate of H_t and has its spectrum, so the block route
+solves H_0..H_m only and counts H_1..H_m twice.  The demo compares that
 reduction against the dense route, which solves the closed-twin quotient of
 the graph (q = (2m+1)^2 classes of equal rows of A + I, whatever d is), and
 places lambda_2 inside its proven two-sided window

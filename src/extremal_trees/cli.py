@@ -9,7 +9,9 @@ the rest: the oracle divides the closed twins out of the built graph and
 splits the quotient into its 2m+1 circulant blocks; ``charpoly --oracle``
 runs the same oracle, with the same 2m+1 blocks, and prints the expanded
 polynomial.  Both refuse q = (2m+1)^2 twin classes above 300, so every
-m >= 9, and pairs above the build guard.  Its ``packing``
+m >= 9, and pairs above the build guard; ``charpoly``, by either route, then
+refuses a printed degree n = (2m+1)(d+1) above 1,500 before any polynomial
+work.  Its ``packing``
 check proves sigma = m without a search: sigma <= m from the counted
 modified-clique partition (``clique_certificate``), sigma >= m from m trees
 written in closed form from Walecki's Hamiltonian paths (``walecki_packing``)
@@ -80,6 +82,9 @@ from .spectral import family_spectrum, lambda2, lambda2_window
 EIGEN_SIZE_GUARD = 600
 PACKING_EDGE_GUARD = 10500
 BUILD_EDGE_GUARD = 1_000_000
+# charpoly's cost grows with m far faster than with d; at this degree the
+# largest m, G(18,39) with n = 1,480, takes about 1 s on a 2-core machine
+CHARPOLY_DEGREE_GUARD = 1500
 IDENTITIES_M_GUARD = 150
 
 
@@ -131,6 +136,9 @@ def cmd_spectrum(args) -> int:
 def cmd_charpoly(args) -> int:
     if args.oracle:
         _refuse_above(_oracle_guard, args.m, args.d)
+    # either route prints a polynomial of degree n
+    _refuse_above(_charpoly_guard, args.m, args.d)
+    if args.oracle:
         poly = char_poly_oracle(build_extremal_graph(args.m, args.d), 2 * args.m + 1)
     else:
         poly = char_poly_exact(args.m, args.d)
@@ -196,6 +204,10 @@ def _eigen_guard(m: int, d: int) -> str | None:
 def _oracle_guard(m: int, d: int) -> str | None:
     # G(m,d) has (2m+1)^2 classes of closed twins whatever d is
     return _above("q", (2 * m + 1) ** 2, "oracle", ORACLE_SIZE_GUARD) or _build_guard(m, d)
+
+
+def _charpoly_guard(m: int, d: int) -> str | None:
+    return _above("n", (2 * m + 1) * (d + 1), "charpoly", CHARPOLY_DEGREE_GUARD)
 
 
 def _packing_guard(m: int, d: int) -> str | None:

@@ -9,11 +9,13 @@ sorted descending:
   q = (2m+1)^2 classes whatever d is; a graph without twins has q = n.  The
   quotient reads no roots of unity and no circulant structure.
 
-* ``eigenvalues_block_circulant`` exploits the block-circulant structure:
-  the 2m+1 blocks b_i are built once, and for every (2m+1)-th root of unity
-  zeta the (d+1)-dimensional Hermitian block H_zeta = sum_i zeta^i b_i is
-  stacked into one array (Davis, Circulant Matrices, 1979) and solved in one
-  call.
+* ``eigenvalues_block_circulant`` exploits the block-circulant structure
+  (Davis, Circulant Matrices, 1979): the 2m+1 blocks b_i are built once, and
+  the spectrum is the union over the (2m+1)-th roots of unity zeta_t of the
+  spectra of the (d+1)-dimensional Hermitian blocks H_t = sum_i zeta_t^i b_i.
+  Since b_(2m+1-i) = b_i^T, H_(2m+1-t) = conj(H_t) has the spectrum of H_t,
+  so only H_0..H_m are stacked into one array and solved in one call, and
+  the values of H_1..H_m are counted twice.
 
 Every eigensolve is one call of ``symmetric_eigenvalues``, which hands real
 symmetric or complex Hermitian input, one matrix or a stack of them, to
@@ -115,21 +117,25 @@ def assemble_block_circulant(blocks: np.ndarray) -> np.ndarray:
 
 
 def hermitian_blocks(m: int, d: int) -> np.ndarray:
-    """Every block H_t = sum_i zeta_t^i b_i, as one complex (2m+1, d+1, d+1) array.
+    """The blocks H_t = sum_i zeta_t^i b_i for t = 0..m, as one complex
+    (m+1, d+1, d+1) array, zeta_t = exp(2*pi*i*t/(2m+1)).
 
-    Row t-1 holds H_t, zeta_t = exp(2*pi*i*t/(2m+1)) for t in [1, 2m+1];
-    t = 2m+1 gives zeta = 1.
+    Row t holds H_t; row 0 (zeta = 1) is real.  The other m blocks are
+    H_(2m+1-t) = conj(H_t), left out: with b_(2m+1-i) = b_i^T they have the
+    spectra of rows 1..m.  The Hermitian test of rows 0..m still proves
+    b_(2m+1-i) = b_i^T for every i, since the defect of H_(2m+1-t) is the
+    complex conjugate of the defect of H_t.
     """
     import numpy as np
 
     blocks = blocks_of(m, d)
     k = len(blocks)
     zetas = [complex(math.cos(2 * math.pi * t / k), math.sin(2 * math.pi * t / k))
-             for t in range(1, k + 1)]
+             for t in range(m + 1)]
     powers = np.array([[zeta**i for i in range(k)] for zeta in zetas])
     # b_0 weighted by zeta^0 = 1, plus zeta^i at the one unit entry of each
     # other b_i; those entries are zero in b_0 and in every other block
-    h = np.zeros(blocks.shape, dtype=complex)
+    h = np.zeros((m + 1, *blocks.shape[1:]), dtype=complex)
     h[:] = blocks[0]
     i, rows, cols = np.nonzero(blocks[1:])
     h[:, rows, cols] = powers[:, i + 1]
@@ -138,10 +144,13 @@ def hermitian_blocks(m: int, d: int) -> np.ndarray:
 
 def eigenvalues_block_circulant(m: int, d: int) -> np.ndarray:
     """Spectrum of G(m,d) as the union over roots of unity of the block spectra,
-    descending; equal values keep the order of their roots."""
+    descending: one solve of H_0..H_m, the values of H_1..H_m counted twice
+    (once more for their conjugates H_(2m+1-t)); equal values keep the order
+    of their rows."""
     import numpy as np
 
-    values = symmetric_eigenvalues(hermitian_blocks(m, d)).ravel()
+    solved = symmetric_eigenvalues(hermitian_blocks(m, d))
+    values = np.concatenate([solved.ravel(), solved[1:].ravel()])
     return values[np.argsort(-values, kind="stable")]
 
 

@@ -14,6 +14,7 @@ from extremal_trees import (
     CheckFailure,
     ConsistencyError,
     SolverConvergenceError,
+    charpoly,
     cli,
     graphs,
     packing,
@@ -126,6 +127,35 @@ def test_charpoly_oracle_size_guard(capsys, built_graphs):
     assert out == ""
     assert err == "error: q=361 above oracle guard 300\n"
     assert built_graphs == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("30", "70", "--exact"), "n=4331 above charpoly guard 1500"),
+    (("1", "100000", "--exact"), "n=300003 above charpoly guard 1500"),
+    (("1", "100000"), "n=300003 above charpoly guard 1500"),
+    # under the oracle's q and build guards, above the degree guard
+    (("8", "100", "--oracle"), "n=1717 above charpoly guard 1500"),
+    # the oracle's own guard speaks first
+    (("30", "70", "--oracle"), "q=3721 above oracle guard 300"),
+], ids=["exact-large-m", "exact-large-d", "default-route", "oracle-degree", "oracle-q"])
+def test_charpoly_refuses_degree_above_guard(monkeypatch, capsys, built_graphs, argv, message):
+    # refused before any polynomial work, so the closed form is never reached
+    def closed_form(*args):
+        raise AssertionError(f"_closed_form{args} reached")
+
+    monkeypatch.setattr(charpoly, "_closed_form", closed_form)
+    code, out, err = run_cli("charpoly", *argv, capsys=capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert built_graphs == []
+
+
+def test_charpoly_degree_guard_admits_the_largest_m_at_its_limit(capsys):
+    # G(18,39), n = 1480, is the largest m under the limit: G(19,40) has
+    # n = 1599 at the least d = 2m+2
+    assert cli._charpoly_guard(18, 39) is None
+    assert cli._charpoly_guard(19, 40) == "n=1599 above charpoly guard 1500"
+    assert cli._charpoly_guard(1, 499) is None and cli._charpoly_guard(1, 500) is not None
+    assert run_cli("charpoly", "3", "120", "--exact", capsys=capsys)[0] == 0
 
 
 def test_charpoly_oracle_splits_the_verify_blocks(monkeypatch, capsys):

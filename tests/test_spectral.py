@@ -143,10 +143,12 @@ def test_assembled_blocks_reproduce_adjacency(m, d):
 def test_hermitian_blocks():
     m, d = 2, 6
     hs = hermitian_blocks(m, d)
-    assert hs.shape == (2 * m + 1, d + 1, d + 1) and hs.dtype == complex
+    # H_0..H_m only: H_(2m+1-t) is the conjugate of H_t
+    assert hs.shape == (m + 1, d + 1, d + 1) and hs.dtype == complex
     for h in hs:
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
-    h1 = hs[2 * m]
+    # row 0 is zeta = 1: the real matrix sum_i b_i
+    h1 = hs[0]
     assert np.max(np.abs(h1.imag)) < 1e-12
     assert np.allclose(h1.real.sum(axis=1), d)
 
@@ -171,18 +173,25 @@ def test_block_circulant_matches_dense_full_sweep():
         assert np.max(np.abs(dense - blocks)) < 1e-8, (m, d)
 
 
-def _per_root_block_spectrum(m, d):
-    """The block spectrum route one root at a time: for each zeta_t, t = 1..2m+1,
-    H_t = sum_i zeta_t^i b_i accumulated in the order i = 0..2m and solved on
-    its own; the union sorted descending by Python."""
+def _root_block(m, d, t):
+    """H_t = sum_i zeta_t^i b_i, zeta_t = exp(2*pi*i*t/(2m+1)), accumulated in
+    the order i = 0..2m, for any t in 0..2m."""
     k = 2 * m + 1
+    zeta = complex(math.cos(2 * math.pi * t / k), math.sin(2 * math.pi * t / k))
+    h = np.zeros((d + 1, d + 1), dtype=complex)
+    for i, b in enumerate(blocks_of(m, d)):
+        h += (zeta**i) * b
+    return h
+
+
+def _per_root_block_spectrum(m, d):
+    """The block spectrum route one root at a time: H_t solved on its own for
+    t = 0..m, the values of t >= 1 listed twice (once more for H_(2m+1-t));
+    the union sorted descending by Python."""
     values = []
-    for t in range(1, k + 1):
-        zeta = complex(math.cos(2 * math.pi * t / k), math.sin(2 * math.pi * t / k))
-        h = np.zeros((d + 1, d + 1), dtype=complex)
-        for i, b in enumerate(blocks_of(m, d)):
-            h += (zeta**i) * b
-        values.extend(symmetric_eigenvalues(h).tolist())
+    for t in range(m + 1):
+        solved = symmetric_eigenvalues(_root_block(m, d, t)).tolist()
+        values.extend(solved if t == 0 else 2 * solved)
     values.sort(reverse=True)
     return values
 
@@ -190,6 +199,61 @@ def _per_root_block_spectrum(m, d):
 def test_block_spectrum_equals_the_per_root_route_exactly():
     for m, d in [*DESK_SWEEP, (5, 43), (8, 20)]:
         assert eigenvalues_block_circulant(m, d).tolist() == _per_root_block_spectrum(m, d), (m, d)
+
+
+MIRROR_PAIRS = [*DESK_SWEEP, (5, 43), (8, 20), (2, 119)]
+
+
+def test_mirror_blocks_have_the_counted_spectra():
+    # H_(2m+1-t), built from its own root and solved on its own, has the
+    # values that the route counts a second time for row t
+    for m, d in MIRROR_PAIRS:
+        rows = symmetric_eigenvalues(hermitian_blocks(m, d))
+        for t in range(1, m + 1):
+            mirror = symmetric_eigenvalues(_root_block(m, d, 2 * m + 1 - t))
+            assert np.max(np.abs(mirror - rows[t])) < 1e-12, (m, d, t)
+
+
+def test_block_spectrum_equals_the_all_roots_multiset():
+    # every one of the 2m+1 blocks solved on its own, t = 0..2m
+    for m, d in MIRROR_PAIRS:
+        every_root = np.concatenate([symmetric_eigenvalues(_root_block(m, d, t))
+                                     for t in range(2 * m + 1)])
+        every_root = np.sort(every_root)[::-1]
+        assert np.max(np.abs(eigenvalues_block_circulant(m, d) - every_root)) < 1e-12, (m, d)
+
+
+def _swap_b3_b4(b):
+    b[[3, 4]] = b[[4, 3]]
+
+
+def _b4_untransposed(b):
+    b[4] = b[1]
+
+
+@pytest.mark.parametrize("move,row0_symmetric", [
+    # b_3 = b_1^T and b_4 = b_2^T: sum_i b_i = H_0 is still symmetric, so
+    # only the rows t = 1, 2 can see it
+    (_swap_b3_b4, True),
+    # b_4 = b_1 in place of b_1^T: the cross entry moved across the diagonal
+    (_b4_untransposed, False),
+], ids=["rows-1-to-m", "row-0"])
+def test_block_route_rejects_an_asymmetric_block_set(monkeypatch, move, row0_symmetric):
+    # the route solves H_0..H_m only, and still refuses a block set in which
+    # some b_(2m+1-i) is not b_i^T
+    real_blocks_of = spectral.blocks_of
+
+    def moved_blocks(m, d):
+        b = real_blocks_of(m, d)
+        move(b)
+        return b
+
+    bad = moved_blocks(2, 7)
+    assert [np.array_equal(bad[5 - i], bad[i].T) for i in (1, 2)] != [True, True]
+    assert np.array_equal(bad.sum(axis=0), bad.sum(axis=0).T) == row0_symmetric
+    monkeypatch.setattr(spectral, "blocks_of", moved_blocks)
+    with pytest.raises(ValueError, match="^matrix is not finite and Hermitian"):
+        eigenvalues_block_circulant(2, 7)
 
 
 def test_lambda2_window_beyond_desk_scale():
@@ -203,7 +267,7 @@ def test_lambda2_window_beyond_desk_scale():
 
 def test_degree_eigenvalue_comes_from_unit_root_block():
     m, d = 2, 6
-    vals = symmetric_eigenvalues(hermitian_blocks(m, d)[2 * m])
+    vals = symmetric_eigenvalues(hermitian_blocks(m, d)[0])
     assert abs(vals[-1] - d) < 1e-9
 
 
@@ -279,7 +343,8 @@ def test_block_spectrum_is_one_solve_of_one_stack(monkeypatch):
     monkeypatch.setattr(spectral, "symmetric_eigenvalues", counted_solve)
     monkeypatch.setattr(spectral, "blocks_of", counted_blocks)
     values = eigenvalues_block_circulant(2, 7)
-    assert shapes == [(5, 8, 8)]
+    # H_0..H_2 of the 2m+1 = 5 blocks
+    assert shapes == [(3, 8, 8)]
     assert built == [(2, 7)]
     assert values.shape == (40,) and values.dtype == np.float64
     assert np.all(np.diff(values) <= 0)
