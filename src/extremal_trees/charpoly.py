@@ -17,20 +17,21 @@ and raises ConsistencyError.  The shift's n passes are each one prefix sum
 out of the shift.
 
 The multi-modular oracle ``char_poly_oracle(g, k=1)`` provides the
-independent cross-check; it does not read the Chebyshev algebra.  It divides
-out the closed twins (equal rows of A + I, within one of the k blocks; any
-graph is one block, G(m,d) splits into k = 2m+1) that
-``graphs.closed_twin_quotient`` classes from the adjacency lists, the helper
-the dense spectrum solves on too: chi(A) = (x+1)^(n-q) chi(B) for the
-quotient B on the q classes, which for G(m,d) has q = (2m+1)^2 whatever d
-is.  The helper checks that A is symmetric; the oracle checks that B is
-block circulant, and modulo each prime p = 1 (mod k) below 2^31
-reduces by Hessenberg reduction the blocks H_t of size q/k into which B
-splits over F_p (one batched kernel for all blocks and primes); symmetry
-pairs H_(k-t) with H_t, so only t = 0..k//2 are reduced.  It lifts the
-product of the block polynomials by the Chinese remainder theorem past the
-Hadamard bound on its coefficients and checks the lift modulo one further
-prime (q <= ORACLE_SIZE_GUARD).  ``char_poly_oracle_factored`` returns
+independent cross-check; it reads neither the Chebyshev algebra nor the float
+spectral module.  It divides out the closed twins (equal rows of A + I,
+within one of the k blocks; any graph is one block, G(m,d) splits into
+k = 2m+1) that ``graphs.closed_twin_quotient`` classes from the adjacency
+lists, the helper the dense spectrum solves on too: chi(A) = (x+1)^(n-q)
+chi(B) for the quotient B on the q classes, which for G(m,d) has
+q = (2m+1)^2 whatever d is.  The helper checks that A is symmetric; the
+oracle checks that B is block circulant, unchanged by a shift of one block
+along its diagonal, and modulo each prime p = 1 (mod k) below 2^31 reduces
+by Hessenberg reduction the blocks H_t of size q/k into which B splits over
+F_p (one batched kernel for all blocks and primes); symmetry pairs H_(k-t)
+with H_t, so only t = 0..k//2 are reduced.  It lifts the product of the
+block polynomials by the Chinese remainder theorem past the Hadamard bound
+on its coefficients and checks the lift modulo one further prime
+(q <= ORACLE_SIZE_GUARD).  ``char_poly_oracle_factored`` returns
 (n - q, chi(B)), which ``verify`` compares with the factored closed form.
 
 ``verify_root_of_unity_identities`` decides the Chebyshev identities behind
@@ -61,7 +62,6 @@ from .errors import (
 )
 from .graphs import Graph, check_family_params, closed_twin_quotient
 from .polynomials import Poly
-from .spectral import assemble_block_circulant
 
 if TYPE_CHECKING:
     import numpy as np
@@ -170,10 +170,10 @@ def char_poly_oracle_factored(g: Graph, k: int = 1) -> tuple[int, Poly]:
     asymmetric A.  A class of c twins carries c - 1 eigenvalues -1, and on
     the class-constant vectors A acts as B = S W - I, S the 0/1 class
     adjacency (S_ii = 1) and W the diagonal of class sizes: e = n - q for q
-    classes and r = chi(B); without twins B = A.  B must be block circulant:
-    S in k blocks s_i of size q/k, W the same in every block; anything else
-    raises ValueError.  q above ORACLE_SIZE_GUARD is refused before the
-    q x q matrix S is allocated.
+    classes and r = chi(B); without twins B = A.  B must be block circulant,
+    S and W unchanged by a shift of one block (q/k classes, k | q) along the
+    diagonal, s_i the (0, i) block of S; anything else raises ValueError.
+    q above ORACLE_SIZE_GUARD is refused before S is allocated.
 
     Modulo a prime p = 1 (mod k) with zeta of order k, B is similar to the
     block-diagonal matrix of the H_t = (sum_i zeta^(ti) s_i) W_0 - I (Davis,
@@ -194,13 +194,13 @@ def char_poly_oracle_factored(g: Graph, k: int = 1) -> tuple[int, Poly]:
         raise SizeGuardError(f"oracle limited to {ORACLE_SIZE_GUARD} twin classes (got {q})")
     adjacent = np.zeros((q, q), dtype=np.int64)
     adjacent[rows, cols] = 1
-    # with q % k classes left over, the k blocks fall short of S
     size = q // k
-    blocks = adjacent[:size, :k * size].reshape(size, k, size).swapaxes(0, 1)
-    if not (np.array_equal(adjacent, assemble_block_circulant(blocks))
-            and np.array_equal(sizes, np.tile(sizes[:size], k))):
+    if not (q == k * size
+            and np.array_equal(adjacent, np.roll(adjacent, size, axis=(0, 1)))
+            and np.array_equal(sizes, np.roll(sizes, size))):
         raise ValueError(f"adjacency matrix is not block circulant with {k} blocks")
-    flat = blocks.reshape(k, size * size)
+    # flat[i] is s_i, the (0, i) block of S, read row by row
+    flat = adjacent[:size].reshape(size, k, size).swapaxes(0, 1).reshape(k, size * size)
     # squared row norms of W^(1/2) S W^(1/2) - I: c_i c_j off the diagonal
     # where S_ij = 1, (c_i - 1)^2 on it; without twins, the degrees
     norms = sizes * (adjacent @ sizes - sizes) + (sizes - 1) ** 2

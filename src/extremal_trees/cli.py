@@ -11,14 +11,14 @@ runs the same oracle, with the same 2m+1 blocks, and prints the expanded
 polynomial.  Both refuse q = (2m+1)^2 twin classes above 300, so every
 m >= 9, and pairs above the build guard; ``charpoly``, by either route, then
 refuses a printed degree n = (2m+1)(d+1) above 1,500 before any polynomial
-work.  Its ``packing``
-check proves sigma = m without a search: sigma <= m from the counted
-modified-clique partition (``clique_certificate``), sigma >= m from m trees
-written in closed form from Walecki's Hamiltonian paths (``walecki_packing``)
-and verified on the whole graph; ``pack`` searches sigma down from m+1.  Its
-JSON report has the bytes of ``json.dumps(indent=2)`` but its rows go
-through json's faster C encoder, which needs each row to be a flat dict of
-scalars; a row holding a list or dict is an internal error.
+work.  Its ``packing`` check proves sigma = m without a search: sigma <= m
+from the counted modified-clique partition (``clique_certificate``),
+sigma >= m from m trees written in closed form from Walecki's Hamiltonian
+paths (``walecki_packing``) and verified on the whole graph; ``pack``
+searches sigma down from m+1.  Its JSON report has the bytes of
+``json.dumps(indent=2)`` but its rows go through json's faster C encoder,
+which needs each row to be a flat dict of scalars; a row holding a list or
+dict is an internal error.
 
 Exit codes: 0 all requested work passed, 1 a verification check failed,
 2 a refused input (``ParameterDomainError``: a malformed or empty range,

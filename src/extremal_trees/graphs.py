@@ -7,7 +7,8 @@ with exactly one edge between any two of the modified cliques.
 
 Vertices are pairs (clique, slot) with 0 <= clique <= 2m and 0 <= slot <= d,
 linearized as clique*(d+1) + slot.  Under this order the adjacency matrix is
-block circulant, which the spectral module exploits directly.
+block circulant: the charpoly oracle reads that structure off the twin
+quotient, while the spectral block route writes its blocks in closed form.
 
 Each adjacency row is written sorted from this closed form, with no sets and
 no sort: the rest of the vertex's clique less its matching partner, and its

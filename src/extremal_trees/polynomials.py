@@ -141,9 +141,9 @@ class Poly:
     def float_coeffs(self) -> list[float]:
         return [float(c) for c in self.coeffs]
 
-    def to_json_dict(self, variable: str = "x") -> dict:
-        """Exact serialization: coefficients as decimal strings, ascending."""
-        return {"variable": variable, "coeffs": [str(c) for c in self.coeffs]}
+    def to_json_dict(self) -> dict:
+        """Exact serialization in x: coefficients as decimal strings, ascending."""
+        return {"variable": "x", "coeffs": [str(c) for c in self.coeffs]}
 
     def __repr__(self) -> str:
         if not self.coeffs:

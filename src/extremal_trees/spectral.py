@@ -10,11 +10,12 @@ sorted descending:
   quotient reads no roots of unity and no circulant structure.
 
 * ``eigenvalues_block_circulant`` exploits the block-circulant structure
-  (Davis, Circulant Matrices, 1979): the 2m+1 blocks b_i are built once, and
-  the spectrum is the union over the (2m+1)-th roots of unity zeta_t of the
-  spectra of the (d+1)-dimensional Hermitian blocks H_t = sum_i zeta_t^i b_i.
-  Since b_(2m+1-i) = b_i^T, H_(2m+1-t) = conj(H_t) has the spectrum of H_t,
-  so only H_0..H_m are stacked into one array and solved in one call, and
+  (Davis, Circulant Matrices, 1979): the 2m+1 blocks b_i are written once in
+  closed form, and the spectrum is the union over the (2m+1)-th roots of
+  unity zeta_t of the spectra of the (d+1)-dimensional Hermitian blocks
+  H_t = sum_i zeta_t^i b_i.  Since b_(2m+1-i) = b_i^T, H_(2m+1-t) = conj(H_t)
+  has the spectrum of H_t, so only H_0..H_m are formed, as one product of
+  the table of zeta_t^i with the flattened blocks, and solved in one call;
   the values of H_1..H_m are counted twice.
 
 Every eigensolve is one call of ``symmetric_eigenvalues``, which hands real
@@ -118,7 +119,8 @@ def assemble_block_circulant(blocks: np.ndarray) -> np.ndarray:
 
 def hermitian_blocks(m: int, d: int) -> np.ndarray:
     """The blocks H_t = sum_i zeta_t^i b_i for t = 0..m, as one complex
-    (m+1, d+1, d+1) array, zeta_t = exp(2*pi*i*t/(2m+1)).
+    (m+1, d+1, d+1) array, zeta_t = exp(2*pi*i*t/(2m+1)): the (m+1) x (2m+1)
+    table of powers zeta_t^i times the blocks, each flattened to a row.
 
     Row t holds H_t; row 0 (zeta = 1) is real.  The other m blocks are
     H_(2m+1-t) = conj(H_t), left out: with b_(2m+1-i) = b_i^T they have the
@@ -133,25 +135,17 @@ def hermitian_blocks(m: int, d: int) -> np.ndarray:
     zetas = [complex(math.cos(2 * math.pi * t / k), math.sin(2 * math.pi * t / k))
              for t in range(m + 1)]
     powers = np.array([[zeta**i for i in range(k)] for zeta in zetas])
-    # b_0 weighted by zeta^0 = 1, plus zeta^i at the one unit entry of each
-    # other b_i; those entries are zero in b_0 and in every other block
-    h = np.zeros((m + 1, *blocks.shape[1:]), dtype=complex)
-    h[:] = blocks[0]
-    i, rows, cols = np.nonzero(blocks[1:])
-    h[:, rows, cols] = powers[:, i + 1]
-    return h
+    return (powers @ blocks.reshape(k, -1)).reshape(m + 1, *blocks.shape[1:])
 
 
 def eigenvalues_block_circulant(m: int, d: int) -> np.ndarray:
     """Spectrum of G(m,d) as the union over roots of unity of the block spectra,
     descending: one solve of H_0..H_m, the values of H_1..H_m counted twice
-    (once more for their conjugates H_(2m+1-t)); equal values keep the order
-    of their rows."""
+    (once more for their conjugates H_(2m+1-t))."""
     import numpy as np
 
     solved = symmetric_eigenvalues(hermitian_blocks(m, d))
-    values = np.concatenate([solved.ravel(), solved[1:].ravel()])
-    return values[np.argsort(-values, kind="stable")]
+    return np.sort(np.concatenate([solved.ravel(), solved[1:].ravel()]))[::-1]
 
 
 def family_spectrum(m: int, d: int, method: str = "dense") -> np.ndarray:

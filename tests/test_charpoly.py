@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,6 +396,21 @@ def test_block_oracle_refuses_non_block_circulant():
         char_poly_oracle(twins_moved, 2)
     with pytest.raises(SizeGuardError):
         char_poly_oracle(build_extremal_graph(9, 20), 19)  # 361 twin classes
+
+
+def test_oracle_imports_nothing_from_the_float_module():
+    # the exact oracle is a route of its own: charpoly.py must not import
+    # spectral, relatively or absolutely, whatever it binds
+    tree = ast.parse(Path(charpoly.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported |= {module, *(f"{module}.{alias.name}" for alias in node.names)}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert ".graphs" in imported  # the walk does see the package's imports
+    assert not [name for name in imported if "spectral" in name.split(".")]
 
 
 def test_block_oracle_refuses_a_one_way_row():

@@ -198,6 +198,10 @@ def _per_root_block_spectrum(m, d):
 
 def test_block_spectrum_equals_the_per_root_route_exactly():
     for m, d in [*DESK_SWEEP, (5, 43), (8, 20)]:
+        # each row of the stack is the defining sum of its root, to the last bit
+        hs = hermitian_blocks(m, d)
+        for t in range(m + 1):
+            assert np.array_equal(hs[t], _root_block(m, d, t)), (m, d, t)
         assert eigenvalues_block_circulant(m, d).tolist() == _per_root_block_spectrum(m, d), (m, d)
 
 
@@ -254,6 +258,27 @@ def test_block_route_rejects_an_asymmetric_block_set(monkeypatch, move, row0_sym
     monkeypatch.setattr(spectral, "blocks_of", moved_blocks)
     with pytest.raises(ValueError, match="^matrix is not finite and Hermitian"):
         eigenvalues_block_circulant(2, 7)
+
+
+def test_block_route_sums_blocks_that_share_an_entry(monkeypatch):
+    # b_1 and b_2 share the unit entry (1, 0), and b_3 = b_2^T, b_4 = b_1^T
+    # keep the assembled matrix symmetric: each H_t must add both weights at
+    # that entry, as the assembled matrix's own spectrum shows
+    real_blocks_of = spectral.blocks_of
+
+    def shared_blocks(m, d):
+        b = real_blocks_of(m, d)
+        b[2, 1, 0] = 1
+        b[3], b[4] = b[2].T, b[1].T
+        return b
+
+    blocks = shared_blocks(2, 6)
+    assert blocks[1, 1, 0] == blocks[2, 1, 0] == 1
+    assembled = assemble_block_circulant(blocks)
+    assert np.array_equal(assembled, assembled.T)
+    expected = np.linalg.eigvalsh(assembled)[::-1]
+    monkeypatch.setattr(spectral, "blocks_of", shared_blocks)
+    assert np.max(np.abs(eigenvalues_block_circulant(2, 6) - expected)) < 1e-12
 
 
 def test_lambda2_window_beyond_desk_scale():
