@@ -77,7 +77,7 @@ from .packing import (
     walecki_packing,
 )
 from .rigidity import check_spectral_rigidity_hypotheses
-from .spectral import family_spectrum, lambda2, lambda2_window
+from .spectral import eigenvalues_block_circulant, family_spectrum, lambda2, lambda2_window
 
 EIGEN_SIZE_GUARD = 600
 PACKING_EDGE_GUARD = 10500
@@ -127,7 +127,8 @@ def _refuse_above(guard, m: int, d: int) -> None:
 
 def cmd_spectrum(args) -> int:
     _refuse_above(_eigen_guard, args.m, args.d)
-    values = family_spectrum(args.m, args.d, args.method)
+    route = family_spectrum if args.method == "dense" else eigenvalues_block_circulant
+    values = route(args.m, args.d)
     payload = {"m": args.m, "d": args.d, "solver": args.method, "values": values.tolist()}
     _write_output(json.dumps(payload), args.out)
     return 0
@@ -256,7 +257,7 @@ def _check_lambda2(m: int, d: int) -> list[dict]:
 
 
 def _check_spectra(m: int, d: int) -> list[dict]:
-    gap = float(abs(family_spectrum(m, d, "dense") - family_spectrum(m, d, "blocks")).max())
+    gap = float(abs(family_spectrum(m, d) - eigenvalues_block_circulant(m, d)).max())
     return [dict(ok=gap <= 1e-8, detail=f"max elementwise gap {gap:.3e}")]
 
 

@@ -21,8 +21,9 @@ sorted descending:
 Every eigensolve is one call of ``symmetric_eigenvalues``, which hands real
 symmetric or complex Hermitian input, one matrix or a stack of them, to
 LAPACK (``np.linalg.eigvalsh``); LAPACK's convergence test is fixed, so no
-route takes a tolerance.  Verdicts read the dense route, and the two
-multisets must agree (``verify``'s ``spectra`` check asserts it elementwise).
+route takes a tolerance.  ``family_spectrum`` remembers the dense spectrum,
+the one every verdict reads; the block route is called by name where it is
+compared with it (``verify``'s ``spectra`` check, elementwise) or printed.
 
 Each function that needs numpy imports it in its own body, so importing this
 module does not load numpy.
@@ -148,24 +149,21 @@ def eigenvalues_block_circulant(m: int, d: int) -> np.ndarray:
     return np.sort(np.concatenate([solved.ravel(), solved[1:].ravel()]))[::-1]
 
 
-def family_spectrum(m: int, d: int, method: str = "dense") -> np.ndarray:
-    """Spectrum of G(m,d) by one route: 'dense' or 'blocks'.
+def family_spectrum(m: int, d: int) -> np.ndarray:
+    """Spectrum of G(m,d) by the dense route, descending and read-only.
 
-    Remembered per (m, d, method), so the checks of one ``verify`` pair
-    share one read-only spectrum per route; the routes share no result.
-    Verdicts read 'dense'; 'blocks' is solved only to be compared or shown.
+    Remembered per (m, d), so the checks of one ``verify`` pair share one
+    array.  The block route is not remembered: call
+    ``eigenvalues_block_circulant`` for it.
     """
-    if method not in ("dense", "blocks"):
-        raise ValueError(f"unknown method {method!r} (use 'dense' or 'blocks')")
-    return _remembered_spectrum(m, d, method)
+    return _remembered_spectrum(m, d)
 
 
 # `verify` runs every check of one (m, d) pair before it moves to the next,
-# and a pair has one spectrum per route, so two entries catch every reuse.
-@lru_cache(maxsize=2)
-def _remembered_spectrum(m: int, d: int, method: str) -> np.ndarray:
-    values = (eigenvalues_dense(build_extremal_graph(m, d)) if method == "dense"
-              else eigenvalues_block_circulant(m, d))
+# and only the dense spectrum is read again, so one entry catches every reuse.
+@lru_cache(maxsize=1)
+def _remembered_spectrum(m: int, d: int) -> np.ndarray:
+    values = eigenvalues_dense(build_extremal_graph(m, d))
     values.flags.writeable = False  # every check of the pair reads this one array
     return values
 
@@ -179,11 +177,11 @@ def lambda2_window(m: int, d: int) -> tuple[float, float]:
 def lambda2(m: int, d: int) -> float:
     """Second-largest adjacency eigenvalue of G(m,d), checked against its window.
 
-    Every verdict reads this value, from the dense route.  Raises CheckFailure
+    Every verdict reads this value, from ``family_spectrum``.  Raises CheckFailure
     if it escapes the window by more than BOUND_SLACK: that would falsify the
     bound being verified, so it is a failure, not a return value.
     """
-    lam1, lam2_ = family_spectrum(m, d, "dense")[:2]
+    lam1, lam2_ = family_spectrum(m, d)[:2]
     if abs(lam1 - d) > 1e-8:
         raise CheckFailure(f"largest eigenvalue {lam1} != degree {d}")
     lo, hi = lambda2_window(m, d)

@@ -13,11 +13,15 @@ import extremal_trees
 from extremal_trees import (
     CheckFailure,
     ConsistencyError,
+    Graph,
+    Poly,
     SolverConvergenceError,
     charpoly,
     cli,
+    graeffe,
     graphs,
     packing,
+    rigidity,
     spectral,
 )
 from extremal_trees.cli import main
@@ -99,6 +103,13 @@ def test_spectrum_blocks(capsys):
     assert data["values"][0] == pytest.approx(6.0, abs=1e-9)
     assert data["solver"] == "blocks"
     assert "tol" not in data
+
+
+def test_spectrum_refuses_an_unknown_method(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "1", "4", "--method", "sparse"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'sparse'" in capsys.readouterr().err
 
 
 def test_charpoly_exact_oracle_identical(capsys):
@@ -237,6 +248,38 @@ def test_lapack_failure_exit_code(monkeypatch, capsys, fresh_memos):
     assert err.startswith("internal error: LAPACK eigvalsh failed")
 
 
+def verify_rows(capsys, check, m, d):
+    code, out, _ = run_cli("verify", "--m", m, "--d", d, "--checks", check, capsys=capsys)
+    return code, [(r["ok"], r["detail"]) for r in json.loads(out)["results"]]
+
+
+def test_largest_eigenvalue_off_the_degree_fails_lambda2(monkeypatch, capsys, fresh_memos):
+    real = spectral.eigenvalues_dense
+
+    def lifted(g):
+        values = real(g).copy()
+        values[0] += 1e-6
+        return values
+
+    monkeypatch.setattr(spectral, "eigenvalues_dense", lifted)
+    message = "largest eigenvalue 4.000001 != degree 4"
+    with pytest.raises(CheckFailure) as exc:
+        spectral.lambda2(1, 4)
+    assert str(exc.value) == message
+    assert verify_rows(capsys, "lambda2", "1", "4") == (1, [(False, message)])
+
+
+def test_complex_bracket_root_fails_the_pipeline(monkeypatch, capsys, fresh_memos):
+    # z^3 + z has the roots 0 and +-i
+    monkeypatch.setattr(graeffe, "bracket_factor", lambda n, m, d: Poly((0, 1, 0, 1)))
+    message = ("bracket factor n=3, (m,d)=(1,4) produced a complex root "
+               "(relative imaginary part 1.000e+00)")
+    with pytest.raises(CheckFailure) as exc:
+        graeffe.fn_max_root(3, 1, 4)
+    assert str(exc.value) == message
+    assert verify_rows(capsys, "pipeline", "1", "4") == (1, [(False, message)])
+
+
 def test_verify_builds_each_graph_and_spectrum_once(monkeypatch, capsys, built_graphs):
     solved, block_spectra = [], []
 
@@ -250,7 +293,7 @@ def test_verify_builds_each_graph_and_spectrum_once(monkeypatch, capsys, built_g
 
     solve, blocks = spectral.symmetric_eigenvalues, spectral.eigenvalues_block_circulant
     monkeypatch.setattr(spectral, "symmetric_eigenvalues", counted_solve)
-    monkeypatch.setattr(spectral, "eigenvalues_block_circulant", counted_blocks)
+    monkeypatch.setattr(cli, "eigenvalues_block_circulant", counted_blocks)
     code, out, _ = run_cli("verify", "--m", "2", "--d", "7",
                            "--checks", "lambda2,spectra,pipeline,rigidity", capsys=capsys)
     assert code == 0 and json.loads(out)["all_ok"] is True
@@ -462,6 +505,18 @@ def test_verify_construction_skips_pair_above_build_guard(monkeypatch, capsys):
     assert row["detail"] == "|E|=22011000 above build guard 1000000"
 
 
+def test_verify_construction_fails_on_three_disjoint_cliques(monkeypatch, capsys, fresh_memos):
+    # 3 K_5 is 4-regular with the 15 vertices and 30 edges of G(1,4), but its
+    # cliques share no edge
+    g = Graph.from_edges(15, [(u, v) for base in (0, 5, 10)
+                              for u in range(base, base + 5) for v in range(u + 1, base + 5)],
+                         params=(1, 4))
+    assert (g.n, g.edge_count) == (15, 30)
+    monkeypatch.setattr(graphs, "_remembered_graph", lambda m, d: g)
+    assert verify_rows(capsys, "construction", "1", "4") == (
+        1, [(False, "disconnected; wrong cross-edge count")])
+
+
 @pytest.mark.parametrize("argv", [("spectrum", "2", "6"), ("rigidity", "1", "6"),
                                   ("verify", "--m", "1", "--d", "4")])
 def test_tol_option_is_rejected(capsys, argv):
@@ -547,6 +602,16 @@ def test_rigidity_domain_error(capsys):
         assert code == 2
         assert out == ""
         assert err == f"error: family requires d >= 2m+2 >= 4; got m={m}, d=5\n"
+
+
+def test_rigidity_certificate_off_its_closed_form_exits_3(monkeypatch, capsys, fresh_memos):
+    # one crossing edge more than the m(2m+1) of G(2,6)
+    monkeypatch.setattr(rigidity, "clique_crossings", lambda m, d: m * (2 * m + 1) + 1)
+    message = "certificate deficit left its closed form"
+    with pytest.raises(ConsistencyError) as exc:
+        rigidity.rigidity_certificate(1, 6)
+    assert str(exc.value) == message
+    assert run_cli("rigidity", "1", "6", capsys=capsys) == (3, "", f"internal error: {message}\n")
 
 
 def test_rigidity_refuses_pair_above_eigensolver_guard(capsys, built_graphs):

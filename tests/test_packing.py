@@ -282,7 +282,7 @@ def test_verify_packing_rejects_duplicate_tree_under_optimize():
 
 
 def test_verify_packing_rejects_a_non_tree_under_optimize():
-    # each tree has n-1 = 3 edges; the graph is K_4 minus (2,3)
+    # each tree but the last has n-1 = 3 edges; the graph is K_4 minus (2,3)
     code = textwrap.dedent("""
         from extremal_trees import ConsistencyError, ForestPacking, Graph
         from extremal_trees.packing import _verify_packing
@@ -292,6 +292,7 @@ def test_verify_packing_rejects_a_non_tree_under_optimize():
             {(0, 1), (1, 2), (2, 3)},  # (2,3) is not in g
             {(0, 1), (2, 1), (1, 3)},  # (v, u) could hide a second use of (u, v)
             {(0, 1), (1, 2), (-1, 0)},
+            {(0, 1), (1, 2)},  # vertex 3 left out
         ]:
             try:
                 _verify_packing(g, ForestPacking((frozenset(tree),)))
@@ -305,10 +306,11 @@ def test_verify_packing_rejects_a_non_tree_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert lines[0].endswith("closes a cycle")
-    assert lines[1:] == [f"tree edge {edge} is not an edge (u < v) of the graph"
-                         for edge in ("(2,3)", "(2,1)", "(-1,0)")]
+    assert lines[1:4] == [f"tree edge {edge} is not an edge (u < v) of the graph"
+                          for edge in ("(2,3)", "(2,1)", "(-1,0)")]
+    assert lines[4] == "tree has 2 edges, not 3"
 
 
 @pytest.mark.parametrize("size", range(2, 10))

@@ -53,6 +53,7 @@ def test_walk_finds_the_domain_functions():
     assert {"spectral.lambda2_window", "graeffe.check_root_bound_inequality",
             "graeffe.quartic_guard", "graeffe.root_bound_radicands",
             "graeffe.factor_leading_coeffs",
+            "spectral.family_spectrum", "spectral.eigenvalues_block_circulant",
             "charpoly.bracket_factor", "charpoly.check_bracket_params",
             "rigidity.check_spectral_rigidity_hypotheses",
             "packing.walecki_packing"} <= found

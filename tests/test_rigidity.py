@@ -77,7 +77,7 @@ def test_mu2_window(r, d):
 @pytest.mark.parametrize("r,d", [(1, 6), (2, 12)])
 def test_mu2_lambda2_sum_to_degree(r, d):
     # mu_2 comes from the dense route; the block route must agree with it
-    lam2 = spectral.family_spectrum(3 * r - 1, d, "blocks")[1]
+    lam2 = spectral.eigenvalues_block_circulant(3 * r - 1, d)[1]
     assert abs(check_spectral_rigidity_hypotheses(r, d).mu2 + lam2 - d) < 1e-10
 
 

@@ -301,7 +301,7 @@ def test_lambda2_in_window(m, d):
     lo, hi = lambda2_window(m, d)
     val = lambda2(m, d)
     assert lo - 1e-9 <= val < hi + 1e-9
-    assert abs(spectral.family_spectrum(m, d, "blocks")[1] - val) < 1e-8
+    assert abs(eigenvalues_block_circulant(m, d)[1] - val) < 1e-8
 
 
 def test_lambda1_simple():
@@ -328,16 +328,18 @@ def test_bulk_eigenvalues_within_interval():
         assert all(-3 - 1e-8 <= v <= 1 + 1e-8 for v in remaining)
 
 
-@pytest.mark.parametrize("method,flags", [("dense", ()), ("blocks", ("--method", "blocks"))],
-                         ids=["dense", "blocks"])
-def test_spectrum_serialization(capsys, method, flags):
+@pytest.mark.parametrize("method,route,flags", [
+    ("dense", spectral.family_spectrum, ()),
+    ("blocks", eigenvalues_block_circulant, ("--method", "blocks")),
+], ids=["dense", "blocks"])
+def test_spectrum_serialization(capsys, method, route, flags):
     # dense is the default method
     assert main(["spectrum", "2", "6", *flags]) == 0
     data = json.loads(capsys.readouterr().out)
     assert list(data) == ["m", "d", "solver", "values"]
     assert data["m"] == 2 and data["d"] == 6 and data["solver"] == method
     values = np.array(data["values"])
-    assert values.tolist() == spectral.family_spectrum(2, 6, method).tolist()
+    assert values.tolist() == route(2, 6).tolist()
     assert len(values) == 35 and np.all(np.diff(values) <= 0)
     assert np.max(np.abs(values - full_matrix_spectrum(build_extremal_graph(2, 6)))) < 1e-10
 
@@ -375,17 +377,11 @@ def test_block_spectrum_is_one_solve_of_one_stack(monkeypatch):
     assert np.all(np.diff(values) <= 0)
 
 
-@pytest.mark.parametrize("method", ["dense", "blocks"])
-def test_remembered_spectrum_is_read_only(method):
-    values = spectral.family_spectrum(1, 4, method)
+def test_remembered_spectrum_is_read_only():
+    values = spectral.family_spectrum(1, 4)
     with pytest.raises(ValueError):
         values[0] = 0.0
-    assert spectral.family_spectrum(1, 4, method) is values
-
-
-def test_family_spectrum_rejects_bad_method():
-    with pytest.raises(ValueError):
-        spectral.family_spectrum(1, 4, "sparse")
+    assert spectral.family_spectrum(1, 4) is values
 
 
 def test_window_violation_raises():
