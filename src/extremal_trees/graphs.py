@@ -12,7 +12,9 @@ quotient, while the spectral block route writes its blocks in closed form.
 
 Each adjacency row is written sorted from this closed form, with no sets and
 no sort: the rest of the vertex's clique less its matching partner, and its
-one cross neighbour in front of the clique or after it.
+one cross neighbour in front of the clique or after it.  Each clique is one
+vertex range, so the count of clique crossing edges bisects that range in
+the sorted rows; ``crossing_edges`` counts the crossings of any partition.
 """
 
 from __future__ import annotations
@@ -191,17 +193,24 @@ def clique_crossings(m: int, d: int) -> int:
     """Edges of G(m,d) between two of its modified cliques, counted once per (m, d).
 
     The construction check, the packing certificate and the rigidity
-    certificate all read this count; ``crossing_edges`` counts it.
+    certificate all read this count.  It bisects each clique's vertex range
+    in the sorted rows; ``crossing_edges`` serves arbitrary partitions.
     """
     check_family_params(m, d)
     return _remembered_clique_crossings(m, d)
 
 
 # Like the graph: each check of a `verify` pair reads the count of that pair.
+# Clique i is the vertex range [i(d+1), (i+1)(d+1)), so each sorted row meets
+# its own clique in one run that two bisections find.
 @lru_cache(maxsize=2)
 def _remembered_clique_crossings(m: int, d: int) -> int:
-    g = _remembered_graph(m, d)
-    return crossing_edges(g, clique_partition(g))
+    rows = _remembered_graph(m, d).adjacency
+    inside = 0
+    for v, row in enumerate(rows):
+        lo = v // (d + 1) * (d + 1)
+        inside += bisect_left(row, lo + d + 1) - bisect_left(row, lo)
+    return (sum(map(len, rows)) - inside) // 2
 
 
 def validate_partition(g: Graph, p: Partition) -> None:

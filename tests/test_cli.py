@@ -517,6 +517,19 @@ def test_verify_construction_fails_on_three_disjoint_cliques(monkeypatch, capsys
         1, [(False, "disconnected; wrong cross-edge count")])
 
 
+def test_verify_construction_fails_on_one_cross_edge_moved(monkeypatch, capsys, fresh_memos):
+    # G(2,6) with cross edge (1,7) and in-clique edge (18,19) swapped for
+    # (1,18) and (7,19): still 6-regular and connected with 105 edges, but
+    # 11 clique crossing edges in place of m(2m+1) = 10
+    real = graphs.build_extremal_graph(2, 6)
+    edges = set(real.edges()) - {(1, 7), (18, 19)} | {(1, 18), (7, 19)}
+    g = Graph.from_edges(real.n, edges, params=(2, 6))
+    assert (g.edge_count, set(graphs.degrees(g)), graphs.is_connected(g)) == (105, {6}, True)
+    monkeypatch.setattr(graphs, "_remembered_graph", lambda m, d: g)
+    assert verify_rows(capsys, "construction", "2", "6") == (1, [(False, "wrong cross-edge count")])
+    assert graphs.clique_crossings(2, 6) == 11
+
+
 @pytest.mark.parametrize("argv", [("spectrum", "2", "6"), ("rigidity", "1", "6"),
                                   ("verify", "--m", "1", "--d", "4")])
 def test_tol_option_is_rejected(capsys, argv):
@@ -834,7 +847,8 @@ def test_verify_packing_fails_when_the_certificate_does_not_refute(
 
 def test_clique_crossings_counted_once_per_pair(monkeypatch, capsys, fresh_memos):
     # construction, the packing certificate and the rigidity certificate all
-    # read the one count of G(2,12)'s clique crossing edges
+    # read the one count of G(2,12)'s clique crossing edges, and none of them
+    # asks the generic partition count for it
     calls = []
     real = graphs.crossing_edges
 
@@ -848,7 +862,9 @@ def test_clique_crossings_counted_once_per_pair(monkeypatch, capsys, fresh_memos
                            "construction,packing,rigidity", capsys=capsys)
     assert code == 0
     assert [r["ok"] for r in json.loads(out)["results"]] == [True, True, True]
-    assert calls == [(2, 12)]
+    memo = graphs._remembered_clique_crossings.cache_info()
+    assert (memo.misses, memo.hits) == (1, 2)
+    assert calls == []
 
 
 def test_verify_packing_sweep_rows(capsys):

@@ -18,7 +18,7 @@ from extremal_trees import (
     export,
     is_connected,
 )
-from extremal_trees.graphs import connected_components
+from extremal_trees.graphs import clique_crossings, connected_components
 
 from conftest import DESK_SWEEP
 
@@ -117,13 +117,30 @@ def test_one_edge_between_each_clique_pair(m, d):
     assert set(counts.values()) == {1}
 
 
+# m = 1..8 at d = 2m+2..2m+8, the spectral_sweep and packing_sweep pairs of
+# the benchmark, and G(30,100) (|E| = 308,050), under the build guard
+CLIQUE_PAIRS = sorted({
+    *((m, d) for m in range(1, 9) for d in range(2 * m + 2, 2 * m + 9)),
+    *((m, d) for m in range(2, 6) for d in range(40, 44)),
+    *((m, d) for m in range(1, 5) for d in range(14, 23)),
+    (30, 100),
+})
+
+
 def test_adjacency_sorted_and_symmetric():
-    g = build_extremal_graph(2, 6)
-    for u, row in enumerate(g.adjacency):
-        assert list(row) == sorted(row)
-        assert u not in row
-        for v in row:
-            assert u in g.adjacency[v]
+    # the clique crossing count bisects these rows
+    for m, d in CLIQUE_PAIRS:
+        g = build_extremal_graph(m, d)
+        for u, row in enumerate(g.adjacency):
+            assert all(a < b for a, b in zip(row, row[1:])), (m, d, u)
+            assert not g.has_edge(u, u), (m, d, u)
+            assert all(g.has_edge(v, u) for v in row), (m, d, u)
+
+
+@pytest.mark.parametrize("m,d", CLIQUE_PAIRS)
+def test_clique_crossings_agree_with_partition_count(m, d):
+    g = build_extremal_graph(m, d)
+    assert clique_crossings(m, d) == crossing_edges(g, clique_partition(g)) == m * (2 * m + 1)
 
 
 def row_by_row_adjacency_matrix(g: Graph) -> np.ndarray:
