@@ -12,7 +12,8 @@ e the exponent of the (x+1) prefactor, one Taylor shift y -> x+1 of the
 integer polynomial y^e 2^deg q(y/2), then an exact division by 2^deg) and
 must come out integral and monic; anything else is an implementation bug
 and raises ConsistencyError.  The shift's n passes are each one prefix sum
-(``itertools.accumulate``) over the reversed coefficient list.
+(``itertools.accumulate``) over the reversed coefficient list, which pops the
+coefficient that pass finished.
 ``char_poly_exact_factored`` returns (e, the rest) and leaves the prefactor
 out of the shift.
 
@@ -148,11 +149,15 @@ def _closed_form(m: int, d: int, e: int) -> Poly:
 def _taylor_shift_1(coeffs: list[int]) -> list[int]:
     """Ascending coefficients of f(x+1) from those of f, in integer additions:
     pass i of the classical scheme puts the sum of a[j:] into each a[j], j >= i,
-    which on the reversed list is one ``accumulate`` over its first len - i."""
-    r = list(reversed(coeffs))
-    for end in range(len(r), 1, -1):
-        r[:end] = accumulate(r[:end])
-    return r[::-1]
+    which on the reversed list is one ``accumulate`` over its first len - i.
+    Its last entry is then final, the x^i coefficient, and is popped off, so
+    the next pass runs over the rest without a slice copy."""
+    r = coeffs[::-1]
+    shifted = []
+    while r:
+        r = list(accumulate(r))
+        shifted.append(r.pop())
+    return shifted
 
 
 def char_poly_oracle(g: Graph, k: int = 1) -> Poly:

@@ -17,8 +17,8 @@ sigma >= m from m trees written in closed form from Walecki's Hamiltonian
 paths (``walecki_packing``) and verified on the whole graph; ``pack``
 searches sigma down from m+1.  Its JSON report has the bytes of
 ``json.dumps(indent=2)`` but its rows go through json's faster C encoder,
-which needs each row to be a flat dict of scalars; a row holding a list or
-dict is an internal error.
+which needs each row to be a flat dict of JSON scalars; a row holding any
+other value (a list, a dict, a numpy bool) is an internal error.
 
 Exit codes: 0 all requested work passed, 1 a verification check failed,
 2 a refused input (``ParameterDomainError``: a malformed or empty range,
@@ -37,6 +37,8 @@ import io
 import json
 import sys
 from functools import cache
+from itertools import chain
+from types import NoneType
 
 from . import __version__
 from .charpoly import (
@@ -187,10 +189,6 @@ def _sweep_pairs(m_spec: str, d_spec: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _result(check, m, d, ok=None, skipped=False, detail="", **extra) -> dict:
-    return dict(check=check, m=m, d=d, ok=ok, skipped=skipped, detail=detail, **extra)
-
-
 # Guards: why the check is skipped for (m, d), or None.  Each is worked out
 # from (m, d) alone, so a skipped check builds no graph.
 
@@ -230,8 +228,9 @@ def _rigidity_guard(m: int, d: int) -> str | None:
     return _eigen_guard(m, d)
 
 
-# Runs: the rows of one check on (m, d), each as the keyword arguments of
-# ``_result`` after its name, m and d.  A failed claim raises CheckFailure.
+# Runs: the rows of one check on (m, d), each a dict of the row's ok, detail
+# and any further columns, which ``_run_check`` completes with the check's
+# name, m, d and skipped.  A failed claim raises CheckFailure.
 
 def _check_construction(m: int, d: int) -> list[dict]:
     g = build_extremal_graph(m, d)
@@ -276,7 +275,7 @@ def _check_rootbound(m: int, d: int) -> list[dict]:
     radicands = root_bound_radicands(m, d)
     monotone = radicands == sorted(radicands)
     exact_ok = root_bound_inequality_holds(radicands[-1], m, d)
-    return [dict(ok=monotone and exact_ok, detail=f"monotone={monotone} exact={exact_ok}")]
+    return [{"ok": monotone and exact_ok, "detail": f"monotone={monotone} exact={exact_ok}"}]
 
 
 def _check_pipeline(m: int, d: int) -> list[dict]:
@@ -347,22 +346,28 @@ def _run_check(check: str, m: int, d: int) -> list[dict]:
     guard, run = CHECKS[check]
     reason = guard(m, d)
     if reason is not None:
-        return [_result(check, m, d, skipped=True, detail=reason)]
+        return [{"check": check, "m": m, "d": d, "ok": None, "skipped": True, "detail": reason}]
     try:
         rows = run(m, d)
     except CheckFailure as exc:
-        rows = [dict(ok=False, detail=str(exc))]
-    return [_result(check, m, d, **row) for row in rows]
+        rows = [{"ok": False, "detail": str(exc)}]
+    # one dict per row: the six shared keys in report order, whatever order
+    # the run wrote ok and detail in, then the run's own columns
+    return [{"check": check, "m": m, "d": d, "ok": None, "skipped": False, "detail": "", **row}
+            for row in rows]
 
 
 def _indented_json(payload: dict) -> str:
     """``json.dumps(payload, indent=2)`` for a payload whose top-level
-    "results" are flat, non-empty dicts of scalars, with the rows encoded in
-    one call of the C encoder, which json skips whenever ``indent`` is set."""
+    "results" are flat, non-empty dicts of JSON scalars (str, int, float or
+    None, bool and numpy's float64 included as subclasses), with the rows
+    encoded in one call of the C encoder, which json skips whenever
+    ``indent`` is set.  Any other value, a list, a dict, a numpy bool or a
+    Fraction, is an internal error, refused before anything is written."""
     rows = payload["results"]
-    if any(issubclass(t, (list, tuple, dict))
-           for t in {type(v) for row in rows for v in row.values()}):
-        raise ConsistencyError("a verify row holds a list or dict, not only scalars")
+    if not all(issubclass(t, (str, int, float, NoneType))
+               for t in set(map(type, chain.from_iterable(map(dict.values, rows))))):
+        raise ConsistencyError("a verify row holds a value that is not a JSON scalar")
     # the encoder escapes NUL inside strings, so each NUL is a separator it
     # wrote, between two items of a row or, after "}", between two rows
     flat = json.dumps(rows, separators=("\0", ": "))

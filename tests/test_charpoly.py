@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extremal_trees import (
@@ -63,11 +63,26 @@ def test_divisors_match_trial_division():
 
 @settings(deadline=None, derandomize=True)
 @given(st.lists(st.integers(min_value=-(2**200), max_value=2**200), max_size=40))
+@example([])
+@example([7])
 def test_taylor_shift_matches_binomial_sum(coeffs):
     # f(x+1) = sum_i a_i (x+1)^i, so its x^j coefficient is sum_i a_i C(i, j)
     n = len(coeffs)
     expected = [sum(coeffs[i] * math.comb(i, j) for i in range(j, n)) for j in range(n)]
     assert _taylor_shift_1(coeffs) == expected
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=300),
+       st.lists(st.integers(min_value=-(2**300), max_value=2**300), min_size=1, max_size=40))
+def test_taylor_shift_after_a_run_of_zeros(zeros, tail):
+    # the closed form shifts y^e q(y): hundreds of zeros, then the coefficients
+    # of q; f(x+1) = sum_i tail_i (x+1)^(zeros+i)
+    coeffs = [0] * zeros + tail
+    expected = [sum(c * math.comb(zeros + i, j) for i, c in enumerate(tail))
+                for j in range(len(coeffs))]
+    assert _taylor_shift_1(coeffs) == expected
+    assert coeffs == [0] * zeros + tail
 
 
 @pytest.mark.parametrize("m,d", [(1, 4), (2, 6), (3, 9)])

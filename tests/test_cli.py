@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -492,6 +493,23 @@ def test_verify_rootbound_report_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of the stdout of the benchmark's three closed-form charpoly
+# commands, whose (x+1)^e prefactors run the Taylor shift over 672 to 848
+# coefficients.
+CHARPOLY_EXACT_DIGESTS = [
+    ((8, 40), "f9865f30790175ae6a8d047d6fb3a3ec4d974474c8d48797fdeedb790a140960"),
+    ((5, 60), "403f92bbb6ef5c55215d9bceb532aa0aae5efd2da68e64b05d62d2c25c1288fe"),
+    ((3, 120), "0da2a02798ced5de8885d120d2f8c96231ab34d657e89c80754508523ee27caa"),
+]
+
+
+@pytest.mark.parametrize("pair,digest", CHARPOLY_EXACT_DIGESTS, ids=["8-40", "5-60", "3-120"])
+def test_charpoly_exact_output_pinned(capsys, pair, digest):
+    code, out, err = run_cli("charpoly", *map(str, pair), "--exact", capsys=capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_construction_skips_pair_above_build_guard(monkeypatch, capsys):
     def refuse(m, d):
         raise AssertionError("the build guard should have skipped this pair")
@@ -709,17 +727,20 @@ def test_verify_json_with_failed_and_skipped_rows_is_the_indented_encoding(
     rows = json.loads(out)["results"]
     assert [r["ok"] for r in rows if r["check"] == "rootbound"] == [None] * 7 + [False] * 7
     assert rows[-1]["detail"] == "quartic inequality refuted at (2, 12)"
+    assert list(rows[-1]) == ["check", "m", "d", "ok", "skipped", "detail"]
     assert_indented(out)
 
 
 # Row strings that look like the writer's own separators, an escaped NUL,
-# text outside ASCII, and the floats whose spelling is easy to get wrong.
+# text outside ASCII, the floats whose spelling is easy to get wrong, and
+# numpy's float64, a float subclass that json writes as a float.
 AWKWARD_ROW = {
     "detail": '}, {"x": {"y": [1, 2]}}, "a": { \0 }\0{',
     "note": "λ₂ < d − (2m+1)/(d+3) ≤ ∞",
     '}\0{": {': ",",
     "nan": float("nan"), "inf": float("inf"), "ninf": float("-inf"), "zero": -0.0,
     "big": 10**40, "small": 5e-324, "none": None, "flag": False,
+    "numpy": np.float64(0.1),
 }
 
 
@@ -736,14 +757,18 @@ def test_verify_json_writer_on_awkward_rows(monkeypatch, capsys):
     assert_same_text(out, json.dumps(expected, indent=2) + "\n")
 
 
-@pytest.mark.parametrize("value", [[1, 2], (), {"a": 1}], ids=["list", "tuple", "dict"])
+# json writes none of these as a scalar: the containers would nest, and
+# numpy's bool (no int subclass) and a Fraction it cannot write at all
+@pytest.mark.parametrize("value", [[1, 2], (), {"a": 1}, np.True_, Fraction(1, 2)],
+                         ids=["list", "tuple", "dict", "numpy-bool", "fraction"])
 def test_verify_json_writer_refuses_a_row_that_is_not_flat(monkeypatch, capsys, value):
     monkeypatch.setitem(cli.CHECKS, "rootbound",
                         (lambda m, d: None, lambda m, d: [dict(ok=True, nested=value)]))
     code, out, err = run_cli("verify", "--m", "2", "--d", "6", "--checks", "rootbound",
                              capsys=capsys)
     assert (code, out) == (3, "")
-    assert err == "internal error: a verify row holds a list or dict, not only scalars\n"
+    assert err == "internal error: a verify row holds a value that is not a JSON scalar\n"
+
 
 
 def test_one_parser_per_process_keeps_no_state_between_commands(
@@ -949,6 +974,12 @@ def test_verify_rows_of_every_check(capsys, m, d):
         for r in json.loads(out)["results"]
     ]
     assert got == [(check, m, d, *rest) for check, *rest in VERIFY_ROWS[(m, d)]]
+    # every row, skipped or run, opens with the same six keys; a pipeline
+    # row that runs adds its factor's columns after them
+    for r in json.loads(out)["results"]:
+        extra = (["n", "root_bound", "max_root", "quartic_ok", "window_ok"]
+                 if r["check"] == "pipeline" and not r["skipped"] else [])
+        assert list(r) == ["check", "m", "d", "ok", "skipped", "detail", *extra]
 
 
 def test_verify_malformed_range(capsys):
