@@ -770,7 +770,6 @@ def test_verify_json_writer_refuses_a_row_that_is_not_flat(monkeypatch, capsys, 
     assert err == "internal error: a verify row holds a value that is not a JSON scalar\n"
 
 
-
 def test_one_parser_per_process_keeps_no_state_between_commands(
         monkeypatch, capsys, tmp_path, sigma_calls):
     assert cli.build_parser() is cli.build_parser()
