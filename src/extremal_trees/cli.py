@@ -32,7 +32,6 @@ mathematical counterexample).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -369,13 +368,17 @@ def _indented_json(payload: dict) -> str:
                for t in set(map(type, chain.from_iterable(map(dict.values, rows))))):
         raise ConsistencyError("a verify row holds a value that is not a JSON scalar")
     # the encoder escapes NUL inside strings, so each NUL is a separator it
-    # wrote, between two items of a row or, after "}", between two rows
-    flat = json.dumps(rows, separators=("\0", ": "))
-    items = flat[2:-2].replace("}\0{", "\n    },\n    {\n      ").replace("\0", ",\n      ")
-    block = "[\n    {\n      " + items + "\n    }\n  ]" if rows else "[]"
+    # wrote, between two items of a row or, after "}", between two rows.
+    # Each copy of the rows' text is its own statement, so at most two live.
+    items = json.dumps(rows, separators=("\0", ": "))
+    items = items[2:-2]
+    items = items.replace("}\0{", "\n    },\n    {\n      ")
+    items = items.replace("\0", ",\n      ")
+    opening, closing = ("[\n    {\n      ", "\n    }\n  ]") if rows else ("[]", "")
     # strings escape newlines too, so this key can only be the top-level one
-    text = json.dumps({**payload, "results": None}, indent=2)
-    return text.replace('\n  "results": null', '\n  "results": ' + block, 1)
+    head, _, tail = json.dumps({**payload, "results": None}, indent=2).partition(
+        '\n  "results": null')
+    return "".join((head, '\n  "results": ', opening, items, closing, tail))
 
 
 def cmd_verify(args) -> int:
@@ -402,6 +405,8 @@ def cmd_verify(args) -> int:
         }
         _write_output(_indented_json(payload), args.out)
     else:
+        import csv
+
         columns = ["check", "m", "d", "n", "ok", "root_bound", "max_root",
                    "quartic_ok", "window_ok", "skipped", "detail"]
         buf = io.StringIO()

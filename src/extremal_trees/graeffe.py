@@ -22,12 +22,15 @@ integers, in the pipeline and in ``verify``'s rootbound row alike.
 
 A float check raises CheckFailure at the comparison that fails, so a returned
 report holds only measured values, never a verdict flag.
+
+Only ``leading_coeffs_of`` and ``factor_leading_coeffs`` build Fractions.
+No command calls either, so each imports ``fractions`` in its own body and
+the CLI starts without it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .charpoly import bracket_factor, check_bracket_params, divisors
 from .errors import CheckFailure, ParameterDomainError
@@ -35,11 +38,13 @@ from .graphs import check_family_params
 from .polynomials import Poly
 from .spectral import BOUND_SLACK, lambda2, lambda2_window
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 REAL_ROOT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class LeadingCoeffs:
+class LeadingCoeffs(NamedTuple):
     """Coefficients a_{n-1}..a_{n-4} of a monic degree-n polynomial, exact.
 
     ``a4`` (the z^(n-4) coefficient) is 0 by convention when n == 3.
@@ -54,6 +59,8 @@ class LeadingCoeffs:
 
 def leading_coeffs_of(p: Poly) -> LeadingCoeffs:
     """Extract the five leading coefficients of a monic polynomial of degree >= 3."""
+    from fractions import Fraction
+
     n = p.degree
     if n < 3:
         raise ParameterDomainError(f"need degree >= 3, got {n}")
@@ -93,6 +100,8 @@ def _check_factor_params(n: int, m: int, d: int) -> None:
 
 def factor_leading_coeffs(n: int, m: int, d: int) -> LeadingCoeffs:
     """Closed-form five leading coefficients of the monic bracket factor B_n/2^n."""
+    from fractions import Fraction
+
     _check_factor_params(n, m, d)
     return LeadingCoeffs(
         n,
@@ -174,15 +183,13 @@ def fn_max_root(n: int, m: int, d: int) -> float:
     return float(np.max(roots.real))
 
 
-@dataclass(frozen=True)
-class FactorRow:
+class FactorRow(NamedTuple):
     n: int
     max_root: float
     root_bound: float
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(NamedTuple):
     """Per-factor root bounds plus the global second-eigenvalue measurements."""
 
     m: int

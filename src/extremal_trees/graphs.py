@@ -20,11 +20,10 @@ the sorted rows; ``crossing_edges`` counts the crossings of any partition.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, filterfalse
 from operator import countOf
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import InvalidPartitionError, ParameterDomainError
 
@@ -32,12 +31,13 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Immutable simple undirected graph with sorted adjacency lists.
 
     ``params`` is ``(m, d)`` for members of the extremal family and ``None``
-    for ad-hoc graphs (test fixtures, oracle inputs).
+    for ad-hoc graphs (test fixtures, oracle inputs).  A ``NamedTuple``, so
+    it compares and hashes by its four fields, and ``_replace`` gives a
+    changed copy; ``len`` and iteration see the fields, not the vertices.
     """
 
     n: int
@@ -82,9 +82,12 @@ class Graph:
         return a
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint nonempty vertex sets covering the vertex set of some graph."""
+class Partition(NamedTuple):
+    """Disjoint nonempty vertex sets covering the vertex set of some graph.
+
+    ``len`` counts the parts, which the tuple's own ``_make`` and
+    ``_replace`` would read as a field count: build a new Partition instead.
+    """
 
     parts: tuple[frozenset[int], ...]
 

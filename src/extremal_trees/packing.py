@@ -47,7 +47,7 @@ packings are reproducible.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConsistencyError, ParameterDomainError
 from .graphs import (
@@ -61,8 +61,7 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class PartitionCertificate:
+class PartitionCertificate(NamedTuple):
     """Partition evidence against r spanning rigid subgraphs plus k spanning
     trees; deficit > 0 refutes them (at r = 0: refutes sigma >= k)."""
 
@@ -88,8 +87,7 @@ class PartitionCertificate:
         }
 
 
-@dataclass(frozen=True)
-class ForestPacking:
+class ForestPacking(NamedTuple):
     """Pairwise edge-disjoint spanning trees, each an edge set of (u, v) pairs."""
 
     trees: tuple[frozenset[tuple[int, int]], ...]

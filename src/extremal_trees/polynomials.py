@@ -8,7 +8,6 @@ degree -1.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -129,6 +128,8 @@ class Poly:
 
     def to_int(self) -> "Poly":
         """Coerce all coefficients to int; raises if any is non-integral."""
+        from fractions import Fraction
+
         out = []
         for c in self.coeffs:
             if isinstance(c, Fraction):

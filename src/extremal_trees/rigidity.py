@@ -25,7 +25,7 @@ report holds only measured values, never a verdict flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CheckFailure, ConsistencyError
 from .graphs import build_extremal_graph, check_family_params, clique_crossings, clique_partition
@@ -44,8 +44,7 @@ def rigidity_certificate(r: int, d: int) -> PartitionCertificate:
     return cert
 
 
-@dataclass(frozen=True)
-class HypothesesReport:
+class HypothesesReport(NamedTuple):
     """Condition (1) of the spectral rigidity criterion evaluated on G(3r-1,d).
 
     The point of the family: condition (1) fails (mu_2 is at most the

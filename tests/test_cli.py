@@ -1,9 +1,9 @@
-import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,9 +50,10 @@ def built_graphs(monkeypatch, fresh_memos):
     built = []
 
     class CountedGraph(graphs.Graph):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __new__(cls, *args):
+            self = super().__new__(cls, *args)
             built.append(self.params)
+            return self
 
     monkeypatch.setattr(graphs, "Graph", CountedGraph)
     return built
@@ -757,6 +758,28 @@ def test_verify_json_writer_on_awkward_rows(monkeypatch, capsys):
     assert_same_text(out, json.dumps(expected, indent=2) + "\n")
 
 
+def test_verify_json_writer_peak_memory(monkeypatch, capsys):
+    # the writer keeps at most two copies of the report's text alive: on the
+    # 7,203-row rootbound report its traced peak stays below 3.5 times its output
+    real, measured = cli._indented_json, []
+
+    def traced(payload):
+        tracemalloc.start()
+        try:
+            text = real(payload)
+            measured.append((tracemalloc.get_traced_memory()[1], len(text)))
+        finally:
+            tracemalloc.stop()
+        return text
+
+    monkeypatch.setattr(cli, "_indented_json", traced)
+    code, out, _ = run_cli("verify", "--checks", "rootbound", "--m", "2..50", "--d", "6..200",
+                           capsys=capsys)
+    [(peak, size)] = measured
+    assert (code, size) == (0, len(out) - 1)
+    assert peak <= 3.5 * size
+
+
 # json writes none of these as a scalar: the containers would nest, and
 # numpy's bool (no int subclass) and a Fraction it cannot write at all
 @pytest.mark.parametrize("value", [[1, 2], (), {"a": 1}, np.True_, Fraction(1, 2)],
@@ -861,7 +884,7 @@ def test_verify_packing_fails_when_the_certificate_does_not_refute(
     # the trees still show sigma >= 3, but nothing bounds sigma from above
     real = packing.clique_certificate
     monkeypatch.setattr(cli, "clique_certificate",
-                        lambda m, d: dataclasses.replace(real(m, d), deficit=0))
+                        lambda m, d: real(m, d)._replace(deficit=0))
     code, rows = verify_packing(capsys, "3", "8")
     assert code == 1
     assert rows == [(3, 8, False, "sigma>=3 certificate_deficit=0")]
@@ -1023,15 +1046,20 @@ def run_fresh(code: str, *args: str):
     return json.loads(proc.stdout)
 
 
-# whether numpy is loaded after the import, then each command's exit code
-# and whether numpy is loaded after it
+# whether numpy and fractions are loaded after the import, then each
+# command's exit code and whether they are loaded after it, and last whether
+# they are loaded after graeffe's closed-form leading coefficients
 MAIN_EACH = """
 import contextlib, io, json, sys
 import extremal_trees.cli as cli
-seen = [[None, "numpy" in sys.modules]]
+from extremal_trees.graeffe import factor_leading_coeffs
+loaded = lambda: ["numpy" in sys.modules, "fractions" in sys.modules]
+seen = [[None, *loaded()]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        seen.append([cli.main(argv), "numpy" in sys.modules])
+        seen.append([cli.main(argv), *loaded()])
+factor_leading_coeffs(3, 1, 4)
+seen.append([None, *loaded()])
 print(json.dumps(seen))
 """
 
@@ -1045,21 +1073,33 @@ NUMPY_FREE_COMMANDS = [
 
 
 def test_exact_and_packing_commands_never_import_numpy():
-    # all in one interpreter, numpy checked after each; the closing spectrum
-    # must load it, which shows that the check reads the right name
+    # all in one interpreter, numpy and fractions checked after each; the
+    # closing spectrum must load numpy, and the closing leading coefficients
+    # fractions, which shows that the check reads the right names.  No
+    # command builds a Fraction, so fractions stays out even with numpy in.
     commands = [argv for argv, _ in NUMPY_FREE_COMMANDS] + [["spectrum", "1", "4"]]
     assert run_fresh(MAIN_EACH, json.dumps(commands)) == [
-        [None, False], *([code, False] for _, code in NUMPY_FREE_COMMANDS), [0, True]]
+        [None, False, False], *([code, False, False] for _, code in NUMPY_FREE_COMMANDS),
+        [0, True, False], [None, True, True]]
+
+
+# stdlib modules that no command needs at start-up: dataclasses pulls in
+# inspect, fractions pulls in decimal, and only ``verify --format csv`` writes CSV
+STARTUP_FREE = ("dataclasses", "inspect", "fractions", "decimal", "csv")
 
 
 def test_cli_import_loads_every_package_module():
     # no command imports a package module of its own, so none is compiled
-    # inside a command, and a tracer installed after the import sees every layer
-    loaded = run_fresh("import json, sys; import extremal_trees.cli; print(json.dumps("
-                       "sorted(m for m in sys.modules if m.split('.')[0] == 'extremal_trees')))")
-    assert loaded == sorted(["extremal_trees", *(f"extremal_trees.{path.stem}"
-                                                 for path in PACKAGE.glob("*.py")
-                                                 if path.stem != "__init__")])
+    # inside a command, and a tracer installed after the import sees every
+    # layer; neither the import nor the parser loads a STARTUP_FREE module
+    # that a bare interpreter of this environment does not load already
+    bare = run_fresh("import json, sys; print(json.dumps(sorted(sys.modules)))")
+    loaded = run_fresh("import json, sys; import extremal_trees.cli as cli; "
+                       "cli.build_parser(); print(json.dumps(sorted(sys.modules)))")
+    assert [m for m in loaded if m.split(".")[0] == "extremal_trees"] == sorted(
+        ["extremal_trees", *(f"extremal_trees.{path.stem}" for path in PACKAGE.glob("*.py")
+                             if path.stem != "__init__")])
+    assert [m for m in STARTUP_FREE if m in loaded and m not in bare] == []
 
 
 USAGE = {

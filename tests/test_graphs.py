@@ -169,6 +169,19 @@ def test_clique_partition_sizes():
     assert [len(p) for p in clique_partition(build_extremal_graph(3, 8)).parts] == [9] * 7
 
 
+def test_graph_and_partition_are_immutable_records():
+    # equal fields compare and hash equal, no field can be set, and a
+    # partition's len counts its parts
+    g = build_extremal_graph(1, 4)
+    p = clique_partition(g)
+    for record in (g, p):
+        twin = type(record)(*record)
+        assert twin == record and hash(twin) == hash(record) and twin is not record
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+    assert len(p) == 3
+
+
 def test_crossing_edges_oracle():
     # enumerate the cross edges straight from the definition for (2, 6)
     m, d = 2, 6

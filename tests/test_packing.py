@@ -444,7 +444,7 @@ def test_partition_certificate_matches_its_formula(case):
     assert cert.deficit == cert.required - cert.crossing
     assert cert.refutes == (cert.deficit > 0)
     if r == 0:
-        assert vars(cert) == vars(verify_nash_williams(g, p, k))
+        assert cert._asdict() == verify_nash_williams(g, p, k)._asdict()
 
 
 def bfs_path(adj: dict[int, dict[int, int]], u: int, v: int):
