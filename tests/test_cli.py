@@ -760,7 +760,7 @@ def test_verify_json_writer_on_awkward_rows(monkeypatch, capsys):
 
 def test_verify_json_writer_peak_memory(monkeypatch, capsys):
     # the writer keeps at most two copies of the report's text alive: on the
-    # 7,203-row rootbound report its traced peak stays below 3.5 times its output
+    # 7,203-row rootbound report its traced peak is at most 3.5 times its output
     real, measured = cli._indented_json, []
 
     def traced(payload):
