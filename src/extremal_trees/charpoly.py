@@ -14,26 +14,28 @@ must come out integral and monic; anything else is an implementation bug
 and raises ConsistencyError.  The shift's n passes are each one prefix sum
 (``itertools.accumulate``) over the reversed coefficient list, which pops the
 coefficient that pass finished.
-``char_poly_exact_factored`` returns (e, the rest) and leaves the prefactor
-out of the shift.
+``char_poly_exact_blocks`` returns e and each factor F_n = (2 T_n)^(g-1) B_n
+shifted into x on its own: the characteristic polynomial of the quotient's
+blocks H_t with gcd(t, 2m+1) = g below.
 
-The multi-modular oracle ``char_poly_oracle(g, k=1)`` provides the
-independent cross-check; it reads neither the Chebyshev algebra nor the float
-spectral module.  It divides out the closed twins (equal rows of A + I,
-within one of the k blocks; any graph is one block, G(m,d) splits into
-k = 2m+1) that ``graphs.closed_twin_quotient`` classes from the adjacency
-lists, the helper the dense spectrum solves on too: chi(A) = (x+1)^(n-q)
-chi(B) for the quotient B on the q classes, which for G(m,d) has
-q = (2m+1)^2 whatever d is.  The helper checks that A is symmetric; the
-oracle checks that B is block circulant, unchanged by a shift of one block
-along its diagonal, and modulo each prime p = 1 (mod k) below 2^31 reduces
-by Hessenberg reduction the blocks H_t of size q/k into which B splits over
-F_p (one batched kernel for all blocks and primes); symmetry pairs H_(k-t)
-with H_t, so only t = 0..k//2 are reduced.  It lifts the product of the
-block polynomials by the Chinese remainder theorem past the Hadamard bound
-on its coefficients and checks the lift modulo one further prime
-(q <= ORACLE_SIZE_GUARD).  ``char_poly_oracle_factored`` returns
-(n - q, chi(B)), which ``verify`` compares with the factored closed form.
+The multi-modular oracle provides the independent cross-check; it reads
+neither the Chebyshev algebra nor the float spectral module.  It divides out
+the closed twins (equal rows of A + I, within one of the k blocks; any graph
+is one block, G(m,d) splits into k = 2m+1) that ``graphs.twin_quotient``
+classes from the adjacency lists, once per pair for a family graph, whose
+dense spectrum reads the same classing: chi(A) = (x+1)^(n-q) chi(B) for the
+quotient B on the q classes, which for G(m,d) has q = (2m+1)^2 whatever d
+is.  The classing checks that A is symmetric; the oracle checks that B is
+block circulant, unchanged by a shift of one block along its diagonal, and
+modulo each prime p = 1 (mod k) below 2^31 reduces by Hessenberg reduction
+the blocks H_t of size q/k into which B splits over F_p (one batched kernel
+for all blocks and primes); symmetry pairs H_(k-t) with H_t, so only
+t = 0..k//2 are reduced (q <= ORACLE_SIZE_GUARD).
+``char_poly_oracle_residues`` returns these residues and the trace bound
+C(q,j) (tr(B^2)/q)^(j/2) on chi(B)'s coefficients, valid as B's eigenvalues
+are real; ``verify`` compares them block by block with the F_n.
+``char_poly_oracle(g, k=1)`` lifts their product by the Chinese remainder
+theorem past twice that bound and checks the lift modulo one further prime.
 
 ``verify_root_of_unity_identities`` decides the Chebyshev identities behind
 the closed form exactly, modulo the oracle's first prime for k = 2m+1;
@@ -61,7 +63,7 @@ from .errors import (
     ParameterDomainError,
     SizeGuardError,
 )
-from .graphs import Graph, check_family_params, closed_twin_quotient
+from .graphs import Graph, check_family_params, twin_quotient
 from .polynomials import Poly
 
 if TYPE_CHECKING:
@@ -111,24 +113,37 @@ def bracket_factor(n: int, m: int, d: int) -> Poly:
 
 def char_poly_exact(m: int, d: int) -> Poly:
     """Closed-form characteristic polynomial of G(m,d), exact and monic in x."""
-    return _closed_form(m, d, (d - 2 * m) * (2 * m + 1))
+    return _closed_form(m, d)
 
 
-def char_poly_exact_factored(m: int, d: int) -> tuple[int, Poly]:
-    """(e, r) with char_poly_exact(m, d) = (x+1)^e r, e = (d-2m)(2m+1): the
-    closed form with the prefactor left out of its Taylor shift."""
-    return (d - 2 * m) * (2 * m + 1), _closed_form(m, d, 0)
+def char_poly_exact_blocks(m: int, d: int) -> tuple[int, dict[int, Poly]]:
+    """(e, f) with char_poly_exact(m, d) = (x+1)^e prod_t f[k/gcd(t, k)] over
+    t = 0..k-1, k = 2m+1 and e = (d-2m)k: f[n] is F_n(x), the factor of each
+    divisor n of k shifted into x on its own, the characteristic polynomial
+    of the quotient's circulant block H_t wherever gcd(t, k) = k/n."""
+    check_family_params(m, d)
+    k = 2 * m + 1
+    return (d - 2 * m) * k, {n: _monic_in_x(_block_factor(n, m, d), 0, k) for n in divisors(k)}
 
 
-def _closed_form(m: int, d: int, e: int) -> Poly:
+def _block_factor(n: int, m: int, d: int) -> Poly:
+    """F_n(z) = (2 T_n(z))^(g-1) B_n(z), g = (2m+1)/n: degree 2m+1, leading 2^(2m+1)."""
+    return (2 * chebyshev_T(n)) ** ((2 * m + 1) // n - 1) * bracket_factor(n, m, d)
+
+
+def _closed_form(m: int, d: int) -> Poly:
     """(x+1)^e times the product over the divisors n of 2m+1, exact and monic."""
     check_family_params(m, d)
     k = 2 * m + 1
     q = Poly((1,))
     for n in divisors(k):
-        g = k // n
-        factor = (2 * chebyshev_T(n)) ** (g - 1) * bracket_factor(n, m, d)
-        q = q * factor ** euler_phi(n)
+        q = q * _block_factor(n, m, d) ** euler_phi(n)
+    return _monic_in_x(q, (d - 2 * m) * k, k * k)
+
+
+def _monic_in_x(q: Poly, e: int, degree: int) -> Poly:
+    """(x+1)^e q((x+1)/2) for q in z of the given degree, leading 2^degree,
+    which must come out integral and monic of degree e + degree."""
     # substitute z = (x+1)/2 in integers: y^e 2^deg q(y/2) has the integer
     # coefficients q_j 2^(deg-j) shifted up by e, and its Taylor shift
     # y = x+1 is 2^deg (x+1)^e q((x+1)/2), which must divide exactly by 2^deg
@@ -138,9 +153,9 @@ def _closed_form(m: int, d: int, e: int) -> Poly:
     if any(c & ((1 << deg) - 1) for c in shifted):
         raise ConsistencyError("characteristic polynomial has a non-integer coefficient")
     p = Poly([c >> deg for c in shifted])
-    if p.degree != k * k + e or p.leading != 1:
+    if p.degree != degree + e or p.leading != 1:
         raise ConsistencyError(
-            f"expected monic of degree {k * k + e}, got degree {p.degree}, "
+            f"expected monic of degree {degree + e}, got degree {p.degree}, "
             f"leading {p.leading}"
         )
     return p
@@ -167,33 +182,34 @@ def char_poly_oracle(g: Graph, k: int = 1) -> Poly:
     return reduced * Poly((1, 1)) ** e
 
 
-def char_poly_oracle_factored(g: Graph, k: int = 1) -> tuple[int, Poly]:
-    """(e, r) with chi(A) = (x+1)^e r for the adjacency matrix A, exact.
+def char_poly_oracle_residues(g: Graph, k: int = 1, other: int | None = None
+                              ) -> tuple[int, int, list[int], np.ndarray]:
+    """(e, bound, primes, residues) with chi(A) = (x+1)^e chi(B) for the
+    adjacency matrix A, residues[j, t] = chi(H_t) modulo primes[j] for
+    t = 0..k//2 and bound >= |c| for each coefficient c of chi(B).
 
-    ``graphs.closed_twin_quotient(g, k)`` classes the closed twins (equal
-    rows of A + I) by their row and their block v // (n/k), and refuses an
+    ``graphs.twin_quotient(g, k)`` classes the closed twins (equal rows of
+    A + I) by their row and their block v // (n/k), and refuses an
     asymmetric A.  A class of c twins carries c - 1 eigenvalues -1, and on
     the class-constant vectors A acts as B = S W - I, S the 0/1 class
     adjacency (S_ii = 1) and W the diagonal of class sizes: e = n - q for q
-    classes and r = chi(B); without twins B = A.  B must be block circulant,
-    S and W unchanged by a shift of one block (q/k classes, k | q) along the
+    classes; without twins B = A.  B must be block circulant, S and W
+    unchanged by a shift of one block (q/k classes, k | q) along the
     diagonal, s_i the (0, i) block of S; anything else raises ValueError.
     q above ORACLE_SIZE_GUARD is refused before S is allocated.
 
     Modulo a prime p = 1 (mod k) with zeta of order k, B is similar to the
     block-diagonal matrix of the H_t = (sum_i zeta^(ti) s_i) W_0 - I (Davis,
-    Circulant Matrices, 1979), so chi(B) mod p is the product of theirs.
-    s_(k-i) = s_i^T makes H_(k-t) = Sigma_t^T W_0 - I similar to the
-    transpose of H_t: only t = 0..k//2 are reduced, and the product is
-    chi(H_0) chi(H_t)^2 over 0 < t < k/2, times chi(H_(k/2)) for even k.  It
-    is lifted by the symmetric Chinese remainder theorem from enough primes
-    to exceed twice the Hadamard bound (``_coefficient_bound``) of the
-    symmetric W^(1/2) S W^(1/2) - I, similar to B, and checked modulo one
-    further prime.
+    Circulant Matrices, 1979).  s_(k-i) = s_i^T makes H_(k-t) similar to the
+    transpose of H_t, so only t = 0..k//2 are reduced.  B is similar to the
+    symmetric W^(1/2) S W^(1/2) - I, whose trace bound (``_coefficient_bound``)
+    is bound.  The primes = 1 (mod k) are the fewest whose product exceeds
+    bound + other, other bounding the coefficients compared with; without
+    other, twice the bound, for a symmetric lift, and one prime to check it.
     """
     import numpy as np
 
-    sizes, rows, cols = closed_twin_quotient(g, k)
+    sizes, rows, cols = twin_quotient(g, k)
     q = len(sizes)
     if q > ORACLE_SIZE_GUARD:
         raise SizeGuardError(f"oracle limited to {ORACLE_SIZE_GUARD} twin classes (got {q})")
@@ -206,13 +222,13 @@ def char_poly_oracle_factored(g: Graph, k: int = 1) -> tuple[int, Poly]:
         raise ValueError(f"adjacency matrix is not block circulant with {k} blocks")
     # flat[i] is s_i, the (0, i) block of S, read row by row
     flat = adjacent[:size].reshape(size, k, size).swapaxes(0, 1).reshape(k, size * size)
-    # squared row norms of W^(1/2) S W^(1/2) - I: c_i c_j off the diagonal
-    # where S_ij = 1, (c_i - 1)^2 on it; without twins, the degrees
-    norms = sizes * (adjacent @ sizes - sizes) + (sizes - 1) ** 2
-    # the fewest primes = 1 (mod k) whose product exceeds twice the bound, so
-    # the symmetric lift is exact, and one further prime to check it
-    lift = _primes_for(_coefficient_bound(q, max(norms.tolist(), default=0)), k)
-    primes = _oracle_primes(k, len(lift) + 1)
+    # tr(B^2) = sum over the unit entries of S of c_i c_j, less 2 c_i and
+    # plus 1 for each diagonal one; without twins, twice the edge count
+    bound = _coefficient_bound(q, int((sizes[rows] * sizes[cols]).sum()) - 2 * g.n + q)
+    if other is None:
+        primes = _oracle_primes(k, len(_primes_for(2 * bound, k)) + 1)
+    else:
+        primes = _primes_for(bound + other, k)
     # twiddle[j, t, i] = zeta_j^(t*i) modulo primes[j] for t = 0..k//2;
     # entries of s_i are 0 or 1, so each sum over i stays below k * 2^31
     half = k // 2
@@ -225,7 +241,18 @@ def char_poly_oracle_factored(g: Graph, k: int = 1) -> tuple[int, Poly]:
     h = (twiddle @ flat).reshape(len(block_primes), size, size)
     h = h % block_primes[:, None, None] * sizes[:size]
     h[:, np.arange(size), np.arange(size)] -= 1
-    polys = _char_poly_mod(h, block_primes).reshape(len(primes), half + 1, size + 1)
+    residues = _char_poly_mod(h, block_primes).reshape(len(primes), half + 1, size + 1)
+    return g.n - q, bound, primes, residues
+
+
+def char_poly_oracle_factored(g: Graph, k: int = 1) -> tuple[int, Poly]:
+    """(e, r) with chi(A) = (x+1)^e r, exact: the residues of
+    ``char_poly_oracle_residues`` multiplied per prime, chi(H_0) chi(H_t)^2
+    over 0 < t < k/2 (times chi(H_(k/2)) for even k), lifted by the
+    symmetric Chinese remainder theorem and checked modulo the last prime."""
+    import numpy as np
+
+    e, _, primes, polys = char_poly_oracle_residues(g, k)
     moduli = np.array(primes)
     product = polys[:, 0]
     if k > 2:
@@ -234,9 +261,10 @@ def char_poly_oracle_factored(g: Graph, k: int = 1) -> tuple[int, Poly]:
             paired = _poly_mul_mod(paired, polys[:, t], moduli)
         product = _poly_mul_mod(product, _poly_mul_mod(paired, paired, moduli), moduli)
     if k % 2 == 0:
-        product = _poly_mul_mod(product, polys[:, half], moduli)
+        product = _poly_mul_mod(product, polys[:, k // 2], moduli)
     *rows, check = product.tolist()
 
+    lift = primes[:-1]
     modulus = math.prod(lift)
     # basis[i] is 1 modulo lift[i] and 0 modulo the others
     basis = [(modulus // p) * pow(modulus // p, -1, p) for p in lift]
@@ -249,27 +277,30 @@ def char_poly_oracle_factored(g: Graph, k: int = 1) -> tuple[int, Poly]:
             f"lifted characteristic polynomial disagrees with its residue "
             f"modulo the check prime {primes[-1]}"
         )
-    return g.n - q, Poly(coeffs)
+    return e, Poly(coeffs)
 
 
-def _coefficient_bound(n: int, max_norm2: int) -> int:
-    """Integer B >= |c_k| for every coefficient of the charpoly of a real n x n
-    matrix M whose rows have squared Euclidean norm at most max_norm2.
+def _coefficient_bound(q: int, trace: int) -> int:
+    """Integer T >= |c| for every coefficient c of the characteristic
+    polynomial of a q x q matrix with real eigenvalues whose squares sum to
+    trace, tr(B^2) (twice the edge count for an adjacency matrix).
 
-    c_k is a signed sum of the C(n,k) principal k x k minors of M; each row of
-    a minor is part of a row of M, so Hadamard's inequality bounds each minor
-    by max_norm2^(k/2).  A 0/1 adjacency matrix has max_norm2 = max degree.
+    The coefficient of x^(q-j) is +-e_j of the eigenvalues, at most e_j of
+    their absolute values, which by Maclaurin's and the power-mean
+    inequality is at most C(q,j) (trace/q)^(j/2).  Its square's ratio from j
+    to j+1, ((q-j)/(j+1))^2 trace/q, falls as j rises, so the largest is the
+    first j at which that ratio is at most 1, or j = q.
     """
-    return max(
-        math.comb(n, k) * (math.isqrt(max_norm2**k) + 1)
-        for k in range(n + 1)
-    )
+    j = 0
+    while j < q and (q - j) ** 2 * trace > (j + 1) ** 2 * q:
+        j += 1
+    return math.isqrt(math.comb(q, j) ** 2 * trace**j // q**j) + 1
 
 
-def _primes_for(bound: int, k: int = 1) -> list[int]:
-    """The fewest oracle primes = 1 (mod k) whose product exceeds 2 * bound."""
+def _primes_for(limit: int, k: int = 1) -> list[int]:
+    """The fewest oracle primes = 1 (mod k) whose product exceeds limit."""
     primes: list[int] = []
-    while math.prod(primes) <= 2 * bound:
+    while math.prod(primes) <= limit:
         primes = _oracle_primes(k, len(primes) + 1)
     return primes
 

@@ -4,15 +4,19 @@ polynomials, packing and rigidity certificates, and verification sweeps.
 ``verify`` runs named checks from one table: for each check a guard, which
 decides from (m, d) alone whether the pair is out of the check's reach, and a
 run, which returns the check's rows.  Its ``charpoly`` check compares the
-closed form with the multi-modular oracle in factored form, (x+1)^e times
-the rest: the oracle divides the closed twins out of the built graph and
-splits the quotient into its 2m+1 circulant blocks; ``charpoly --oracle``
-runs the same oracle, with the same 2m+1 blocks, and prints the expanded
-polynomial.  Both refuse q = (2m+1)^2 twin classes above 300, so every
-m >= 9, and pairs above the build guard; ``charpoly``, by either route, then
-refuses a printed degree n = (2m+1)(d+1) above 1,500 before any polynomial
-work.  Its ``packing`` check proves sigma = m without a search: sigma <= m
-from the counted modified-clique partition (``clique_certificate``),
+closed form with the multi-modular oracle block by block: the oracle divides
+the closed twins out of the built graph, (x+1)^e times chi(B), and splits
+the quotient B into its 2m+1 circulant blocks H_t; the check compares e, and
+each block's residue modulo each prime with the closed form's factor F_n,
+n = (2m+1)/gcd(t, 2m+1), over primes whose product exceeds the trace bound
+on chi(B) plus the product of the factors' L1 norms, so congruence is
+equality.  ``charpoly --oracle`` runs the same oracle, with the same 2m+1
+blocks, and prints the lifted, expanded polynomial.  Both refuse
+q = (2m+1)^2 twin classes above 300, so every m >= 9, and pairs above the
+build guard; ``charpoly``, by either route, then refuses a printed degree
+n = (2m+1)(d+1) above 1,500 before any polynomial work.  Its ``packing``
+check proves sigma = m without a search: sigma <= m from the counted
+modified-clique partition (``clique_certificate``),
 sigma >= m from m trees written in closed form from Walecki's Hamiltonian
 paths (``walecki_packing``) and verified on the whole graph; ``pack``
 searches sigma down from m+1.  Its JSON report has the bytes of
@@ -34,6 +38,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from functools import cache
 from itertools import chain
@@ -43,9 +48,10 @@ from . import __version__
 from .charpoly import (
     ORACLE_SIZE_GUARD,
     char_poly_exact,
-    char_poly_exact_factored,
+    char_poly_exact_blocks,
     char_poly_oracle,
-    char_poly_oracle_factored,
+    char_poly_oracle_residues,
+    euler_phi,
     verify_determinant_identities,
     verify_root_of_unity_identities,
 )
@@ -260,10 +266,23 @@ def _check_spectra(m: int, d: int) -> list[dict]:
 
 
 def _check_charpoly(m: int, d: int) -> list[dict]:
-    # (e, reduced) on both sides, e counted on the graph by the oracle
-    same = char_poly_exact_factored(m, d) == char_poly_oracle_factored(
-        build_extremal_graph(m, d), 2 * m + 1)
-    return [dict(ok=same, detail="coefficientwise equal" if same else "MISMATCH")]
+    # chi(B) congruent to prod_t F_n modulo primes whose product exceeds
+    # the bounds on both sides' coefficients is equal to it
+    k = 2 * m + 1
+    e, factors = char_poly_exact_blocks(m, d)
+    norm = math.prod(sum(map(abs, f.coeffs)) ** euler_phi(n) for n, f in factors.items())
+    found, bound, primes, residues = char_poly_oracle_residues(
+        build_extremal_graph(m, d), k, norm)
+    if found != e:
+        raise CheckFailure(f"prefactor (x+1)^{found} on the graph, (x+1)^{e} in the closed form")
+    if math.prod(primes) <= bound + norm:
+        raise ConsistencyError(f"the product of {len(primes)} primes is within the bounds")
+    for p, blocks in zip(primes, residues.tolist()):
+        for t, block in enumerate(blocks):
+            n = k // math.gcd(t, k)
+            if block != [c % p for c in factors[n].coeffs]:
+                raise CheckFailure(f"chi(H_t) differs from F_n at t={t}, n={n}, p={p}")
+    return [dict(ok=True, detail="coefficientwise equal")]
 
 
 def _check_rootbound(m: int, d: int) -> list[dict]:

@@ -181,6 +181,21 @@ def closed_twin_quotient(g: Graph, k: int = 1) -> tuple[np.ndarray, np.ndarray, 
     return sizes, rows, cols
 
 
+def twin_quotient(g: Graph, k: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``closed_twin_quotient(g, k)``, classed once per pair for the graph
+    ``build_extremal_graph(m, d)`` returns, at k = 1 and k = 2m+1 alike: its
+    only closed twins are the unmatched vertices of a clique, one block."""
+    if g.params is not None and k in (1, 2 * g.params[0] + 1) and g is _remembered_graph(*g.params):
+        return _remembered_quotient(*g.params)
+    return closed_twin_quotient(g, k)
+
+
+# Like the graph: the dense spectrum and the charpoly oracle of a pair read it.
+@lru_cache(maxsize=2)
+def _remembered_quotient(m: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return closed_twin_quotient(_remembered_graph(m, d), 2 * m + 1)
+
+
 def clique_partition(g: Graph) -> Partition:
     """The partition {H_0, ..., H_2m} of a family graph into its modified cliques."""
     if g.params is None:

@@ -4,10 +4,12 @@ Two independent routes to the spectrum of G(m,d), each a float64 array
 sorted descending:
 
 * ``eigenvalues_dense`` solves the q x q closed-twin quotient W^(1/2) S W^(1/2)
-  of ``graphs.closed_twin_quotient`` (S the 0/1 class adjacency, W the
-  class sizes) and adds the n - q eigenvalues -1 of the twins.  G(m,d) has
-  q = (2m+1)^2 classes whatever d is; a graph without twins has q = n.  The
-  quotient reads no roots of unity and no circulant structure.
+  of ``graphs.twin_quotient`` (S the 0/1 class adjacency, W the class
+  sizes; for a family graph the one classing of its pair, which the
+  charpoly oracle reads too) and adds the n - q eigenvalues -1 of the
+  twins.  G(m,d) has q = (2m+1)^2 classes whatever d is; a graph without
+  twins has q = n.  The quotient reads no roots of unity and no circulant
+  structure.
 
 * ``eigenvalues_block_circulant`` exploits the block-circulant structure
   (Davis, Circulant Matrices, 1979): the 2m+1 blocks b_i are written once in
@@ -36,7 +38,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import CheckFailure, SolverConvergenceError
-from .graphs import Graph, build_extremal_graph, check_family_params, closed_twin_quotient
+from .graphs import Graph, build_extremal_graph, check_family_params, twin_quotient
 
 if TYPE_CHECKING:
     import numpy as np
@@ -79,7 +81,7 @@ def eigenvalues_dense(g: Graph) -> np.ndarray:
     to the last bit; an asymmetric A raises ValueError."""
     import numpy as np
 
-    sizes, rows, cols = closed_twin_quotient(g)
+    sizes, rows, cols = twin_quotient(g)
     root = np.sqrt(sizes)
     quotient = np.zeros((len(sizes), len(sizes)))
     quotient[rows, cols] = root[rows] * root[cols]

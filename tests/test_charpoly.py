@@ -26,7 +26,7 @@ from extremal_trees import (
     verify_determinant_identities,
     verify_root_of_unity_identities,
 )
-from extremal_trees import charpoly, cli
+from extremal_trees import charpoly, cli, graphs
 from extremal_trees.charpoly import (
     ORACLE_SIZE_GUARD,
     _char_poly_mod,
@@ -39,13 +39,14 @@ from extremal_trees.charpoly import (
     _primes_for,
     _root_of_unity,
     _taylor_shift_1,
-    char_poly_exact_factored,
+    char_poly_exact_blocks,
     char_poly_oracle_factored,
+    char_poly_oracle_residues,
     divisors,
     euler_phi,
 )
 
-from conftest import complete_graph, path_graph
+from conftest import DESK_SWEEP, complete_graph, path_graph
 
 
 def test_divisor_helpers():
@@ -302,22 +303,24 @@ def test_root_of_unity_has_exact_order_k(k):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_oracle_prime_count_covers_bound(seed):
+    # tr(A^2) of an adjacency matrix is twice its edge count
     g = random_graph(seed)
-    delta = max(map(len, g.adjacency), default=0)
-    bound = _coefficient_bound(g.n, delta)
+    bound = _coefficient_bound(g.n, 2 * g.edge_count)
     assert all(abs(c) <= bound for c in reference_char_poly(g).coeffs)
-    primes = _primes_for(bound)
+    primes = _primes_for(2 * bound)
     assert math.prod(primes) > 2 * bound
     assert math.prod(primes[:-1]) <= 2 * bound  # no prime more than needed
 
 
 def test_oracle_prime_table_covers_size_guard():
-    # the complete graph has the largest bound at any n: K_128 needs fifteen
-    # primes, and with the check prime they are the old sixteen-entry table,
-    # sized for the old guard of 128 vertices
+    # the complete graph has the largest bound at any n, where the trace
+    # bound is Hadamard's, tr(A^2)/n = n - 1: K_128 needs fifteen primes, and
+    # with the check prime they are the old sixteen-entry table, sized for
+    # the old guard of 128 vertices
     n = 128
-    primes = _primes_for(_coefficient_bound(n, n - 1))
-    assert math.prod(primes) > 2 * _coefficient_bound(n, n - 1)
+    bound = _coefficient_bound(n, n * (n - 1))
+    primes = _primes_for(2 * bound)
+    assert math.prod(primes) > 2 * bound
     assert tuple(_oracle_primes(1, len(primes) + 1)) == OLD_ORACLE_PRIMES
 
 
@@ -514,7 +517,7 @@ def test_oracle_reads_adjacency_lists_only(monkeypatch):
     for m, d in [(1, 4), (2, 9)]:
         g = build_extremal_graph(m, d)
         for k in (1, 2 * m + 1):
-            assert char_poly_oracle_factored(g, k) == char_poly_exact_factored(m, d)
+            assert char_poly_oracle_factored(g, k)[0] == char_poly_exact_blocks(m, d)[0]
             assert char_poly_oracle(g, k) == char_poly_exact(m, d)
 
 
@@ -531,41 +534,140 @@ def petersen_graph() -> Graph:
     pytest.param(Graph.from_edges(7, [(0, 2), (1, 2), (4, 5), (5, 6)]), 1, id="P_3+P_3+K_1"),
 ])
 def test_bound_without_twins_is_the_degree_bound(monkeypatch, g, k):
+    # without twins B = A, and the trace bound reads tr(A^2), the degree sum
     assert len({tuple(sorted((v, *row))) for v, row in enumerate(g.adjacency)}) == g.n
     calls = []
     real = charpoly._coefficient_bound
 
-    def recorded(n, max_norm):
-        calls.append((n, max_norm))
-        return real(n, max_norm)
+    def recorded(q, trace):
+        calls.append((q, trace))
+        return real(q, trace)
 
     monkeypatch.setattr(charpoly, "_coefficient_bound", recorded)
     assert char_poly_oracle(g, k) == reference_char_poly(g)
-    assert calls == [(g.n, max(map(len, g.adjacency)))]
+    assert calls == [(g.n, sum(map(len, g.adjacency)))]
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=10**6))
+def test_trace_bound_is_the_largest_term(q, trace):
+    # the terms C(q,j)^2 (trace/q)^j rise to one peak and fall, so the loop
+    # that stops at the peak finds the largest of them all
+    terms = [math.isqrt(math.comb(q, j) ** 2 * trace**j // q**j) + 1 for j in range(q + 1)]
+    assert _coefficient_bound(q, trace) == max(terms)
+
+
+def _bound_covers_the_quotient(g, k=1):
+    e, reduced = char_poly_oracle_factored(g, k)
+    found, bound, _, _ = char_poly_oracle_residues(g, k)
+    assert (found, bound) == (e, _coefficient_bound(reduced.degree, _quotient_trace(g, k)))
+    assert max(map(abs, reduced.coeffs)) <= bound
+
+
+def _quotient_trace(g, k):
+    # tr(B^2) from the dense quotient B = S W - I, independently of the oracle
+    sizes, rows, cols = graphs.closed_twin_quotient(g, k)
+    s = np.zeros((len(sizes), len(sizes)), dtype=np.int64)
+    s[rows, cols] = 1
+    b = s * sizes - np.eye(len(sizes), dtype=np.int64)
+    return int(np.trace(b @ b))
+
+
+@pytest.mark.parametrize("m,d", DESK_SWEEP + [(8, 40)])
+def test_trace_bound_covers_the_family_quotient(m, d):
+    _bound_covers_the_quotient(build_extremal_graph(m, d), 2 * m + 1)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=6),
+       st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5))))
+def test_trace_bound_covers_planted_twins(sizes, pairs):
+    # vertex i blown up into a clique of sizes[i] closed twins, joined to
+    # every twin of its neighbours
+    starts = np.cumsum([0, *sizes]).tolist()
+    classes = [range(a, b) for a, b in zip(starts, starts[1:])]
+    edges = [(u, v) for members in classes for u in members for v in members if u < v]
+    edges += [(u, v) for i, j in pairs if i < j < len(sizes)
+              for u in classes[i] for v in classes[j]]
+    _bound_covers_the_quotient(Graph.from_edges(starts[-1], edges))
 
 
 @pytest.mark.parametrize("m,d", [(1, 4), (2, 13), (3, 20), (5, 12)])
 def test_factored_closed_form_expands_to_the_closed_form(m, d):
-    e, reduced = char_poly_exact_factored(m, d)
-    assert e == (d - 2 * m) * (2 * m + 1) and reduced.degree == (2 * m + 1) ** 2
-    assert reduced * Poly((1, 1)) ** e == char_poly_exact(m, d)
+    # (x+1)^e times F_n for each of the phi(n) blocks t with n = k/gcd(t, k)
+    k = 2 * m + 1
+    e, factors = char_poly_exact_blocks(m, d)
+    assert e == (d - 2 * m) * k and sorted(factors) == list(divisors(k))
+    assert all(f.degree == k and f.leading == 1 for f in factors.values())
+    product = Poly((1, 1)) ** e
+    for t in range(k):
+        product = product * factors[k // math.gcd(t, k)]
+    assert product == char_poly_exact(m, d)
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
 def test_verify_fails_on_a_moved_prefactor_exponent(monkeypatch, capsys, shift):
     # the oracle counts e = n - q on the graph, so a closed form whose
-    # prefactor is off by one fails the check with the same reduced part
-    real = cli.char_poly_exact_factored
+    # prefactor is off by one fails the check with the same block factors
+    real = cli.char_poly_exact_blocks
 
     def moved(m, d):
-        e, reduced = real(m, d)
-        return e + shift, reduced
+        e, factors = real(m, d)
+        return e + shift, factors
 
-    monkeypatch.setattr(cli, "char_poly_exact_factored", moved)
+    monkeypatch.setattr(cli, "char_poly_exact_blocks", moved)
     code = cli.main(["verify", "--m", "2", "--d", "7", "--checks", "charpoly"])
     rows = json.loads(capsys.readouterr().out)["results"]
     assert code == 1
-    assert [(r["ok"], r["detail"]) for r in rows] == [(False, "MISMATCH")]
+    assert [(r["ok"], r["detail"]) for r in rows] == [
+        (False, f"prefactor (x+1)^15 on the graph, (x+1)^{15 + shift} in the closed form")]
+
+
+def _perturbed_blocks(monkeypatch, target, by):
+    """Add `by` to the constant of F_n(x) for n = target in verify's closed form."""
+    real = cli.char_poly_exact_blocks
+
+    def perturbed(m, d):
+        e, factors = real(m, d)
+        factors[target] = factors[target] + by
+        return e, factors
+
+    monkeypatch.setattr(cli, "char_poly_exact_blocks", perturbed)
+
+
+# a factor off by 1 differs modulo the first prime at the first block t with
+# that n; off by that prime, it agrees there and differs modulo the second
+@pytest.mark.parametrize("m,d,target,offset,t", [
+    (3, 10, 7, 0, 1), (3, 10, 1, 0, 0), (3, 10, 7, 1, 1), (8, 20, 17, 0, 1), (4, 11, 3, 0, 3),
+])
+def test_verify_fails_on_a_perturbed_block_factor(monkeypatch, capsys, m, d, target, offset, t):
+    k = 2 * m + 1
+    primes = _oracle_primes(k, 2)
+    _perturbed_blocks(monkeypatch, target, 1 if offset == 0 else primes[0])
+    code = cli.main(["verify", "--m", str(m), "--d", str(d), "--checks", "charpoly"])
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert code == 1
+    assert [(r["ok"], r["detail"]) for r in rows] == [
+        (False, f"chi(H_t) differs from F_n at t={t}, n={target}, p={primes[offset]}")]
+
+
+@pytest.mark.parametrize("m,d", DESK_SWEEP + [(m, d) for m in range(4, 9)
+                                              for d in range(2 * m + 2, 2 * m + 5)])
+def test_block_verdict_equals_the_lift_verdict(m, d):
+    # verify's block-by-block comparison and the lifted oracle against the
+    # expanded closed form agree on every pair
+    lifted = char_poly_oracle(build_extremal_graph(m, d), 2 * m + 1) == char_poly_exact(m, d)
+    assert cli._check_charpoly(m, d) == [dict(ok=lifted, detail="coefficientwise equal")]
+
+
+def test_block_verdict_equals_the_lift_verdict_on_a_perturbed_factor(monkeypatch):
+    # F_5 + 1 in z is F_5 + 1 in x, so both routes read the same wrong closed form
+    real = charpoly._block_factor
+    monkeypatch.setattr(charpoly, "_block_factor",
+                        lambda n, m, d: real(n, m, d) + (n == 5))
+    assert char_poly_oracle(build_extremal_graph(2, 7), 5) != char_poly_exact(2, 7)
+    with pytest.raises(CheckFailure, match="^chi\\(H_t\\) differs from F_n at t=1, n=5, p="):
+        cli._check_charpoly(2, 7)
 
 
 def test_poly_mul_mod_matches_schoolbook_at_the_largest_residues():

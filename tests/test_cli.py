@@ -34,9 +34,10 @@ PACKAGE = Path(cli.__file__).resolve().parent
 
 @pytest.fixture
 def fresh_memos():
-    """Forget the graphs, crossing counts and spectra remembered by earlier calls."""
+    """Forget the graphs, crossing counts, twin quotients and spectra
+    remembered by earlier calls."""
     memos = (graphs._remembered_graph, graphs._remembered_clique_crossings,
-             spectral._remembered_spectrum)
+             graphs._remembered_quotient, spectral._remembered_spectrum)
     for memo in memos:
         memo.cache_clear()
     yield
@@ -224,7 +225,7 @@ def test_internal_error_exit_code(monkeypatch, capsys, error):
 @pytest.mark.parametrize("module,name,check,message", [
     (spectral, "symmetric_eigenvalues", "lambda2",
      "matrix is not finite and Hermitian (defect 1.00e+00)"),
-    (cli, "char_poly_oracle_factored", "charpoly",
+    (cli, "char_poly_oracle_residues", "charpoly",
      "adjacency matrix is not block circulant with 3 blocks"),
 ], ids=["solver", "oracle"])
 def test_internal_value_error_exits_3(monkeypatch, capsys, fresh_memos,
@@ -547,6 +548,53 @@ def test_verify_construction_fails_on_one_cross_edge_moved(monkeypatch, capsys, 
     monkeypatch.setattr(graphs, "_remembered_graph", lambda m, d: g)
     assert verify_rows(capsys, "construction", "2", "6") == (1, [(False, "wrong cross-edge count")])
     assert graphs.clique_crossings(2, 6) == 11
+
+
+def test_verify_charpoly_fails_on_moved_cross_edges(monkeypatch, capsys, fresh_memos):
+    # the same move in G(2,6) breaks the block circulance the oracle needs,
+    # a refusal (exit 3); made in all five cliques at once it keeps the
+    # graph block circulant and 6-regular, but slots 4 and 5 of each clique
+    # stop being twins: q = 35 classes, so e = 0 on the graph against 10
+    real = graphs.build_extremal_graph(2, 6)
+    moved = Graph.from_edges(real.n, set(real.edges()) - {(1, 7), (18, 19)} | {(1, 18), (7, 19)},
+                             params=(2, 6))
+    monkeypatch.setattr(graphs, "_remembered_graph", lambda m, d: moved)
+    code, out, err = run_cli("verify", "--m", "2", "--d", "6", "--checks", "charpoly",
+                             capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err == "internal error: adjacency matrix is not block circulant with 5 blocks\n"
+
+    def edge(u, v):
+        return tuple(sorted((u[0] % 5 * 7 + u[1], v[0] % 5 * 7 + v[1])))
+
+    edges = set(real.edges())
+    for i in range(5):
+        edges -= {edge((i, 1), (i + 1, 0)), edge((i + 2, 4), (i + 2, 5))}
+        edges |= {edge((i, 1), (i + 2, 4)), edge((i + 1, 0), (i + 2, 5))}
+    rotated = Graph.from_edges(real.n, edges, params=(2, 6))
+    assert (rotated.edge_count, set(graphs.degrees(rotated))) == (105, {6})
+    graphs._remembered_quotient.cache_clear()
+    monkeypatch.setattr(graphs, "_remembered_graph", lambda m, d: rotated)
+    assert verify_rows(capsys, "charpoly", "2", "6") == (
+        1, [(False, "prefactor (x+1)^0 on the graph, (x+1)^10 in the closed form")])
+
+
+def test_verify_classes_each_pair_once(monkeypatch, capsys, fresh_memos):
+    # the dense spectrum and the charpoly oracle read one twin quotient per
+    # pair, classed with the 2m+1 blocks
+    classed = []
+    real = graphs.closed_twin_quotient
+
+    def counted(g, k=1):
+        classed.append((g.params, k))
+        return real(g, k)
+
+    monkeypatch.setattr(graphs, "closed_twin_quotient", counted)
+    code, out, _ = run_cli("verify", "--m", "1..3", "--d", "auto", "--checks", "all",
+                           capsys=capsys)
+    assert code == 0 and json.loads(out)["all_ok"] is True
+    assert classed == [((m, d), 2 * m + 1) for m in range(1, 4)
+                       for d in range(2 * m + 2, 2 * m + 9)]
 
 
 @pytest.mark.parametrize("argv", [("spectrum", "2", "6"), ("rigidity", "1", "6"),
