@@ -16,10 +16,10 @@ q = (2m+1)^2 twin classes above 300, so every m >= 9, and pairs above the
 build guard; ``charpoly``, by either route, then refuses a printed degree
 n = (2m+1)(d+1) above 1,500 before any polynomial work.  Its ``packing``
 check proves sigma = m without a search: sigma <= m from the counted
-modified-clique partition (``clique_certificate``),
-sigma >= m from m trees written in closed form from Walecki's Hamiltonian
-paths (``walecki_packing``) and verified on the whole graph; ``pack``
-searches sigma down from m+1.  Its JSON report has the bytes of
+modified-clique partition (``clique_certificate``), sigma >= m from m trees
+written in closed form from Walecki's Hamiltonian paths
+(``walecki_packing``) and verified on the whole graph; ``pack`` searches
+sigma down from m+1.  Its JSON report has the bytes of
 ``json.dumps(indent=2)`` but its rows go through json's faster C encoder,
 which needs each row to be a flat dict of JSON scalars; a row holding any
 other value (a list, a dict, a numpy bool) is an internal error.
@@ -276,7 +276,7 @@ def _check_charpoly(m: int, d: int) -> list[dict]:
     if found != e:
         raise CheckFailure(f"prefactor (x+1)^{found} on the graph, (x+1)^{e} in the closed form")
     if math.prod(primes) <= bound + norm:
-        raise ConsistencyError(f"the product of {len(primes)} primes is within the bounds")
+        raise ConsistencyError("the product of the primes does not exceed the bounds")
     for p, blocks in zip(primes, residues.tolist()):
         for t, block in enumerate(blocks):
             n = k // math.gcd(t, k)

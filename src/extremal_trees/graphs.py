@@ -193,7 +193,10 @@ def twin_quotient(g: Graph, k: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndar
 # Like the graph: the dense spectrum and the charpoly oracle of a pair read it.
 @lru_cache(maxsize=2)
 def _remembered_quotient(m: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return closed_twin_quotient(_remembered_graph(m, d), 2 * m + 1)
+    quotient = closed_twin_quotient(_remembered_graph(m, d), 2 * m + 1)
+    for part in quotient:
+        part.flags.writeable = False  # both routes of the pair read these arrays
+    return quotient
 
 
 def clique_partition(g: Graph) -> Partition:

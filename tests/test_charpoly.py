@@ -651,6 +651,16 @@ def test_verify_fails_on_a_perturbed_block_factor(monkeypatch, capsys, m, d, tar
         (False, f"chi(H_t) differs from F_n at t={t}, n={target}, p={primes[offset]}")]
 
 
+def test_verify_refuses_too_few_primes(monkeypatch, capsys):
+    # one prime cannot exceed the coefficient bounds of G(3,8): congruence
+    # would not prove equality, so the row is an internal error, not a pass
+    monkeypatch.setattr(charpoly, "_primes_for", lambda limit, k=1: _oracle_primes(k, 1))
+    code = cli.main(["verify", "--m", "3", "--d", "8", "--checks", "charpoly"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "internal error: the product of the primes does not exceed the bounds\n"
+
+
 @pytest.mark.parametrize("m,d", DESK_SWEEP + [(m, d) for m in range(4, 9)
                                               for d in range(2 * m + 2, 2 * m + 5)])
 def test_block_verdict_equals_the_lift_verdict(m, d):
