@@ -22,15 +22,15 @@ The multi-modular oracle provides the independent cross-check; it reads
 neither the Chebyshev algebra nor the float spectral module.  It divides out
 the closed twins (equal rows of A + I, within one of the k blocks; any graph
 is one block, G(m,d) splits into k = 2m+1) that ``graphs.twin_quotient``
-classes from the adjacency lists, once per pair for a family graph, whose
-dense spectrum reads the same classing: chi(A) = (x+1)^(n-q) chi(B) for the
-quotient B on the q classes, which for G(m,d) has q = (2m+1)^2 whatever d
-is.  The classing checks that A is symmetric; the oracle checks that B is
-block circulant, unchanged by a shift of one block along its diagonal, and
-modulo each prime p = 1 (mod k) below 2^31 reduces by Hessenberg reduction
-the blocks H_t of size q/k into which B splits over F_p (one batched kernel
-for all blocks and primes); symmetry pairs H_(k-t) with H_t, so only
-t = 0..k//2 are reduced (q <= ORACLE_SIZE_GUARD).
+classes from the adjacency lists, once per pair in ``graphs.pair_record``
+for a family graph, whose dense spectrum reads it too: chi(A) = (x+1)^(n-q)
+chi(B) for the quotient B on the q classes, which for G(m,d) has q =
+(2m+1)^2 whatever d is.  The classing checks that A is symmetric; the oracle
+checks that B is block circulant, unchanged by a shift of one block along
+its diagonal, and modulo each prime p = 1 (mod k) below 2^31 reduces by
+Hessenberg reduction the blocks H_t of size q/k into which B splits over F_p
+(one batched kernel for all blocks and primes); symmetry pairs H_(k-t) with
+H_t, so only t = 0..k//2 are reduced (q <= ORACLE_SIZE_GUARD).
 ``char_poly_oracle_residues`` returns these residues and the trace bound
 C(q,j) (tr(B^2)/q)^(j/2) on chi(B)'s coefficients, valid as B's eigenvalues
 are real; ``verify`` compares them block by block with the F_n.

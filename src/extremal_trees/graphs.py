@@ -15,12 +15,14 @@ no sort: the rest of the vertex's clique less its matching partner, and its
 one cross neighbour in front of the clique or after it.  Each clique is one
 vertex range, so the count of clique crossing edges bisects that range in
 the sorted rows; ``crossing_edges`` counts the crossings of any partition.
+One ``pair_record`` keeps the last pair's graph with its twin quotient,
+crossing count and dense spectrum, each computed once per pair.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
+from functools import cached_property
 from itertools import chain, filterfalse
 from operator import countOf
 from typing import TYPE_CHECKING, Iterator, NamedTuple
@@ -110,17 +112,14 @@ def build_extremal_graph(m: int, d: int) -> Graph:
     the cross edges are (i,2j+1) ~ (i+j+1 mod 2m+1, 2j) for 0 <= j <= m-1.
     Each removed-matching endpoint regains exactly one cross edge, so the
     graph is d-regular.  The graph is immutable, so repeated calls for the
-    same (m, d) may return one shared instance.
+    same (m, d) return the one instance of its ``pair_record``.
     """
-    check_family_params(m, d)
-    return _remembered_graph(m, d)
+    return pair_record(m, d).graph
 
 
-# `verify` runs every check of one (m, d) pair before it moves to the next,
-# so remembering two pairs catches every rebuild.  Slot j < 2m of clique i drops
-# its partner j ^ 1 and gains a cross neighbour, first when below i's clique.
-@lru_cache(maxsize=2)
-def _remembered_graph(m: int, d: int) -> Graph:
+# Slot j < 2m of clique i drops its partner j ^ 1 and gains a cross neighbour,
+# first when below i's clique.
+def _construct(m: int, d: int) -> Graph:
     k = 2 * m + 1
     rows = []
     for i in range(k):
@@ -138,6 +137,47 @@ def _remembered_graph(m: int, d: int) -> Graph:
             inside = clique[:j & ~1] + clique[(j | 1) + 1:]
             rows.append((cross,) + inside if cross < base else inside + (cross,))
     return Graph(k * (d + 1), tuple(rows), sum(map(len, rows)) // 2, (m, d))
+
+
+class _PairRecord:
+    """G(m,d), built with the record, and what the checks of its pair read of it,
+    each filled on first read: the twin quotient (k = 2m+1) and clique-crossing
+    count here, the dense spectrum by ``spectral.family_spectrum``."""
+
+    def __init__(self, m: int, d: int) -> None:
+        self.graph = _construct(m, d)
+        self.spectrum: np.ndarray | None = None
+
+    @cached_property
+    def quotient(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        quotient = closed_twin_quotient(self.graph, 2 * self.graph.params[0] + 1)
+        for part in quotient:
+            part.flags.writeable = False  # both routes of the pair read these arrays
+        return quotient
+
+    @cached_property
+    def clique_crossings(self) -> int:
+        d, rows = self.graph.params[1], self.graph.adjacency
+        inside = 0
+        for v, row in enumerate(rows):
+            lo = v // (d + 1) * (d + 1)
+            inside += bisect_left(row, lo + d + 1) - bisect_left(row, lo)
+        return (sum(map(len, rows)) - inside) // 2
+
+
+_record: _PairRecord | None = None
+
+
+def pair_record(m: int, d: int) -> _PairRecord:
+    """The record of G(m,d), made unless (m, d) was the last pair asked for.
+    `verify` runs every check of a pair before it moves to the next, so only
+    the last pair's record is kept, dropped before the next graph is built."""
+    global _record
+    check_family_params(m, d)
+    if _record is None or _record.graph.params != (m, d):
+        _record = None  # frees the last pair's graph before the next is built
+        _record = _PairRecord(m, d)
+    return _record
 
 
 def closed_twin_quotient(g: Graph, k: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -182,21 +222,12 @@ def closed_twin_quotient(g: Graph, k: int = 1) -> tuple[np.ndarray, np.ndarray, 
 
 
 def twin_quotient(g: Graph, k: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``closed_twin_quotient(g, k)``, classed once per pair for the graph
-    ``build_extremal_graph(m, d)`` returns, at k = 1 and k = 2m+1 alike: its
-    only closed twins are the unmatched vertices of a clique, one block."""
-    if g.params is not None and k in (1, 2 * g.params[0] + 1) and g is _remembered_graph(*g.params):
-        return _remembered_quotient(*g.params)
+    """``closed_twin_quotient(g, k)``, read from the current ``pair_record``
+    when g is its graph, at k = 1 and k = 2m+1 alike: its only closed twins
+    are the unmatched vertices of a clique, one block.  Builds no graph."""
+    if _record is not None and g is _record.graph and k in (1, 2 * g.params[0] + 1):
+        return _record.quotient
     return closed_twin_quotient(g, k)
-
-
-# Like the graph: the dense spectrum and the charpoly oracle of a pair read it.
-@lru_cache(maxsize=2)
-def _remembered_quotient(m: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    quotient = closed_twin_quotient(_remembered_graph(m, d), 2 * m + 1)
-    for part in quotient:
-        part.flags.writeable = False  # both routes of the pair read these arrays
-    return quotient
 
 
 def clique_partition(g: Graph) -> Partition:
@@ -211,27 +242,10 @@ def clique_partition(g: Graph) -> Partition:
 
 
 def clique_crossings(m: int, d: int) -> int:
-    """Edges of G(m,d) between two of its modified cliques, counted once per (m, d).
-
-    The construction check, the packing certificate and the rigidity
-    certificate all read this count.  It bisects each clique's vertex range
-    in the sorted rows; ``crossing_edges`` serves arbitrary partitions.
-    """
-    check_family_params(m, d)
-    return _remembered_clique_crossings(m, d)
-
-
-# Like the graph: each check of a `verify` pair reads the count of that pair.
-# Clique i is the vertex range [i(d+1), (i+1)(d+1)), so each sorted row meets
-# its own clique in one run that two bisections find.
-@lru_cache(maxsize=2)
-def _remembered_clique_crossings(m: int, d: int) -> int:
-    rows = _remembered_graph(m, d).adjacency
-    inside = 0
-    for v, row in enumerate(rows):
-        lo = v // (d + 1) * (d + 1)
-        inside += bisect_left(row, lo + d + 1) - bisect_left(row, lo)
-    return (sum(map(len, rows)) - inside) // 2
+    """Edges of G(m,d) between two of its modified cliques, counted once per pair
+    by bisecting each clique's vertex range [i(d+1), (i+1)(d+1)) in the sorted
+    rows, which meet it in one run; ``crossing_edges`` serves any partition."""
+    return pair_record(m, d).clique_crossings
 
 
 def validate_partition(g: Graph, p: Partition) -> None:

@@ -5,8 +5,8 @@ sorted descending:
 
 * ``eigenvalues_dense`` solves the q x q closed-twin quotient W^(1/2) S W^(1/2)
   of ``graphs.twin_quotient`` (S the 0/1 class adjacency, W the class
-  sizes; for a family graph the one classing of its pair, which the
-  charpoly oracle reads too) and adds the n - q eigenvalues -1 of the
+  sizes; for a family graph the one classing in its pair's record, which
+  the charpoly oracle reads too) and adds the n - q eigenvalues -1 of the
   twins.  G(m,d) has q = (2m+1)^2 classes whatever d is; a graph without
   twins has q = n.  The quotient reads no roots of unity and no circulant
   structure.
@@ -23,9 +23,10 @@ sorted descending:
 Every eigensolve is one call of ``symmetric_eigenvalues``, which hands real
 symmetric or complex Hermitian input, one matrix or a stack of them, to
 LAPACK (``np.linalg.eigvalsh``); LAPACK's convergence test is fixed, so no
-route takes a tolerance.  ``family_spectrum`` remembers the dense spectrum,
-the one every verdict reads; the block route is called by name where it is
-compared with it (``verify``'s ``spectra`` check, elementwise) or printed.
+route takes a tolerance.  ``family_spectrum`` keeps the dense spectrum, the
+one every verdict reads, in the pair's ``graphs.pair_record``; the block
+route is called by name where it is compared with it (``verify``'s
+``spectra`` check, elementwise) or printed.
 
 Each function that needs numpy imports it in its own body, so importing this
 module does not load numpy.
@@ -34,11 +35,10 @@ module does not load numpy.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import CheckFailure, SolverConvergenceError
-from .graphs import Graph, build_extremal_graph, check_family_params, twin_quotient
+from .graphs import Graph, check_family_params, pair_record, twin_quotient
 
 if TYPE_CHECKING:
     import numpy as np
@@ -154,20 +154,15 @@ def eigenvalues_block_circulant(m: int, d: int) -> np.ndarray:
 def family_spectrum(m: int, d: int) -> np.ndarray:
     """Spectrum of G(m,d) by the dense route, descending and read-only.
 
-    Remembered per (m, d), so the checks of one ``verify`` pair share one
-    array.  The block route is not remembered: call
+    Kept in the pair's ``graphs.pair_record``, so the checks of one
+    ``verify`` pair share one array.  The block route is not kept: call
     ``eigenvalues_block_circulant`` for it.
     """
-    return _remembered_spectrum(m, d)
-
-
-# `verify` runs every check of one (m, d) pair before it moves to the next,
-# and only the dense spectrum is read again, so one entry catches every reuse.
-@lru_cache(maxsize=1)
-def _remembered_spectrum(m: int, d: int) -> np.ndarray:
-    values = eigenvalues_dense(build_extremal_graph(m, d))
-    values.flags.writeable = False  # every check of the pair reads this one array
-    return values
+    record = pair_record(m, d)
+    if record.spectrum is None:
+        record.spectrum = eigenvalues_dense(record.graph)
+        record.spectrum.flags.writeable = False  # every check of the pair reads this one array
+    return record.spectrum
 
 
 def lambda2_window(m: int, d: int) -> tuple[float, float]:

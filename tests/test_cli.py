@@ -27,22 +27,33 @@ from extremal_trees import (
 )
 from extremal_trees.cli import main
 
-from conftest import DESK_SWEEP
+from conftest import DESK_SWEEP, path_graph
 
 PACKAGE = Path(cli.__file__).resolve().parent
 
 
 @pytest.fixture
 def fresh_memos():
-    """Forget the graphs, crossing counts, twin quotients and spectra
-    remembered by earlier calls."""
-    memos = (graphs._remembered_graph, graphs._remembered_clique_crossings,
-             graphs._remembered_quotient, spectral._remembered_spectrum)
-    for memo in memos:
-        memo.cache_clear()
+    """Forget the pair record (graph, crossing count, twin quotient and
+    spectrum) left by earlier calls, and the one this test leaves."""
+    graphs._record = None
     yield
-    for memo in memos:
-        memo.cache_clear()
+    graphs._record = None
+
+
+@pytest.fixture
+def crossing_counts(monkeypatch):
+    """The (m, d) of every clique-crossing count computed from here on."""
+    computed = []
+    count = graphs._PairRecord.clique_crossings
+    real = count.func
+
+    def counted(record):
+        computed.append(record.graph.params)
+        return real(record)
+
+    monkeypatch.setattr(count, "func", counted)
+    return computed
 
 
 @pytest.fixture
@@ -306,6 +317,28 @@ def test_verify_builds_each_graph_and_spectrum_once(monkeypatch, capsys, built_g
     assert block_spectra == [(2, 7)]
 
 
+def stale_family_graph():
+    # G(1,4) after two later pairs: no longer the graph of the pair record
+    g = graphs.build_extremal_graph(1, 4)
+    for d in (5, 6):
+        graphs.build_extremal_graph(1, d)
+    return g, spectral.eigenvalues_block_circulant(1, 4)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (path_graph(3)._replace(params=(5, 400)), [2 ** 0.5, 0.0, -2 ** 0.5]),
+    stale_family_graph,
+], ids=["path-with-params", "stale-pair"])
+def test_dense_spectrum_of_a_graph_off_the_record_builds_none(built_graphs, make):
+    # the twin quotient is read from the pair record only for the record's own
+    # graph; any other graph is classed as it is, whatever its params say
+    g, expected = make()
+    built_graphs.clear()
+    values = spectral.eigenvalues_dense(g)
+    assert built_graphs == []
+    assert np.allclose(values, expected, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("argv", [("verify", "--m", "2", "--d", "6", "--checks", "rigidity"),
                                   ("rigidity", "1", "8")], ids=["verify", "rigidity"])
 def test_rigidity_builds_no_block_stack(monkeypatch, capsys, fresh_memos, argv):
@@ -532,7 +565,7 @@ def test_verify_construction_fails_on_three_disjoint_cliques(monkeypatch, capsys
                               for u in range(base, base + 5) for v in range(u + 1, base + 5)],
                          params=(1, 4))
     assert (g.n, g.edge_count) == (15, 30)
-    monkeypatch.setattr(graphs, "_remembered_graph", lambda m, d: g)
+    monkeypatch.setattr(graphs, "_construct", lambda m, d: g)
     assert verify_rows(capsys, "construction", "1", "4") == (
         1, [(False, "disconnected; wrong cross-edge count")])
 
@@ -541,11 +574,11 @@ def test_verify_construction_fails_on_one_cross_edge_moved(monkeypatch, capsys, 
     # G(2,6) with cross edge (1,7) and in-clique edge (18,19) swapped for
     # (1,18) and (7,19): still 6-regular and connected with 105 edges, but
     # 11 clique crossing edges in place of m(2m+1) = 10
-    real = graphs.build_extremal_graph(2, 6)
+    real = graphs._construct(2, 6)
     edges = set(real.edges()) - {(1, 7), (18, 19)} | {(1, 18), (7, 19)}
     g = Graph.from_edges(real.n, edges, params=(2, 6))
     assert (g.edge_count, set(graphs.degrees(g)), graphs.is_connected(g)) == (105, {6}, True)
-    monkeypatch.setattr(graphs, "_remembered_graph", lambda m, d: g)
+    monkeypatch.setattr(graphs, "_construct", lambda m, d: g)
     assert verify_rows(capsys, "construction", "2", "6") == (1, [(False, "wrong cross-edge count")])
     assert graphs.clique_crossings(2, 6) == 11
 
@@ -555,10 +588,10 @@ def test_verify_charpoly_fails_on_moved_cross_edges(monkeypatch, capsys, fresh_m
     # a refusal (exit 3); made in all five cliques at once it keeps the
     # graph block circulant and 6-regular, but slots 4 and 5 of each clique
     # stop being twins: q = 35 classes, so e = 0 on the graph against 10
-    real = graphs.build_extremal_graph(2, 6)
+    real = graphs._construct(2, 6)
     moved = Graph.from_edges(real.n, set(real.edges()) - {(1, 7), (18, 19)} | {(1, 18), (7, 19)},
                              params=(2, 6))
-    monkeypatch.setattr(graphs, "_remembered_graph", lambda m, d: moved)
+    monkeypatch.setattr(graphs, "_construct", lambda m, d: moved)
     code, out, err = run_cli("verify", "--m", "2", "--d", "6", "--checks", "charpoly",
                              capsys=capsys)
     assert (code, out) == (3, "")
@@ -573,28 +606,58 @@ def test_verify_charpoly_fails_on_moved_cross_edges(monkeypatch, capsys, fresh_m
         edges |= {edge((i, 1), (i + 2, 4)), edge((i + 1, 0), (i + 2, 5))}
     rotated = Graph.from_edges(real.n, edges, params=(2, 6))
     assert (rotated.edge_count, set(graphs.degrees(rotated))) == (105, {6})
-    graphs._remembered_quotient.cache_clear()
-    monkeypatch.setattr(graphs, "_remembered_graph", lambda m, d: rotated)
+    graphs._record = None
+    monkeypatch.setattr(graphs, "_construct", lambda m, d: rotated)
     assert verify_rows(capsys, "charpoly", "2", "6") == (
         1, [(False, "prefactor (x+1)^0 on the graph, (x+1)^10 in the closed form")])
 
 
-def test_verify_classes_each_pair_once(monkeypatch, capsys, fresh_memos):
-    # the dense spectrum and the charpoly oracle read one twin quotient per
-    # pair, classed with the 2m+1 blocks
-    classed = []
-    real = graphs.closed_twin_quotient
+DEFAULT_PAIRS = [(m, d) for m in range(1, 4) for d in range(2 * m + 2, 2 * m + 9)]
 
-    def counted(g, k=1):
+
+def test_verify_classes_each_pair_once(monkeypatch, capsys, fresh_memos, crossing_counts):
+    # each pair of the default sweep builds its graph, counts its clique
+    # crossings and solves its dense spectrum once, and the dense spectrum
+    # and the charpoly oracle read one twin quotient, classed with the 2m+1
+    # blocks
+    built, classed, solved = [], [], []
+    construct, classing, dense = (graphs._construct, graphs.closed_twin_quotient,
+                                  spectral.eigenvalues_dense)
+
+    def counted_construct(m, d):
+        built.append((m, d))
+        return construct(m, d)
+
+    def counted_classing(g, k=1):
         classed.append((g.params, k))
-        return real(g, k)
+        return classing(g, k)
 
-    monkeypatch.setattr(graphs, "closed_twin_quotient", counted)
+    def counted_dense(g):
+        solved.append(g.params)
+        return dense(g)
+
+    monkeypatch.setattr(graphs, "_construct", counted_construct)
+    monkeypatch.setattr(graphs, "closed_twin_quotient", counted_classing)
+    monkeypatch.setattr(spectral, "eigenvalues_dense", counted_dense)
     code, out, _ = run_cli("verify", "--m", "1..3", "--d", "auto", "--checks", "all",
                            capsys=capsys)
     assert code == 0 and json.loads(out)["all_ok"] is True
-    assert classed == [((m, d), 2 * m + 1) for m in range(1, 4)
-                       for d in range(2 * m + 2, 2 * m + 9)]
+    assert classed == [((m, d), 2 * m + 1) for m, d in DEFAULT_PAIRS]
+    assert built == crossing_counts == solved == DEFAULT_PAIRS
+
+
+def test_verify_sweep_rows_equal_each_pair_alone(capsys, fresh_memos):
+    # the record one pair leaves behind changes no row of the next pair
+    code, out, _ = run_cli("verify", "--m", "1..3", "--d", "auto", "--checks", "all",
+                           capsys=capsys)
+    assert code == 0
+    alone = []
+    for m, d in DEFAULT_PAIRS:
+        graphs._record = None
+        _, single, _ = run_cli("verify", "--m", str(m), "--d", str(d), "--checks", "all",
+                               capsys=capsys)
+        alone += json.loads(single)["results"]
+    assert json.loads(out)["results"] == alone
 
 
 @pytest.mark.parametrize("argv", [("spectrum", "2", "6"), ("rigidity", "1", "6"),
@@ -940,7 +1003,8 @@ def test_verify_packing_fails_when_the_certificate_does_not_refute(
     assert sigma_calls == []
 
 
-def test_clique_crossings_counted_once_per_pair(monkeypatch, capsys, fresh_memos):
+def test_clique_crossings_counted_once_per_pair(monkeypatch, capsys, fresh_memos,
+                                                 crossing_counts):
     # construction, the packing certificate and the rigidity certificate all
     # read the one count of G(2,12)'s clique crossing edges, and none of them
     # asks the generic partition count for it
@@ -957,8 +1021,7 @@ def test_clique_crossings_counted_once_per_pair(monkeypatch, capsys, fresh_memos
                            "construction,packing,rigidity", capsys=capsys)
     assert code == 0
     assert [r["ok"] for r in json.loads(out)["results"]] == [True, True, True]
-    memo = graphs._remembered_clique_crossings.cache_info()
-    assert (memo.misses, memo.hits) == (1, 2)
+    assert crossing_counts == [(2, 12)]
     assert calls == []
 
 

@@ -54,6 +54,7 @@ def test_walk_finds_the_domain_functions():
             "graeffe.quartic_guard", "graeffe.root_bound_radicands",
             "graeffe.factor_leading_coeffs",
             "spectral.family_spectrum", "spectral.eigenvalues_block_circulant",
+            "graphs.pair_record",
             "charpoly.bracket_factor", "charpoly.check_bracket_params",
             "rigidity.check_spectral_rigidity_hypotheses",
             "packing.walecki_packing"} <= found
@@ -63,12 +64,13 @@ def test_walk_finds_the_domain_functions():
     pytest.param(p.values[0], args, pair, id=p.id)
     for leading, args, pair in CASES for p in public_functions(leading)
 ])
-def test_out_of_domain_refused_by_the_family_owner(fn, args, pair):
-    misses = graphs._remembered_graph.cache_info().misses
+def test_out_of_domain_refused_by_the_family_owner(monkeypatch, fn, args, pair):
+    built = []
+    monkeypatch.setattr(graphs, "_construct", lambda m, d: built.append((m, d)))
     with pytest.raises(ParameterDomainError) as exc:
         fn(*args)
     assert str(exc.value) == family_message(*pair)
-    assert graphs._remembered_graph.cache_info().misses == misses
+    assert built == []
 
 
 @pytest.mark.parametrize("fn", public_functions(("n", "m", "d")))
