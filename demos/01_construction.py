@@ -21,7 +21,7 @@ for m, d in [(1, 4), (2, 6), (3, 8)]:
     parts = clique_partition(g)
     print(f"G({m},{d}): {g.n} vertices, {g.edge_count} edges, "
           f"degrees {sorted(set(degrees(g)))}, connected={is_connected(g)}")
-    print(f"  cliques: {len(parts)} parts of size {len(parts.parts[0])}, "
+    print(f"  cliques: {len(parts)} parts of size {len(parts[0])}, "
           f"cross edges: {crossing_edges(g, parts)} = m(2m+1) = {m * (2 * m + 1)}")
 
 # the deleted matching: slots 2a-2 and 2a-1 are non-adjacent inside a clique

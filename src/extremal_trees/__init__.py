@@ -36,7 +36,6 @@ from .graeffe import (
 )
 from .graphs import (
     Graph,
-    Partition,
     build_extremal_graph,
     clique_partition,
     crossing_edges,
@@ -49,7 +48,6 @@ from .packing import (
     PartitionCertificate,
     clique_certificate,
     pack_spanning_trees,
-    partition_certificate,
     sigma,
     verify_nash_williams,
     walecki_packing,

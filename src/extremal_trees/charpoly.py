@@ -35,7 +35,8 @@ H_t, so only t = 0..k//2 are reduced (q <= ORACLE_SIZE_GUARD).
 C(q,j) (tr(B^2)/q)^(j/2) on chi(B)'s coefficients, valid as B's eigenvalues
 are real; ``verify`` compares them block by block with the F_n.
 ``char_poly_oracle(g, k=1)`` lifts their product by the Chinese remainder
-theorem past twice that bound and checks the lift modulo one further prime.
+theorem past twice that bound, checks the lift modulo one further prime and
+expands (x+1)^e.
 
 ``verify_root_of_unity_identities`` decides the Chebyshev identities behind
 the closed form exactly, modulo the oracle's first prime for k = 2m+1;
@@ -112,8 +113,14 @@ def bracket_factor(n: int, m: int, d: int) -> Poly:
 
 
 def char_poly_exact(m: int, d: int) -> Poly:
-    """Closed-form characteristic polynomial of G(m,d), exact and monic in x."""
-    return _closed_form(m, d)
+    """Closed-form characteristic polynomial of G(m,d), exact and monic in x:
+    (x+1)^e times the product over the divisors n of 2m+1."""
+    check_family_params(m, d)
+    k = 2 * m + 1
+    q = Poly((1,))
+    for n in divisors(k):
+        q = q * _block_factor(n, m, d) ** euler_phi(n)
+    return _monic_in_x(q, (d - 2 * m) * k, k * k)
 
 
 def char_poly_exact_blocks(m: int, d: int) -> tuple[int, dict[int, Poly]]:
@@ -129,16 +136,6 @@ def char_poly_exact_blocks(m: int, d: int) -> tuple[int, dict[int, Poly]]:
 def _block_factor(n: int, m: int, d: int) -> Poly:
     """F_n(z) = (2 T_n(z))^(g-1) B_n(z), g = (2m+1)/n: degree 2m+1, leading 2^(2m+1)."""
     return (2 * chebyshev_T(n)) ** ((2 * m + 1) // n - 1) * bracket_factor(n, m, d)
-
-
-def _closed_form(m: int, d: int) -> Poly:
-    """(x+1)^e times the product over the divisors n of 2m+1, exact and monic."""
-    check_family_params(m, d)
-    k = 2 * m + 1
-    q = Poly((1,))
-    for n in divisors(k):
-        q = q * _block_factor(n, m, d) ** euler_phi(n)
-    return _monic_in_x(q, (d - 2 * m) * k, k * k)
 
 
 def _monic_in_x(q: Poly, e: int, degree: int) -> Poly:
@@ -173,13 +170,6 @@ def _taylor_shift_1(coeffs: list[int]) -> list[int]:
         r = list(accumulate(r))
         shifted.append(r.pop())
     return shifted
-
-
-def char_poly_oracle(g: Graph, k: int = 1) -> Poly:
-    """Characteristic polynomial of a graph, exact, multi-modularly: the
-    (x+1)^e r of ``char_poly_oracle_factored`` expanded."""
-    e, reduced = char_poly_oracle_factored(g, k)
-    return reduced * Poly((1, 1)) ** e
 
 
 def char_poly_oracle_residues(g: Graph, k: int = 1, other: int | None = None
@@ -245,11 +235,12 @@ def char_poly_oracle_residues(g: Graph, k: int = 1, other: int | None = None
     return g.n - q, bound, primes, residues
 
 
-def char_poly_oracle_factored(g: Graph, k: int = 1) -> tuple[int, Poly]:
-    """(e, r) with chi(A) = (x+1)^e r, exact: the residues of
-    ``char_poly_oracle_residues`` multiplied per prime, chi(H_0) chi(H_t)^2
-    over 0 < t < k/2 (times chi(H_(k/2)) for even k), lifted by the
-    symmetric Chinese remainder theorem and checked modulo the last prime."""
+def char_poly_oracle(g: Graph, k: int = 1) -> Poly:
+    """Characteristic polynomial of a graph, exact, multi-modularly: the
+    residues of ``char_poly_oracle_residues`` multiplied per prime into
+    chi(B) = chi(H_0) chi(H_t)^2 over 0 < t < k/2 (times chi(H_(k/2)) for
+    even k), lifted by the symmetric Chinese remainder theorem, checked
+    modulo the last prime and multiplied by (x+1)^e."""
     import numpy as np
 
     e, _, primes, polys = char_poly_oracle_residues(g, k)
@@ -277,7 +268,7 @@ def char_poly_oracle_factored(g: Graph, k: int = 1) -> tuple[int, Poly]:
             f"lifted characteristic polynomial disagrees with its residue "
             f"modulo the check prime {primes[-1]}"
         )
-    return e, Poly(coeffs)
+    return Poly(coeffs) * Poly((1, 1)) ** e
 
 
 def _coefficient_bound(q: int, trace: int) -> int:

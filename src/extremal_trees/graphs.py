@@ -84,19 +84,6 @@ class Graph(NamedTuple):
         return a
 
 
-class Partition(NamedTuple):
-    """Disjoint nonempty vertex sets covering the vertex set of some graph.
-
-    ``len`` counts the parts, which the tuple's own ``_make`` and
-    ``_replace`` would read as a field count: build a new Partition instead.
-    """
-
-    parts: tuple[frozenset[int], ...]
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-
 def check_family_params(m: int, d: int) -> None:
     """Raise ParameterDomainError unless (m, d) lies in the family's domain d >= 2m+2 >= 4."""
     if m < 1 or d < 2 * m + 2:
@@ -230,15 +217,12 @@ def twin_quotient(g: Graph, k: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndar
     return closed_twin_quotient(g, k)
 
 
-def clique_partition(g: Graph) -> Partition:
+def clique_partition(g: Graph) -> tuple[frozenset[int], ...]:
     """The partition {H_0, ..., H_2m} of a family graph into its modified cliques."""
     if g.params is None:
         raise ValueError("clique_partition needs a graph built by build_extremal_graph")
     m, d = g.params
-    parts = tuple(
-        frozenset(range(i * (d + 1), (i + 1) * (d + 1))) for i in range(2 * m + 1)
-    )
-    return Partition(parts)
+    return tuple(frozenset(range(i * (d + 1), (i + 1) * (d + 1))) for i in range(2 * m + 1))
 
 
 def clique_crossings(m: int, d: int) -> int:
@@ -248,10 +232,10 @@ def clique_crossings(m: int, d: int) -> int:
     return pair_record(m, d).clique_crossings
 
 
-def validate_partition(g: Graph, p: Partition) -> None:
+def validate_partition(g: Graph, p: tuple[frozenset[int], ...]) -> None:
     seen: set[int] = set()
     total = 0
-    for part in p.parts:
+    for part in p:
         if not part:
             raise InvalidPartitionError("empty part")
         total += len(part)
@@ -260,11 +244,11 @@ def validate_partition(g: Graph, p: Partition) -> None:
         raise InvalidPartitionError("parts must be disjoint and cover all vertices")
 
 
-def crossing_edges(g: Graph, p: Partition) -> int:
+def crossing_edges(g: Graph, p: tuple[frozenset[int], ...]) -> int:
     """Number of edges whose endpoints lie in two different parts of p."""
     validate_partition(g, p)
     part_of = [0] * g.n
-    for idx, part in enumerate(p.parts):
+    for idx, part in enumerate(p):
         for v in part:
             part_of[v] = idx
     inside = sum(countOf(map(part_of.__getitem__, row), part_of[u])

@@ -2,11 +2,11 @@
 
 A graph with r spanning rigid subgraphs and k spanning trees, all
 edge-disjoint, has e(pi) >= (3r+k)(t-1) - rs crossing edges for every
-partition pi into t parts, s of them singletons; ``partition_certificate``
-evaluates this for one partition.  At r = 0 the condition is also sufficient
-(Nash-Williams 1961, Tutte 1961): sigma(G) >= k iff every partition has at
-least k(t-1) crossing edges.  This module realizes both directions of that
-constructively:
+partition pi into t parts, s of them singletons; a ``PartitionCertificate``
+holds (pi, e(pi), k, r) and derives the requirement and deficit from them.
+At r = 0 the condition is also sufficient (Nash-Williams 1961, Tutte 1961):
+sigma(G) >= k iff every partition has at least k(t-1) crossing edges.  This
+module realizes both directions of that constructively:
 
 * ``pack_spanning_trees`` runs matroid-union augmentation over k graphic
   matroids (Edmonds 1965), inserting edges one at a time into k
@@ -52,7 +52,6 @@ from typing import NamedTuple
 from .errors import ConsistencyError, ParameterDomainError
 from .graphs import (
     Graph,
-    Partition,
     build_extremal_graph,
     clique_crossings,
     clique_partition,
@@ -63,15 +62,28 @@ from .graphs import (
 
 class PartitionCertificate(NamedTuple):
     """Partition evidence against r spanning rigid subgraphs plus k spanning
-    trees; deficit > 0 refutes them (at r = 0: refutes sigma >= k)."""
+    trees, from which the requirement and the deficit follow; deficit > 0
+    refutes them (at r = 0: refutes sigma >= k)."""
 
-    partition: Partition
+    partition: tuple[frozenset[int], ...]
     crossing: int
     k: int
-    required: int
-    deficit: int
-    r: int
-    trivial_count: int  # the singleton parts
+    r: int = 0
+
+    @property
+    def trivial_count(self) -> int:
+        """s, the singleton parts."""
+        return sum(1 for part in self.partition if len(part) == 1)
+
+    @property
+    def required(self) -> int:
+        """(3r+k)(t-1) - rs, the crossing edges the packings would need."""
+        return (3 * self.r + self.k) * (len(self.partition) - 1) - self.r * self.trivial_count
+
+    @property
+    def deficit(self) -> int:
+        """required - crossing, the crossing edges missing."""
+        return self.required - self.crossing
 
     @property
     def refutes(self) -> bool:
@@ -80,7 +92,7 @@ class PartitionCertificate(NamedTuple):
     def to_dict(self) -> dict:
         return {
             "k": self.k,
-            "parts": [sorted(p) for p in self.partition.parts],
+            "parts": [sorted(p) for p in self.partition],
             "crossing": self.crossing,
             "required": self.required,
             "deficit": self.deficit,
@@ -96,22 +108,15 @@ class ForestPacking(NamedTuple):
         return {"trees": [sorted(t) for t in self.trees]}
 
 
-def partition_certificate(p: Partition, crossing: int, k: int, r: int = 0) -> PartitionCertificate:
-    """Evaluate e(pi) >= (3r+k)(t-1) - rs for p, given its crossing count."""
-    trivial = sum(1 for part in p.parts if len(part) == 1)
-    required = (3 * r + k) * (len(p) - 1) - r * trivial
-    return PartitionCertificate(p, crossing, k, required, required - crossing, r, trivial)
-
-
-def verify_nash_williams(g: Graph, p: Partition, k: int) -> PartitionCertificate:
+def verify_nash_williams(g: Graph, p: tuple[frozenset[int], ...], k: int) -> PartitionCertificate:
     """Evaluate the partition condition sum e(V_i, V_j) >= k(t-1) for p."""
-    return partition_certificate(p, crossing_edges(g, p), k)
+    return PartitionCertificate(p, crossing_edges(g, p), k)
 
 
 def clique_certificate(m: int, d: int) -> PartitionCertificate:
     """The modified-clique partition of G(m,d) against k = m+1 trees; deficit m."""
     g = build_extremal_graph(m, d)
-    return partition_certificate(clique_partition(g), clique_crossings(m, d), m + 1)
+    return PartitionCertificate(clique_partition(g), clique_crossings(m, d), m + 1)
 
 
 class _Forest:
@@ -282,7 +287,7 @@ def pack_spanning_trees(g: Graph, k: int) -> ForestPacking | PartitionCertificat
         raise ParameterDomainError("need a graph with at least one vertex, got n=0")
     comps = connected_components(g)
     if len(comps) > 1:
-        cert = verify_nash_williams(g, Partition(tuple(comps)), k)
+        cert = verify_nash_williams(g, tuple(comps), k)
         if not cert.refutes:
             raise ConsistencyError("component partition failed its own verification")
         return cert
@@ -312,8 +317,7 @@ def pack_spanning_trees(g: Graph, k: int) -> ForestPacking | PartitionCertificat
     groups: dict[int, list[int]] = {}
     for v in range(g.n):
         groups.setdefault(state.clumps.find(v), []).append(v)
-    partition = Partition(tuple(frozenset(grp) for grp in groups.values()))
-    cert = verify_nash_williams(g, partition, k)
+    cert = verify_nash_williams(g, tuple(frozenset(grp) for grp in groups.values()), k)
     if not cert.refutes:
         raise ConsistencyError("blocking partition failed its own verification")
     return cert

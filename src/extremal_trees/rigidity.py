@@ -7,7 +7,7 @@ parts of which s are singletons,
 
     e(pi) >= (3r + ell)(t - 1) - r s,
 
-which ``packing.partition_certificate`` evaluates with k = ell.  The domain
+which a ``packing.PartitionCertificate`` with k = ell evaluates.  The domain
 r >= 1, d >= 6r is the family domain of G(3r-1, d), d >= 2m+2 >= 4.  For
 G(3r-1, d) the modified-clique partition (no singletons, ell = 0) has
 (3r-1)(6r-1) crossing edges against a requirement of 3r(6r-2): a deficit of
@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .errors import CheckFailure, ConsistencyError
 from .graphs import build_extremal_graph, check_family_params, clique_crossings, clique_partition
-from .packing import PartitionCertificate, partition_certificate
+from .packing import PartitionCertificate
 from .spectral import BOUND_SLACK, lambda2
 
 
@@ -37,8 +37,8 @@ def rigidity_certificate(r: int, d: int) -> PartitionCertificate:
     """Clique-partition certificate for G(3r-1, d) against r rigid subgraphs:
     deficit exactly 3r-1 > 0."""
     m = 3 * r - 1  # build_extremal_graph refuses a pair outside the domain
-    cert = partition_certificate(clique_partition(build_extremal_graph(m, d)),
-                                 clique_crossings(m, d), 0, r)
+    cert = PartitionCertificate(clique_partition(build_extremal_graph(m, d)),
+                                clique_crossings(m, d), 0, r)
     if cert.deficit != m:
         raise ConsistencyError("certificate deficit left its closed form")
     return cert
@@ -73,7 +73,7 @@ class HypothesesReport(NamedTuple):
             "certificate": {
                 "r": cert.r,
                 "ell": cert.k,
-                "parts": [sorted(p) for p in cert.partition.parts],
+                "parts": [sorted(p) for p in cert.partition],
                 "trivial_parts": cert.trivial_count,
                 "crossing": cert.crossing,
                 "required": cert.required,

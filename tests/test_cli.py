@@ -164,11 +164,11 @@ def test_charpoly_oracle_size_guard(capsys, built_graphs):
     (("30", "70", "--oracle"), "q=3721 above oracle guard 300"),
 ], ids=["exact-large-m", "exact-large-d", "default-route", "oracle-degree", "oracle-q"])
 def test_charpoly_refuses_degree_above_guard(monkeypatch, capsys, built_graphs, argv, message):
-    # refused before any polynomial work, so the closed form is never reached
-    def closed_form(*args):
-        raise AssertionError(f"_closed_form{args} reached")
+    # refused before any polynomial work, so no closed-form factor is reached
+    def block_factor(*args):
+        raise AssertionError(f"_block_factor{args} reached")
 
-    monkeypatch.setattr(charpoly, "_closed_form", closed_form)
+    monkeypatch.setattr(charpoly, "_block_factor", block_factor)
     code, out, err = run_cli("charpoly", *argv, capsys=capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert built_graphs == []
@@ -281,6 +281,21 @@ def test_largest_eigenvalue_off_the_degree_fails_lambda2(monkeypatch, capsys, fr
         spectral.lambda2(1, 4)
     assert str(exc.value) == message
     assert verify_rows(capsys, "lambda2", "1", "4") == (1, [(False, message)])
+
+
+def test_rigidity_command_exits_1_on_a_failed_check(monkeypatch, capsys, fresh_memos):
+    # verify catches a failed check per row, so only rigidity reaches main's
+    # CheckFailure branch: G(2,6)'s lambda_1 set off its degree
+    real = spectral.eigenvalues_dense
+
+    def lifted(g):
+        values = real(g).copy()
+        values[0] = 6.5
+        return values
+
+    monkeypatch.setattr(spectral, "eigenvalues_dense", lifted)
+    assert run_cli("rigidity", "1", "6", capsys=capsys) == (
+        1, "", "check failed: largest eigenvalue 6.5 != degree 6\n")
 
 
 def test_complex_bracket_root_fails_the_pipeline(monkeypatch, capsys, fresh_memos):
@@ -581,6 +596,26 @@ def test_verify_construction_fails_on_one_cross_edge_moved(monkeypatch, capsys, 
     monkeypatch.setattr(graphs, "_construct", lambda m, d: g)
     assert verify_rows(capsys, "construction", "2", "6") == (1, [(False, "wrong cross-edge count")])
     assert graphs.clique_crossings(2, 6) == 11
+
+
+def test_verify_construction_fails_on_two_disjoint_cliques(monkeypatch, capsys, fresh_memos):
+    # 2 K_5 is 4-regular like G(1,4), but on 10 vertices and 20 edges
+    g = Graph.from_edges(10, [(u, v) for base in (0, 5)
+                              for u in range(base, base + 5) for v in range(u + 1, base + 5)],
+                         params=(1, 4))
+    monkeypatch.setattr(graphs, "_construct", lambda m, d: g)
+    assert verify_rows(capsys, "construction", "1", "4") == (1, [(
+        False, "wrong vertex count; wrong edge count; disconnected; wrong cross-edge count")])
+
+
+def test_verify_construction_fails_on_a_stored_edge_count_off_its_rows(
+        monkeypatch, capsys, fresh_memos):
+    # n and a d-regular row set fix the edge count, so only a Graph whose
+    # stored edge_count disagrees with its own rows reaches this problem
+    real = graphs._construct(1, 4)
+    monkeypatch.setattr(graphs, "_construct",
+                        lambda m, d: real._replace(edge_count=real.edge_count + 1))
+    assert verify_rows(capsys, "construction", "1", "4") == (1, [(False, "wrong edge count")])
 
 
 def test_verify_charpoly_fails_on_moved_cross_edges(monkeypatch, capsys, fresh_memos):
@@ -992,10 +1027,15 @@ def test_verify_packing_trees_that_fail_verification_are_an_internal_error(
 
 def test_verify_packing_fails_when_the_certificate_does_not_refute(
         monkeypatch, capsys, pack_calls, sigma_calls):
-    # the trees still show sigma >= 3, but nothing bounds sigma from above
+    # the trees still show sigma >= 3, but a partition with as many crossing
+    # edges as m+1 trees need bounds nothing from above
     real = packing.clique_certificate
-    monkeypatch.setattr(cli, "clique_certificate",
-                        lambda m, d: real(m, d)._replace(deficit=0))
+
+    def forged(m, d):
+        cert = real(m, d)
+        return cert._replace(crossing=cert.required)
+
+    monkeypatch.setattr(cli, "clique_certificate", forged)
     code, rows = verify_packing(capsys, "3", "8")
     assert code == 1
     assert rows == [(3, 8, False, "sigma>=3 certificate_deficit=0")]

@@ -9,7 +9,6 @@ from extremal_trees import (
     Graph,
     InvalidPartitionError,
     ParameterDomainError,
-    Partition,
     build_extremal_graph,
     cli,
     clique_partition,
@@ -164,22 +163,22 @@ def test_parameter_domain_rejected(m, d):
 
 
 def test_clique_partition_sizes():
-    assert [len(p) for p in clique_partition(build_extremal_graph(1, 4)).parts] == [5] * 3
-    assert [len(p) for p in clique_partition(build_extremal_graph(2, 6)).parts] == [7] * 5
-    assert [len(p) for p in clique_partition(build_extremal_graph(3, 8)).parts] == [9] * 7
+    assert [len(p) for p in clique_partition(build_extremal_graph(1, 4))] == [5] * 3
+    assert [len(p) for p in clique_partition(build_extremal_graph(2, 6))] == [7] * 5
+    assert [len(p) for p in clique_partition(build_extremal_graph(3, 8))] == [9] * 7
 
 
 def test_graph_and_partition_are_immutable_records():
-    # equal fields compare and hash equal, no field can be set, and a
-    # partition's len counts its parts
+    # equal fields compare and hash equal and no field can be set; a
+    # partition is a plain tuple of frozensets, one per clique
     g = build_extremal_graph(1, 4)
+    twin = Graph(*g)
+    assert twin == g and hash(twin) == hash(g) and twin is not g
+    with pytest.raises(AttributeError):
+        g.n = None
     p = clique_partition(g)
-    for record in (g, p):
-        twin = type(record)(*record)
-        assert twin == record and hash(twin) == hash(record) and twin is not record
-        with pytest.raises(AttributeError):
-            setattr(record, record._fields[0], None)
-    assert len(p) == 3
+    assert type(p) is tuple and len(p) == 3
+    assert all(type(part) is frozenset for part in p)
 
 
 def test_crossing_edges_oracle():
@@ -207,17 +206,17 @@ def test_crossing_equals_formula(m, d):
 
 def test_crossing_single_part_is_zero():
     g = build_extremal_graph(1, 4)
-    assert crossing_edges(g, Partition((frozenset(range(g.n)),))) == 0
+    assert crossing_edges(g, (frozenset(range(g.n)),)) == 0
 
 
 def test_invalid_partitions_rejected():
     g = build_extremal_graph(1, 4)
     with pytest.raises(InvalidPartitionError):
-        crossing_edges(g, Partition((frozenset({0, 1}),)))  # does not cover
+        crossing_edges(g, (frozenset({0, 1}),))  # does not cover
     with pytest.raises(InvalidPartitionError):
         crossing_edges(
             g,
-            Partition((frozenset(range(10)), frozenset(range(5, g.n)))),  # overlap
+            (frozenset(range(10)), frozenset(range(5, g.n))),  # overlap
         )
 
 
@@ -281,7 +280,7 @@ def test_crossing_edges_match_brute_force(seed):
     for t in (1, 2, rng.randrange(1, n + 1), n) if n else (0,):
         label = [rng.randrange(t) for _ in range(n)]
         parts = tuple(frozenset(v for v in range(n) if label[v] == i) for i in range(t))
-        p = Partition(tuple(part for part in parts if part))
+        p = tuple(part for part in parts if part)
         assert crossing_edges(g, p) == sum(label[u] != label[v] for u, v in edges)
 
 

@@ -15,7 +15,6 @@ from extremal_trees import (
     ForestPacking,
     Graph,
     ParameterDomainError,
-    Partition,
     PartitionCertificate,
     build_extremal_graph,
     clique_certificate,
@@ -23,7 +22,6 @@ from extremal_trees import (
     crossing_edges,
     pack_spanning_trees,
     packing,
-    partition_certificate,
     sigma,
     verify_nash_williams,
     walecki_packing,
@@ -71,13 +69,13 @@ def check_witness_independently(g: Graph, cert: PartitionCertificate, k: int):
 
 def test_trivial_partition_always_passes():
     g = build_extremal_graph(1, 4)
-    cert = verify_nash_williams(g, Partition((frozenset(range(g.n)),)), 5)
+    cert = verify_nash_williams(g, (frozenset(range(g.n)),), 5)
     assert cert.required == 0 and cert.deficit <= 0 and not cert.refutes
 
 
 def test_singleton_partition_counts_all_edges():
     g = build_extremal_graph(1, 4)
-    parts = Partition(tuple(frozenset({v}) for v in range(g.n)))
+    parts = tuple(frozenset({v}) for v in range(g.n))
     cert = verify_nash_williams(g, parts, g.params[1] // 2)
     assert cert.crossing == g.edge_count
     assert cert.required == 2 * (g.n - 1)
@@ -91,6 +89,20 @@ def test_clique_certificate(m, expected_crossing):
     assert cert.required == (m + 1) * 2 * m
     assert cert.deficit == m
     assert cert.refutes
+
+
+def test_certificate_derives_its_verdict_from_its_evidence():
+    # the record holds (partition, crossing, k, r); requirement, deficit and
+    # verdict follow from them, so none can be set apart from the evidence
+    cert = clique_certificate(3, 8)
+    assert cert._fields == ("partition", "crossing", "k", "r")
+    with pytest.raises(ValueError):
+        cert._replace(deficit=0)
+    for crossing in (0, cert.crossing, cert.required - 1, cert.required, cert.required + 1):
+        moved = cert._replace(crossing=crossing)
+        assert moved.required == cert.required == 4 * 6
+        assert moved.deficit == cert.required - crossing
+        assert moved.refutes == (crossing < cert.required)
 
 
 def test_clique_partition_blocks_m_plus_1():
@@ -434,8 +446,8 @@ def test_partition_certificate_matches_its_formula(case):
     groups: dict[int, set[int]] = {}
     for v, label in enumerate(labels):
         groups.setdefault(label, set()).add(v)
-    p = Partition(tuple(frozenset(grp) for grp in groups.values()))
-    cert = partition_certificate(p, crossing_edges(g, p), k, r)
+    p = tuple(frozenset(grp) for grp in groups.values())
+    cert = PartitionCertificate(p, crossing_edges(g, p), k, r)
     t, s = len(groups), sum(len(grp) == 1 for grp in groups.values())
     assert (cert.k, cert.r, cert.trivial_count) == (k, r, s)
     assert cert.required == (3 * r + k) * (t - 1) - r * s
@@ -444,7 +456,10 @@ def test_partition_certificate_matches_its_formula(case):
     assert cert.deficit == cert.required - cert.crossing
     assert cert.refutes == (cert.deficit > 0)
     if r == 0:
-        assert cert._asdict() == verify_nash_williams(g, p, k)._asdict()
+        nash_williams = verify_nash_williams(g, p, k)
+        assert cert._asdict() == nash_williams._asdict()
+        assert ((cert.required, cert.deficit, cert.trivial_count)
+                == (nash_williams.required, nash_williams.deficit, nash_williams.trivial_count))
 
 
 def bfs_path(adj: dict[int, dict[int, int]], u: int, v: int):

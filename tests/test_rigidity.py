@@ -3,12 +3,11 @@ import pytest
 from extremal_trees import (
     CheckFailure,
     ParameterDomainError,
-    Partition,
+    PartitionCertificate,
     build_extremal_graph,
     check_spectral_rigidity_hypotheses,
     clique_partition,
     crossing_edges,
-    partition_certificate,
     rigidity_certificate,
 )
 from extremal_trees import rigidity, spectral
@@ -54,15 +53,15 @@ def test_domain_guard():
 def test_generic_partition_check():
     # the only fixed case of the -r*s term: six singletons against one rigid subgraph
     g = complete_graph(6)
-    singletons = Partition(tuple(frozenset({v}) for v in range(6)))
-    cert = partition_certificate(singletons, crossing_edges(g, singletons), k=0, r=1)
+    singletons = tuple(frozenset({v}) for v in range(6))
+    cert = PartitionCertificate(singletons, crossing_edges(g, singletons), k=0, r=1)
     assert cert.trivial_count == 6
     assert cert.required == 3 * 5 - 6
     assert cert.crossing == 15
     assert not cert.refutes
 
-    one_part = Partition((frozenset(range(6)),))
-    cert = partition_certificate(one_part, crossing_edges(g, one_part), k=1, r=2)
+    one_part = (frozenset(range(6)),)
+    cert = PartitionCertificate(one_part, crossing_edges(g, one_part), k=1, r=2)
     assert cert.required == 0 and cert.crossing == 0
 
 
