@@ -28,7 +28,9 @@ module realizes both directions of that constructively:
   of path f of the clique quotient K_{2m+1}, whose edge between two cliques
   stands for their one cross edge.  As d+1 >= 2m+3, path floor((d+1)/2) - 1
   is spare; numbering the slots along it puts the removed matching on it,
-  so paths 0..m-1 avoid the matching.  The trees are verified on G(m,d).
+  so paths 0..m-1 avoid the matching.  The trees are verified on G(m,d)
+  with the path-halving ``_find`` the search's clumps use, each edge found
+  by bisecting its sorted row.
 
 * ``sigma`` searches down from k_max, jumping from each failed k to the
   bound c // (t-1) < k of its witness (c crossing edges over t parts).  The
@@ -46,6 +48,7 @@ packings are reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import NamedTuple
 
@@ -189,22 +192,13 @@ class _Forest:
         return path
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def union(self, u: int, v: int) -> None:
-        ru, rv = self.find(u), self.find(v)
-        if ru != rv:
-            self.parent[rv] = ru
+def _find(parent: list[int], v: int) -> int:
+    """The root of v under the parent pointers, halving the path on the way:
+    each vertex passed is pointed at its grandparent (Tarjan & van Leeuwen 1984)."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
 
 
 class _PackingState:
@@ -213,7 +207,7 @@ class _PackingState:
         self.edges = list(g.edges())
         self.forests = [_Forest(g.n) for _ in range(k)]
         self.forest_of: dict[int, int] = {}  # edge index -> its forest
-        self.clumps = _UnionFind(g.n)  # saturated clumps, grown by failed searches
+        self.clumps = list(range(g.n))  # parents of saturated clumps, grown by failed searches
 
     def try_insert(self, e0: int) -> dict[int, tuple[int, int] | None] | None:
         """Augmenting search for edge e0.
@@ -232,13 +226,13 @@ class _PackingState:
                 forest.hang(u, v, e0)
                 self.forest_of[e0] = i
                 return None
-        find = self.clumps.find
+        clumps = self.clumps
         labels: dict[int, tuple[int, int] | None] = {e0: None}
         queue = deque([e0])
         while queue:
             f = queue.popleft()
             fu, fv = self.edges[f]
-            if find(fu) == find(fv):
+            if _find(clumps, fu) == _find(clumps, fv):
                 continue
             own = self.forest_of.get(f)
             for i in range(self.k):
@@ -293,18 +287,20 @@ def pack_spanning_trees(g: Graph, k: int) -> ForestPacking | PartitionCertificat
         return cert
 
     state = _PackingState(g, k)
+    clumps = state.clumps
     target = k * (g.n - 1)
     for eid in range(len(state.edges)):
         if len(state.forest_of) == target:
             break
         u, v = state.edges[eid]
-        if state.clumps.find(u) == state.clumps.find(v):
+        if _find(clumps, u) == _find(clumps, v):
             continue  # inside a saturated clump: insertion is impossible
         labels = state.try_insert(eid)
         if labels is not None:
             # the failed search's closed edges (eid among them) span a saturated clump
             for lid in labels:
-                state.clumps.union(*state.edges[lid])
+                u, v = state.edges[lid]
+                clumps[_find(clumps, v)] = _find(clumps, u)
 
     if len(state.forest_of) == target:
         packing = ForestPacking(tuple(
@@ -316,7 +312,7 @@ def pack_spanning_trees(g: Graph, k: int) -> ForestPacking | PartitionCertificat
 
     groups: dict[int, list[int]] = {}
     for v in range(g.n):
-        groups.setdefault(state.clumps.find(v), []).append(v)
+        groups.setdefault(_find(clumps, v), []).append(v)
     cert = verify_nash_williams(g, tuple(frozenset(grp) for grp in groups.values()), k)
     if not cert.refutes:
         raise ConsistencyError("blocking partition failed its own verification")
@@ -350,7 +346,7 @@ def walecki_packing(m: int, d: int) -> ForestPacking:
     for f in range(m):
         path = [slot[v] for v in _walecki_path(c, f)]
         inside = [(min(x, y), max(x, y)) for x, y in zip(path, path[1:])]
-        tree = [(a * c + x, a * c + y) for a in range(k) for x, y in inside]
+        tree = [(a + x, a + y) for a in range(0, k * c, c) for x, y in inside]
         quotient = _walecki_path(k, f)
         for a, b in zip(quotient, quotient[1:]):
             if (b - a) % k > m:
@@ -370,21 +366,25 @@ def _verify_packing(g: Graph, packing: ForestPacking) -> None:
     spanning trees of g, each edge written (u, v) with u < v.
 
     n-1 edges of g of which none joins two already connected vertices form
-    a spanning tree.
+    a spanning tree: each tree joins its edges under the clumps' path-halving
+    ``_find``, and (u, v) is in g if bisecting row u finds v (no row when
+    u, v lie outside 0 <= u < v < n).
     """
+    n, rows = g.n, g.adjacency
     seen: set[tuple[int, int]] = set()
     for tree in packing.trees:
-        if len(tree) != g.n - 1:
-            raise ConsistencyError(f"tree has {len(tree)} edges, not {g.n - 1}")
+        if len(tree) != n - 1:
+            raise ConsistencyError(f"tree has {len(tree)} edges, not {n - 1}")
         if tree & seen:
             raise ConsistencyError("trees share an edge")
         seen |= tree
-        components = _UnionFind(g.n)
-        find, parent = components.find, components.parent
+        parent = list(range(n))
         for u, v in tree:
-            if not (0 <= u < v < g.n and g.has_edge(u, v)):
+            row = rows[u] if 0 <= u < v < n else ()
+            i = bisect_left(row, v)
+            if i == len(row) or row[i] != v:
                 raise ConsistencyError(f"tree edge ({u},{v}) is not an edge (u < v) of the graph")
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru == rv:
                 raise ConsistencyError(f"tree edge ({u},{v}) closes a cycle")
             parent[rv] = ru

@@ -1,4 +1,5 @@
 import itertools
+import re
 import subprocess
 import sys
 import textwrap
@@ -26,7 +27,8 @@ from extremal_trees import (
     verify_nash_williams,
     walecki_packing,
 )
-from extremal_trees.packing import _Forest
+from extremal_trees.graphs import connected_components
+from extremal_trees.packing import _Forest, _verify_packing
 
 from conftest import CROSS_CHECK_CASES, complete_graph, path_graph
 
@@ -323,6 +325,79 @@ def test_verify_packing_rejects_a_non_tree_under_optimize():
     assert lines[1:4] == [f"tree edge {edge} is not an edge (u < v) of the graph"
                           for edge in ("(2,3)", "(2,1)", "(-1,0)")]
     assert lines[4] == "tree has 2 edges, not 3"
+
+
+VERIFIER_MESSAGES = (r"tree has \d+ edges, not \d+", r"trees share an edge",
+                     r"tree edge \(-?\d+,-?\d+\) is not an edge \(u < v\) of the graph",
+                     r"tree edge \(\d+,\d+\) closes a cycle")
+
+
+def reference_accepts(g: Graph, trees) -> bool:
+    """Brute force: n-1 edges of g spanning one component, pairwise disjoint."""
+    edges = set(g.edges())
+    return all(len(tree) == g.n - 1 and tree <= edges
+               and len(connected_components(Graph.from_edges(g.n, tree))) == 1
+               for tree in trees) and not any(a & b for a, b in itertools.combinations(trees, 2))
+
+
+def mutated_families(g: Graph, trees, rng):
+    """(kind, trees) with one defect each, written into a valid packing."""
+    n = g.n
+    f = rng.randint(len(trees))
+    tree = sorted(trees[f])
+    e = tree[rng.randint(len(tree))]
+    rest = set(tree) - {e}
+
+    def with_tree(new):
+        return [*trees[:f], frozenset(new), *trees[f + 1:]]
+
+    non_edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if not g.has_edge(u, v)]
+    non_edges += [(-1, 0), (n - 1, n), (0, 0)]
+    yield "non-edge", with_tree(rest | {non_edges[rng.randint(len(non_edges))]})
+    yield "reversed", with_tree(rest | {e[::-1]})
+    yield "dropped", with_tree(rest)
+    if len(trees) > 1:
+        other = sorted(trees[(f + 1) % len(trees)])
+        yield "shared", with_tree(rest | {other[rng.randint(len(other))]})
+    # a leaf's edge traded for an edge of g among the other vertices: the
+    # tree gains a cycle and the leaf is isolated
+    leaf = next(x for x in range(n) if sum(x in edge for edge in tree) == 1)
+    cut = next(edge for edge in tree if leaf in edge)
+    spare = [edge for edge in g.edges() if leaf not in edge and edge not in tree]
+    if spare:
+        yield "cycle", with_tree(set(tree) - {cut} | {spare[rng.randint(len(spare))]})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_packing_agrees_with_a_brute_force_reference(seed):
+    # valid packings are accepted and every mutant is rejected with one of
+    # the verifier's four messages; a non-edge or a reversed pair is caught
+    # at that edge, a dropped edge by the count
+    rng = np.random.RandomState(seed)
+    kinds = Counter()
+    for _ in range(25):
+        n = rng.randint(3, 10)
+        p = rng.uniform(0.4, 1.0)
+        g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                 if rng.uniform() < p])
+        for k in (1, 2, 3):
+            result = pack_spanning_trees(g, k)
+            if not isinstance(result, ForestPacking):
+                continue
+            for kind, trees in [("valid", list(result.trees)),
+                                *mutated_families(g, result.trees, rng)]:
+                try:
+                    _verify_packing(g, ForestPacking(tuple(trees)))
+                    accepted, message = True, ""
+                except ConsistencyError as exc:
+                    accepted, message = False, str(exc)
+                assert accepted == reference_accepts(g, trees) == (kind == "valid"), (kind, trees)
+                if not accepted:
+                    assert any(re.fullmatch(pattern, message) for pattern in VERIFIER_MESSAGES)
+                    caught_by = {"non-edge": 2, "reversed": 2, "dropped": 0}.get(kind)
+                    assert caught_by is None or re.fullmatch(VERIFIER_MESSAGES[caught_by], message)
+                kinds[kind] += 1
+    assert len(kinds) == 6 and min(kinds.values()) >= 5, kinds
 
 
 @pytest.mark.parametrize("size", range(2, 10))
