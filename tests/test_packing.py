@@ -394,8 +394,9 @@ def test_verify_packing_agrees_with_a_brute_force_reference(seed):
                 assert accepted == reference_accepts(g, trees) == (kind == "valid"), (kind, trees)
                 if not accepted:
                     assert any(re.fullmatch(pattern, message) for pattern in VERIFIER_MESSAGES)
-                    caught_by = {"non-edge": 2, "reversed": 2, "dropped": 0}.get(kind)
-                    assert caught_by is None or re.fullmatch(VERIFIER_MESSAGES[caught_by], message)
+                    caught_by = {"non-edge": "is not an edge", "reversed": "is not an edge",
+                                 "dropped": "edges, not"}.get(kind, "")
+                    assert caught_by in message
                 kinds[kind] += 1
     assert len(kinds) == 6 and min(kinds.values()) >= 5, kinds
 
